@@ -5,64 +5,39 @@
     tempbal rmt --q 64,256,1024 --s 0.5:3.0:0.25 [--out table.csv] [--seed N]
 
 Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
-3 numerical failure. TEMPBAL_THREADS caps per-layer analysis parallelism.
+3 numerical failure.
 
 Training is configured by a flat key=value file ('#' starts a comment,
-missing keys take defaults, unknown keys are rejected):
-
-    key                      default      meaning
-    ----------------------   ----------   -----------------------------------
-    eta0                     0.1          initial global learning rate
-    total_epochs             30           cosine annealing horizon T
-    epochs                   =T           epochs to actually run
-    s1, s2                   0.5, 1.5     scaling ratio bounds
-    assignment               tempbalance  tempbalance|sqrt|log2|step|lars|global_only
-    metric                   alpha_hill   alpha_hill|spectral_norm|alpha_weighted
-    start_epoch              0            epochs before layer-wise rates engage
-    update_interval_iters    390          iterations between schedule refreshes
-    exclude_first_last       true         first/last layers ride the global rate
-    policy                   median       median|ks|fixfinger
-    policy_bins              100          histogram bins for fixfinger
-    hidden                   32,16        dense hidden widths
-    activation               relu         relu|tanh
-    init                     he           he|xavier
-    conv_stem                (none)       e.g. 4x1x3x3,8x4x3x3 (out,in,kh,kw blocks)
-    conv_input               (none)       e.g. 1x8x8 (channels x height x width)
-    dataset                  gaussian     gaussian|csv
-    classes                  2            gaussian: number of classes
-    dim                      20           gaussian: feature dimension
-    samples                  1000         gaussian: total samples
-    spread                   1.0          gaussian: within-class std
-    separation               4.0          gaussian: norm of each class mean
-    split                    0.8          train fraction
-    csv_path                 (none)       csv: input file
-    label_column             label        csv: label column name
-    lambda_sr                0.0          top-singular-value penalty coefficient
-    batch_size               128
-    momentum                 0.9
-    weight_decay             0.0005
-    seed                     0
-    timing                   wall         wall|off (off zeroes CSV wall-times)
+missing keys take defaults, unknown keys are rejected). CONFIG_KEYS lists
+every key with its type, default and meaning; `tempbal train --help`
+prints it.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, TempbalError
-from .htsr import LambdaMinPolicy, analyze_snapshot
+from .htsr import POLICY_VARIANTS, LambdaMinPolicy, analyze_snapshot
 from .rmt_lab import verify_s_alpha
 from .scheduler import ASSIGNMENTS, METRICS, ScheduleConfig
 from .train_engine import (
+    ACTIVATIONS,
+    INIT_SCHEMES,
     CsvDataSpec,
     GaussianMixtureSpec,
     ModelSpec,
     OptimState,
+    conv_output_shape,
+    make_dataset,
     run_training,
 )
 from .weight_store import load_snapshot, save_snapshot
@@ -72,41 +47,6 @@ from .weight_store import load_snapshot, save_snapshot
 RMT_REL_ERR_TOL = 0.15
 RMT_GATE_MIN_SIZE = 64
 RMT_GATE_S_RANGE = (0.5, 3.0)
-
-_CONFIG_DEFAULTS: dict[str, str] = {
-    "eta0": "0.1",
-    "total_epochs": "30",
-    "epochs": "",
-    "s1": "0.5",
-    "s2": "1.5",
-    "assignment": "tempbalance",
-    "metric": "alpha_hill",
-    "start_epoch": "0",
-    "update_interval_iters": "390",
-    "exclude_first_last": "true",
-    "policy": "median",
-    "policy_bins": "100",
-    "hidden": "32,16",
-    "activation": "relu",
-    "init": "he",
-    "conv_stem": "",
-    "conv_input": "",
-    "dataset": "gaussian",
-    "classes": "2",
-    "dim": "20",
-    "samples": "1000",
-    "spread": "1.0",
-    "separation": "4.0",
-    "split": "0.8",
-    "csv_path": "",
-    "label_column": "label",
-    "lambda_sr": "0.0",
-    "batch_size": "128",
-    "momentum": "0.9",
-    "weight_decay": "0.0005",
-    "seed": "0",
-    "timing": "wall",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,36 +60,158 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _int(raw: str, key: str) -> int:
+# Config value parsers: text in, typed value out, ValueError on malformed text.
+
+
+def _int(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"key {key}: expected integer, got {raw!r}") from None
+        raise ValueError(f"expected integer, got {raw!r}") from None
 
 
-def _float(raw: str, key: str) -> float:
+def _float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"key {key}: expected number, got {raw!r}") from None
+        raise ValueError(f"expected number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
-def _bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
+def _bool(raw: str) -> bool:
+    low = raw.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"key {key}: expected boolean, got {raw!r}")
+    raise ValueError(f"expected boolean, got {raw!r}")
 
 
-def parse_config(path: str) -> dict[str, str]:
-    """Flat key=value config; unknown keys rejected, missing keys defaulted."""
+def nonnegative_int(raw: str) -> int:
+    """An integer >= 0, the only seeds numpy generators take."""
+    value = _int(raw)
+    if value < 0:
+        raise ValueError(f"expected a nonnegative integer, got {raw!r}")
+    return value
+
+
+def _optional_int(raw: str) -> int | None:
+    return _int(raw) if raw else None
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(_int(p) for p in raw.split(",") if p.strip())
+
+
+def _dims(raw: str, rank: int, layout: str) -> tuple[int, ...]:
+    parts = raw.split("x")
+    if len(parts) != rank:
+        raise ValueError(f"expected {layout}, got {raw!r}")
+    return tuple(_int(p) for p in parts)
+
+
+def _conv_stem(raw: str) -> tuple[tuple[int, int, int, int], ...]:
+    if not raw:
+        return ()
+    return tuple(_dims(block, 4, "out x in x kh x kw blocks") for block in raw.split(","))
+
+
+def _conv_input(raw: str) -> tuple[int, int, int] | None:
+    return _dims(raw, 3, "channels x height x width") if raw else None
+
+
+def _one_of(*options: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected {' or '.join(options)}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One training config key: its parser, typed default and meaning."""
+
+    parse: Callable[[str], Any]
+    default: Any
+    meaning: str
+
+
+# Every `tempbal train` config key. Defaults that a library class already
+# declares are read from it; range and choice checks stay in the classes
+# the values are handed to.
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    "eta0": ConfigKey(_float, 0.1, "initial global learning rate"),
+    "total_epochs": ConfigKey(_int, 30, "cosine annealing horizon T"),
+    "epochs": ConfigKey(_optional_int, None, "epochs to actually run (unset: total_epochs)"),
+    "s1": ConfigKey(_float, ScheduleConfig.s1, "lower scaling ratio"),
+    "s2": ConfigKey(_float, ScheduleConfig.s2, "upper scaling ratio"),
+    "assignment": ConfigKey(str, ScheduleConfig.assignment, "|".join(ASSIGNMENTS)),
+    "metric": ConfigKey(str, ScheduleConfig.metric, "|".join(METRICS)),
+    "start_epoch": ConfigKey(_int, ScheduleConfig.start_epoch, "epochs before layer-wise rates engage"),
+    "update_interval_iters": ConfigKey(
+        _int, ScheduleConfig.update_interval_iters, "iterations between schedule refreshes"
+    ),
+    "exclude_first_last": ConfigKey(
+        _bool, ScheduleConfig.exclude_first_last, "first/last layers ride the global rate"
+    ),
+    "policy": ConfigKey(str, LambdaMinPolicy.variant, "|".join(POLICY_VARIANTS)),
+    "policy_bins": ConfigKey(_int, LambdaMinPolicy.histogram_bins, "histogram bins for fixfinger"),
+    "hidden": ConfigKey(_ints, (32, 16), "dense hidden widths"),
+    "activation": ConfigKey(str, ModelSpec.activation, "|".join(ACTIVATIONS)),
+    "init": ConfigKey(str, ModelSpec.init, "|".join(INIT_SCHEMES)),
+    "conv_stem": ConfigKey(_conv_stem, ModelSpec.conv_stem, "e.g. 4x1x3x3,8x4x3x3 (out,in,kh,kw blocks)"),
+    "conv_input": ConfigKey(_conv_input, ModelSpec.conv_input, "e.g. 1x8x8 (channels x height x width)"),
+    "dataset": ConfigKey(_one_of("gaussian", "csv"), "gaussian", "gaussian|csv"),
+    "classes": ConfigKey(_int, GaussianMixtureSpec.classes, "gaussian: number of classes"),
+    "dim": ConfigKey(_int, GaussianMixtureSpec.dim, "gaussian: feature dimension"),
+    "samples": ConfigKey(_int, GaussianMixtureSpec.samples, "gaussian: total samples"),
+    "spread": ConfigKey(_float, GaussianMixtureSpec.spread, "gaussian: within-class std"),
+    "separation": ConfigKey(_float, GaussianMixtureSpec.separation, "gaussian: norm of each class mean"),
+    "split": ConfigKey(_float, GaussianMixtureSpec.split, "train fraction"),
+    "csv_path": ConfigKey(str, "", "csv: input file"),
+    "label_column": ConfigKey(str, CsvDataSpec.label_column, "csv: label column name"),
+    "lambda_sr": ConfigKey(_float, 0.0, "top-singular-value penalty coefficient"),
+    "batch_size": ConfigKey(_int, OptimState.batch_size, "SGD minibatch size"),
+    "momentum": ConfigKey(_float, OptimState.momentum, "SGD momentum"),
+    "weight_decay": ConfigKey(_float, OptimState.weight_decay, "SGD weight decay"),
+    "seed": ConfigKey(nonnegative_int, 0, "data, init and shuffle seed (--seed overrides)"),
+    "timing": ConfigKey(_one_of("wall", "off"), "wall", "wall|off (off zeroes CSV wall-times)"),
+}
+
+
+def _show(value) -> str:
+    """A default as config text; (none) for an unset key."""
+    if value is None or value in ("", ()):
+        return "(none)"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _config_help() -> str:
+    lines = [
+        "config file: one 'key = value' per line, '#' starts a comment, missing keys take the default",
+        "",
+        f"  {'key':<24} {'default':<12} meaning",
+    ]
+    for key, spec in CONFIG_KEYS.items():
+        lines.append(f"  {key:<24} {_show(spec.default):<12} {spec.meaning}")
+    return "\n".join(lines)
+
+
+def parse_config(path: str) -> dict[str, Any]:
+    """Typed values of a flat key=value config; unknown keys rejected, missing keys defaulted."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    values = dict(_CONFIG_DEFAULTS)
+    values = {key: spec.default for key, spec in CONFIG_KEYS.items()}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -158,117 +220,13 @@ def parse_config(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{line_no}: expected key=value, got {line.strip()!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in values:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown key {key}")
-        values[key] = raw.strip()
+        try:
+            values[key] = CONFIG_KEYS[key].parse(raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"key {key}: {exc}") from None
     return values
-
-
-def _parse_conv_stem(raw: str) -> tuple[tuple[int, int, int, int], ...]:
-    if not raw:
-        return ()
-    blocks = []
-    for block in raw.split(","):
-        parts = block.strip().split("x")
-        if len(parts) != 4:
-            raise ConfigError(f"conv_stem block {block!r}: expected out x in x kh x kw")
-        blocks.append(tuple(_int(p, "conv_stem") for p in parts))
-    return tuple(blocks)
-
-
-def _parse_conv_input(raw: str) -> tuple[int, int, int] | None:
-    if not raw:
-        return None
-    parts = raw.strip().split("x")
-    if len(parts) != 3:
-        raise ConfigError(f"conv_input {raw!r}: expected channels x height x width")
-    return tuple(_int(p, "conv_input") for p in parts)
-
-
-def build_run(values: dict[str, str], seed_override: int | None = None):
-    """Turn parsed config values into the typed objects run_training needs."""
-    seed = seed_override if seed_override is not None else _int(values["seed"], "seed")
-
-    if values["dataset"] == "gaussian":
-        data = GaussianMixtureSpec(
-            classes=_int(values["classes"], "classes"),
-            dim=_int(values["dim"], "dim"),
-            samples=_int(values["samples"], "samples"),
-            spread=_float(values["spread"], "spread"),
-            separation=_float(values["separation"], "separation"),
-            split=_float(values["split"], "split"),
-        )
-        in_dim, n_classes = data.dim, data.classes
-    elif values["dataset"] == "csv":
-        if not values["csv_path"]:
-            raise ConfigError("dataset=csv requires csv_path")
-        data = CsvDataSpec(
-            path=values["csv_path"],
-            label_column=values["label_column"],
-            split=_float(values["split"], "split"),
-        )
-        from .train_engine import make_dataset
-
-        probe = make_dataset(data, seed)
-        in_dim, n_classes = probe.dim, probe.n_classes
-    else:
-        raise ConfigError(f"key dataset: expected gaussian or csv, got {values['dataset']!r}")
-
-    conv_stem = _parse_conv_stem(values["conv_stem"])
-    conv_input = _parse_conv_input(values["conv_input"])
-    if conv_stem:
-        from .train_engine import conv_output_shape
-
-        if conv_input is None:
-            raise ConfigError("conv_stem requires conv_input")
-        c, h, w = conv_output_shape(conv_stem, conv_input)
-        first_width = c * h * w
-    else:
-        first_width = in_dim
-    hidden = [_int(p, "hidden") for p in values["hidden"].split(",") if p.strip()]
-    model = ModelSpec(
-        widths=tuple([first_width] + hidden + [n_classes]),
-        activation=values["activation"],
-        init=values["init"],
-        seed=seed,
-        conv_stem=conv_stem,
-        conv_input=conv_input,
-    )
-
-    total_epochs = _int(values["total_epochs"], "total_epochs")
-    sched = ScheduleConfig(
-        eta0=_float(values["eta0"], "eta0"),
-        total_epochs=total_epochs,
-        s1=_float(values["s1"], "s1"),
-        s2=_float(values["s2"], "s2"),
-        assignment=values["assignment"],
-        metric=values["metric"],
-        start_epoch=_int(values["start_epoch"], "start_epoch"),
-        update_interval_iters=_int(values["update_interval_iters"], "update_interval_iters"),
-        exclude_first_last=_bool(values["exclude_first_last"], "exclude_first_last"),
-    )
-    if values["assignment"] not in ASSIGNMENTS:
-        raise ConfigError(f"key assignment: unknown value {values['assignment']!r}")
-    if values["metric"] not in METRICS:
-        raise ConfigError(f"key metric: unknown value {values['metric']!r}")
-
-    policy = LambdaMinPolicy(variant=_policy_variant(values["policy"]), histogram_bins=_int(values["policy_bins"], "policy_bins"))
-    optim = OptimState(
-        momentum=_float(values["momentum"], "momentum"),
-        weight_decay=_float(values["weight_decay"], "weight_decay"),
-        batch_size=_int(values["batch_size"], "batch_size"),
-    )
-    epochs = _int(values["epochs"], "epochs") if values["epochs"] else total_epochs
-    lambda_sr = _float(values["lambda_sr"], "lambda_sr")
-    if values["timing"] not in ("wall", "off"):
-        raise ConfigError(f"key timing: expected wall or off, got {values['timing']!r}")
-    return model, data, sched, policy, optim, epochs, lambda_sr, seed, values["timing"] == "wall"
-
-
-def _policy_variant(raw: str) -> str:
-    if raw not in ("median", "ks", "fixfinger"):
-        raise ConfigError(f"key policy: expected median, ks or fixfinger, got {raw!r}")
-    return raw
 
 
 def _safe_name(name: str) -> str:
@@ -313,19 +271,38 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _from_config(cls, cfg: dict[str, Any], **given):
+    """cls built from the config keys named like its fields, plus the given fields."""
+    names = [f.name for f in fields(cls) if f.name in cfg and f.name not in given]
+    return cls(**{name: cfg[name] for name in names}, **given)
+
+
 def cmd_train(args) -> int:
-    values = parse_config(args.config)
-    model, data, sched, policy, optim, epochs, lambda_sr, seed, timing = build_run(
-        values, args.seed
-    )
+    cfg = parse_config(args.config)
+    seed = cfg["seed"] if args.seed is None else args.seed
+    if cfg["dataset"] == "csv":
+        if not cfg["csv_path"]:
+            raise ConfigError("dataset=csv requires csv_path")
+        # read once, here: the model's input width and class count come from the file
+        data = make_dataset(_from_config(CsvDataSpec, cfg, path=cfg["csv_path"]), seed)
+        in_dim, n_classes = data.dim, data.n_classes
+    else:
+        data = _from_config(GaussianMixtureSpec, cfg)
+        in_dim, n_classes = data.dim, data.classes
+    if cfg["conv_stem"] and cfg["conv_input"]:
+        in_dim = math.prod(conv_output_shape(cfg["conv_stem"], cfg["conv_input"]))
+    model = _from_config(ModelSpec, cfg, widths=(in_dim, *cfg["hidden"], n_classes), seed=seed)
+    sched = _from_config(ScheduleConfig, cfg)
+    policy = LambdaMinPolicy(variant=cfg["policy"], histogram_bins=cfg["policy_bins"])
+    optim = _from_config(OptimState, cfg)
     telemetry, final = run_training(
-        model, data, sched, policy, lambda_sr=lambda_sr, epochs=epochs, seed=seed, optim=optim
+        model, data, sched, policy, lambda_sr=cfg["lambda_sr"], epochs=cfg["epochs"], seed=seed, optim=optim
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     telemetry_path = out_dir / "telemetry.csv"
     with open(telemetry_path, "w") as fh:
-        telemetry.write_csv(fh, timing=timing)
+        telemetry.write_csv(fh, timing=cfg["timing"] == "wall")
     save_snapshot(final, str(out_dir / "final.wsnp"))
 
     epoch_rows = telemetry.epoch_rows()
@@ -338,30 +315,31 @@ def cmd_train(args) -> int:
 
 
 def _parse_grid(raw: str, what: str) -> list[float]:
-    """Comma list (1,2,3) or colon range (start:stop:step, stop inclusive)."""
+    """Finite values from a comma list (1,2,3) or colon range (start:stop:step, stop inclusive)."""
     raw = raw.strip()
     if not raw:
         raise ConfigError(f"empty {what} grid")
-    if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"{what} range must be start:stop:step, got {raw!r}")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"{what} range: non-numeric field in {raw!r}") from None
-        if step <= 0 or stop < start:
-            raise ConfigError(f"{what} range: need step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
-        return [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
+    is_range = ":" in raw
     try:
-        return [float(p) for p in raw.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"{what} grid: non-numeric entry in {raw!r}") from None
+        values = [_float(p) for p in raw.split(":" if is_range else ",") if p.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{what} grid: {exc}") from None
+    if not is_range:
+        return values
+    if len(values) != 3:
+        raise ConfigError(f"{what} range must be start:stop:step, got {raw!r}")
+    start, stop, step = values
+    if step <= 0 or stop < start:
+        raise ConfigError(f"{what} range: need step > 0 and stop >= start")
+    count = int(round((stop - start) / step)) + 1
+    return [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
 
 
 def cmd_rmt(args) -> int:
-    sizes = [int(q) for q in _parse_grid(args.q, "q")]
+    sizes = _parse_grid(args.q, "q")
+    if not all(q.is_integer() and q > 0 for q in sizes):
+        raise ConfigError(f"q grid: matrix sizes must be positive integers, got {args.q!r}")
+    sizes = [int(q) for q in sizes]
     s_grid = _parse_grid(args.s, "s")
     if not sizes or not s_grid:
         raise ConfigError("q and s grids must be nonempty")
@@ -400,14 +378,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="per-layer tail metrics of a weight snapshot")
     p_analyze.add_argument("snapshot", help="path to a .wsnp snapshot file")
-    p_analyze.add_argument("--policy", choices=("median", "ks", "fixfinger"), default="median")
-    p_analyze.add_argument("--bins", type=int, default=100, help="histogram bins (fixfinger and ESD output)")
+    p_analyze.add_argument("--policy", choices=POLICY_VARIANTS, default=LambdaMinPolicy.variant)
+    p_analyze.add_argument("--bins", type=int, default=LambdaMinPolicy.histogram_bins, help="histogram bins (fixfinger and ESD output)")
     p_analyze.add_argument("--out-dir", default=".", help="where to write metrics.csv and ESD histograms")
     p_analyze.set_defaults(func=cmd_analyze)
 
-    p_train = sub.add_parser("train", help="run the training loop under a config file")
+    p_train = sub.add_parser(
+        "train",
+        help="run the training loop under a config file",
+        epilog=_config_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     p_train.add_argument("--config", required=True, help="flat key=value config file")
-    p_train.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_train.add_argument("--seed", type=nonnegative_int, default=None, help="override the config seed")
     p_train.add_argument("--out-dir", default=".", help="where to write telemetry.csv and final.wsnp")
     p_train.set_defaults(func=cmd_train)
 
@@ -415,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rmt.add_argument("--q", required=True, help="matrix sizes, e.g. 64,256,1024")
     p_rmt.add_argument("--s", required=True, help="decay exponents, e.g. 0.5:3.0:0.25 or 1.0,2.0")
     p_rmt.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    p_rmt.add_argument("--seed", type=int, default=0)
+    p_rmt.add_argument("--seed", type=nonnegative_int, default=0)
     p_rmt.set_defaults(func=cmd_rmt)
     return parser
 

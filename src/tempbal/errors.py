@@ -9,8 +9,12 @@ class TempbalError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(TempbalError):
-    """Bad usage: unknown flags, malformed config keys, invalid values."""
+class ConfigError(TempbalError, ValueError):
+    """Bad usage: unknown flags, malformed config keys, invalid values.
+
+    Also a ValueError, so library callers can catch out-of-range arguments
+    the usual way.
+    """
 
 
 class DataError(TempbalError):

@@ -23,13 +23,11 @@ error so that degenerate layers can still be scheduled.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .esd import ESD, OrientedMatrix, compute_esd, orient
 from .weight_store import WeightSnapshot
 
@@ -61,9 +59,9 @@ class LambdaMinPolicy:
 
     def __post_init__(self):
         if self.variant not in POLICY_VARIANTS:
-            raise ValueError(f"unknown policy variant {self.variant!r}, expected one of {POLICY_VARIANTS}")
+            raise ConfigError(f"unknown policy variant {self.variant!r}, expected one of {POLICY_VARIANTS}")
         if self.histogram_bins < 2:
-            raise ValueError(f"histogram_bins must be >= 2, got {self.histogram_bins}")
+            raise ConfigError(f"histogram_bins must be >= 2, got {self.histogram_bins}")
 
 
 @dataclass(frozen=True)
@@ -252,40 +250,23 @@ class LayerAnalysis:
     error: str | None
 
 
-def _analysis_workers() -> int:
-    raw = os.environ.get("TEMPBAL_THREADS", "1")
+def _analyze_layer(layer, policy: LambdaMinPolicy) -> LayerAnalysis:
+    oriented = orient(layer)
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        spectrum = compute_esd(oriented)
+    except NumericalError as exc:
+        return LayerAnalysis(layer.name, oriented.n, oriented.m, None, None, str(exc))
+    try:
+        metrics = layer_metrics(spectrum, policy)
+    except (NumericalError, ValueError) as exc:
+        return LayerAnalysis(layer.name, oriented.n, oriented.m, spectrum, None, str(exc))
+    return LayerAnalysis(layer.name, oriented.n, oriented.m, spectrum, metrics, None)
 
 
-def analyze_snapshot(
-    snapshot: WeightSnapshot,
-    policy: LambdaMinPolicy,
-    max_workers: int | None = None,
-) -> list[LayerAnalysis]:
+def analyze_snapshot(snapshot: WeightSnapshot, policy: LambdaMinPolicy) -> list[LayerAnalysis]:
     """Per-layer ESD metrics for a whole snapshot, in layer order.
 
-    Layers are independent, so analysis fans out over a thread pool when
-    TEMPBAL_THREADS (or max_workers) is above 1. Numerical failures on a
-    layer are captured in its row instead of aborting the snapshot.
+    Numerical failures on a layer are captured in its row instead of
+    aborting the snapshot.
     """
-
-    def analyze(layer) -> LayerAnalysis:
-        oriented = orient(layer)
-        try:
-            spectrum = compute_esd(oriented)
-        except NumericalError as exc:
-            return LayerAnalysis(layer.name, oriented.n, oriented.m, None, None, str(exc))
-        try:
-            metrics = layer_metrics(spectrum, policy)
-        except (NumericalError, ValueError) as exc:
-            return LayerAnalysis(layer.name, oriented.n, oriented.m, spectrum, None, str(exc))
-        return LayerAnalysis(layer.name, oriented.n, oriented.m, spectrum, metrics, None)
-
-    workers = _analysis_workers() if max_workers is None else max(1, max_workers)
-    if workers > 1 and len(snapshot.layers) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(analyze, snapshot.layers))
-    return [analyze(layer) for layer in snapshot.layers]
+    return [_analyze_layer(layer, policy) for layer in snapshot.layers]

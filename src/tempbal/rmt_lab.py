@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .esd import ESD, OrientedMatrix, compute_esd
 from .htsr import LambdaMinPolicy, layer_metrics
 
@@ -37,11 +38,11 @@ class PLSpectrumSpec:
 
     def __post_init__(self):
         if self.size < 8:
-            raise ValueError(f"size must be >= 8, got {self.size}")
+            raise ConfigError(f"size must be >= 8, got {self.size}")
         if self.decay < 0:
-            raise ValueError(f"decay exponent must be nonnegative, got {self.decay}")
+            raise ConfigError(f"decay exponent must be nonnegative, got {self.decay}")
         if self.lambda1 <= 0:
-            raise ValueError(f"lambda1 must be positive, got {self.lambda1}")
+            raise ConfigError(f"lambda1 must be positive, got {self.lambda1}")
 
 
 def _haar_orthogonal(size: int, rng: np.random.Generator) -> np.ndarray:
@@ -95,12 +96,12 @@ def verify_s_alpha(
     and fit with the median threshold policy (k = n/2).
     """
     if not s_grid:
-        raise ValueError("s grid must be nonempty")
+        raise ConfigError("s grid must be nonempty")
     policy = LambdaMinPolicy(variant="median")
     rows = []
     for idx, s in enumerate(s_grid):
         if s <= 0:
-            raise ValueError(f"decay exponents must be positive for the sweep, got {s}")
+            raise ConfigError(f"decay exponents must be positive for the sweep, got {s}")
         cell_seed = np.random.SeedSequence([seed, size, idx]).generate_state(1)[0]
         spec = PLSpectrumSpec(size=size, decay=s, lambda1=lambda1, seed=int(cell_seed))
         metrics = layer_metrics(compute_esd(synth_pl_matrix(spec)), policy)

@@ -195,7 +195,6 @@ def schedule_epoch(
     snapshot: WeightSnapshot,
     policy: LambdaMinPolicy,
     grad_norms: Mapping[str, float] | None = None,
-    max_workers: int | None = None,
 ) -> ScheduleDecision:
     """Learning rates for epoch t from the current weight snapshot.
 
@@ -230,7 +229,7 @@ def schedule_epoch(
     if config.exclude_first_last:
         excluded.update((names[0], names[-1]))
 
-    analyses = analyze_snapshot(snapshot, policy, max_workers=max_workers)
+    analyses = analyze_snapshot(snapshot, policy)
     metrics_by_layer = {}
     fallback = []
     metric_map = {}

@@ -94,6 +94,8 @@ def conv_output_shape(
     """Output (channels, h, w) of a valid-convolution stem, stride 1."""
     c, h, w = conv_input
     for idx, (out, cin, kh, kw) in enumerate(conv_stem):
+        if min(out, cin, kh, kw) < 1:
+            raise ConfigError(f"conv block {idx} sizes must be positive, got {(out, cin, kh, kw)}")
         if cin != c:
             raise ConfigError(f"conv block {idx} expects {cin} input channels, previous stage has {c}")
         h, w = h - kh + 1, w - kw + 1
@@ -260,6 +262,14 @@ class OptimState:
     batch_size: int = 128
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0.0:
+            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+
 
 def sgd_step(
     params: dict[str, np.ndarray],
@@ -336,7 +346,7 @@ class CsvDataSpec:
 
     path: str
     label_column: str = "label"
-    split: float = 0.8
+    split: float = GaussianMixtureSpec.split
 
     def __post_init__(self):
         if not 0.0 < self.split < 1.0:
@@ -393,9 +403,12 @@ def _load_csv(spec: CsvDataSpec) -> tuple[np.ndarray, np.ndarray]:
             if not label:
                 raise CsvParseError(f"{spec.path!r}: missing label value at row {row_no}")
             try:
-                features.append([float(row[i]) for i in feature_idx])
+                values = [float(row[i]) for i in feature_idx]
             except ValueError as exc:
                 raise CsvParseError(f"{spec.path!r}: non-numeric feature at row {row_no}") from exc
+            if not all(map(math.isfinite, values)):
+                raise CsvParseError(f"{spec.path!r}: non-finite feature at row {row_no}")
+            features.append(values)
             labels.append(label)
     if not labels:
         raise CsvParseError(f"{spec.path!r}: no data rows")
@@ -526,19 +539,20 @@ def _param_lr_map(
 
 def run_training(
     model: ModelSpec,
-    data: GaussianMixtureSpec | CsvDataSpec,
+    data: GaussianMixtureSpec | CsvDataSpec | Dataset,
     sched: ScheduleConfig,
     policy: LambdaMinPolicy,
     lambda_sr: float = 0.0,
     epochs: int | None = None,
     seed: int = 0,
     optim: OptimState | None = None,
-    max_workers: int | None = None,
 ) -> tuple[TrainTelemetry, WeightSnapshot]:
     """Train for the given number of epochs, rescheduling at every window boundary.
 
-    Returns the telemetry table and the final weight snapshot. Aborts with
-    DivergenceError as soon as a batch loss is non-finite.
+    data is a dataset spec, materialized here with make_dataset(data, seed),
+    or a Dataset already built. Returns the telemetry table and the final
+    weight snapshot. Aborts with DivergenceError as soon as a batch loss is
+    non-finite.
     """
     if epochs is None:
         epochs = sched.total_epochs
@@ -546,7 +560,7 @@ def run_training(
         raise ConfigError(f"epochs must be in [0, total_epochs={sched.total_epochs}], got {epochs}")
     if lambda_sr < 0:
         raise ConfigError(f"lambda_sr must be nonnegative, got {lambda_sr}")
-    dataset = make_dataset(data, seed)
+    dataset = data if isinstance(data, Dataset) else make_dataset(data, seed)
     if dataset.dim != model.input_dim:
         raise ConfigError(f"dataset dim {dataset.dim} does not match model input {model.input_dim}")
     if dataset.n_classes != model.widths[-1]:
@@ -571,9 +585,7 @@ def run_training(
             if it % interval == 0:
                 a0 = perf_counter()
                 snap = snapshot_params(params, model, epoch=t)
-                decision = schedule_epoch(
-                    sched, t, snap, policy, grad_norms=last_grad_norms, max_workers=max_workers
-                )
+                decision = schedule_epoch(sched, t, snap, policy, grad_norms=last_grad_norms)
                 lr_map = _param_lr_map(decision, params)
                 analysis_sec += perf_counter() - a0
             loss, grads = loss_and_grads(params, model, xb, yb)

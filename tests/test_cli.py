@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tempbal.cli import main, parse_config
+from tempbal.cli import CONFIG_KEYS, main, parse_config
 from tempbal.errors import ConfigError
 from tempbal.rmt_lab import PLSpectrumSpec, synth_pl_matrix
 from tempbal.weight_store import LayerTensor, WeightSnapshot, save_snapshot
@@ -179,16 +179,86 @@ def test_config_comments_and_defaults(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# full-line comment\neta0 = 0.2  # trailing comment\n\n")
     values = parse_config(str(cfg))
-    assert values["eta0"] == "0.2"
+    assert values["eta0"] == 0.2
     assert values["policy"] == "median"
 
 
 def test_config_bad_value_reports_key(tmp_path):
     cfg = train_config(tmp_path, eta0="fast")
-    from tempbal.cli import build_run
-
     with pytest.raises(ConfigError, match="eta0"):
-        build_run(parse_config(str(cfg)))
+        parse_config(str(cfg))
+
+
+def test_train_help_lists_every_key_with_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    shown = {}
+    for line in capsys.readouterr().out.splitlines():
+        fields = line.split()
+        if len(fields) >= 2:
+            shown[fields[0]] = fields[1]
+    for key, spec in CONFIG_KEYS.items():
+        assert key in shown, key
+        if spec.default in (None, "", ()):
+            assert shown[key] == "(none)", key
+        else:
+            assert spec.parse(shown[key]) == spec.default, key
+
+
+def test_train_csv_dataset_read_once(tmp_path, monkeypatch):
+    import tempbal.train_engine as engine
+
+    data = tmp_path / "data.csv"
+    rows = ["a,b,label"] + [f"{i % 2 * 3 + 0.1 * i},{i % 2},{'yes' if i % 2 else 'no'}" for i in range(40)]
+    data.write_text("\n".join(rows) + "\n")
+    reads = []
+    load_csv = engine._load_csv
+    monkeypatch.setattr(engine, "_load_csv", lambda spec: reads.append(spec.path) or load_csv(spec))
+    cfg = train_config(tmp_path, dataset="csv", csv_path=data, total_epochs=1, hidden=4)
+    assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
+    assert reads == [str(data)]
+
+
+def assert_usage_error(argv, capsys, code=1):
+    """main exits with code and a one-line error message, not a traceback."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_policy_bins_below_two_exit_1(tmp_path, snapshot_path, capsys):
+    assert_usage_error(["train", "--config", str(train_config(tmp_path, policy_bins=1))], capsys)
+    assert_usage_error(["analyze", str(snapshot_path), "--bins", "1", "--out-dir", str(tmp_path)], capsys)
+
+
+def test_optimizer_out_of_range_exit_1(tmp_path, capsys):
+    for key, value in (("batch_size", 0), ("momentum", -0.5), ("momentum", 1.0), ("weight_decay", -1e-4)):
+        cfg = train_config(tmp_path, **{key: value})
+        assert_usage_error(["train", "--config", str(cfg)], capsys)
+
+
+def test_float_keys_reject_non_finite_exit_1(tmp_path, capsys):
+    for key, value in (("eta0", "nan"), ("weight_decay", "nan"), ("s2", "inf"), ("lambda_sr", "-inf")):
+        cfg = train_config(tmp_path, **{key: value})
+        assert f"key {key}" in assert_usage_error(["train", "--config", str(cfg)], capsys)
+
+
+def test_negative_seed_exit_1(tmp_path, capsys):
+    assert_usage_error(["train", "--config", str(train_config(tmp_path, seed=-1))], capsys)
+    assert_usage_error(["train", "--config", str(train_config(tmp_path)), "--seed", "-1"], capsys)
+    assert_usage_error(["rmt", "--q", "16", "--s", "1.0", "--seed", "-1"], capsys)
+
+
+def test_csv_non_finite_feature_exit_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    rows = ["a,b,label"] + [f"{i % 2 * 3.0},{i % 2},{i % 2}" for i in range(40)]
+    rows[7] = "nan,1,1"
+    rows[12] = "0,inf,0"
+    data.write_text("\n".join(rows) + "\n")
+    cfg = train_config(tmp_path, dataset="csv", csv_path=data, total_epochs=1, hidden=4)
+    assert_usage_error(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")], capsys, code=2)
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +302,13 @@ def test_rmt_bad_range_exit_1():
 def test_usage_error_exit_1():
     assert main(["frobnicate"]) == 1
     assert main(["train"]) == 1  # missing --config
+
+
+def test_rmt_sizes_and_decays_out_of_range_exit_1(capsys):
+    for q, s in (("4", "1.0"), ("0", "1.0"), ("-3", "1.0"), ("16", "0"), ("16", "0.5,0")):
+        assert_usage_error(["rmt", "--q", q, "--s", s], capsys)
+
+
+def test_rmt_non_finite_or_fractional_grid_exit_1(capsys):
+    for q, s in (("64.7", "1.0"), ("nan", "1.0"), ("16", "inf"), ("16", "0.5:inf:0.5"), ("16", "nan:1:0.5")):
+        assert_usage_error(["rmt", "--q", q, "--s", s], capsys)

@@ -252,20 +252,3 @@ def test_analyze_snapshot_captures_degenerate_layers():
     assert by_name["dead"].metrics is None
     assert by_name["dead"].error
     assert by_name["c"].n == 4 and by_name["c"].m == 18
-
-
-def test_analyze_snapshot_parallel_matches_serial():
-    serial = analyze_snapshot(make_snapshot(), LambdaMinPolicy(), max_workers=1)
-    parallel = analyze_snapshot(make_snapshot(), LambdaMinPolicy(), max_workers=4)
-    for a, b in zip(serial, parallel):
-        assert a.name == b.name
-        if a.metrics is None:
-            assert b.metrics is None
-        else:
-            assert a.metrics.alpha_hill == b.metrics.alpha_hill
-
-
-def test_analyze_snapshot_thread_env(monkeypatch):
-    monkeypatch.setenv("TEMPBAL_THREADS", "3")
-    rows = analyze_snapshot(make_snapshot(), LambdaMinPolicy())
-    assert rows[0].metrics is not None

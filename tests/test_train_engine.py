@@ -15,6 +15,7 @@ from tempbal.train_engine import (
     ModelSpec,
     OptimState,
     TELEMETRY_HEADER,
+    conv_output_shape,
     init_params,
     loss_and_grads,
     make_dataset,
@@ -199,6 +200,22 @@ def test_gaussian_spec_validation():
         GaussianMixtureSpec(split=1.0)
 
 
+def test_optim_state_validation():
+    with pytest.raises(ConfigError):
+        OptimState(batch_size=0)
+    with pytest.raises(ConfigError):
+        OptimState(momentum=-0.5)
+    with pytest.raises(ConfigError):
+        OptimState(weight_decay=float("nan"))
+
+
+def test_csv_non_finite_feature_rejected(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("f0,label\n1.0,a\nnan,b\n")
+    with pytest.raises(CsvParseError, match="row 2"):
+        make_dataset(CsvDataSpec(path=str(path)), seed=0)
+
+
 # ---------------------------------------------------------------------------
 # gradients
 
@@ -367,3 +384,9 @@ def test_model_dataset_mismatch():
     sched = ScheduleConfig(eta0=0.1, total_epochs=4)
     with pytest.raises(ConfigError):
         run_training(model, data, sched, LambdaMinPolicy(), epochs=1, seed=0)
+
+
+def test_conv_block_sizes_must_be_positive():
+    for block in ((2, 1, 0, 3), (2, 1, -3, 3), (0, 1, 3, 3)):
+        with pytest.raises(ConfigError):
+            conv_output_shape((block,), (1, 4, 4))

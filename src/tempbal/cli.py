@@ -23,10 +23,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
-from .errors import ConfigError, DataError, NumericalError, TempbalError
-from .htsr import POLICY_VARIANTS, LambdaMinPolicy, analyze_snapshot
+from .errors import ConfigError, NumericalError, TempbalError
+from .htsr import POLICY_VARIANTS, LambdaMinPolicy, analyze_snapshot, log10_histogram
 from .rmt_lab import verify_s_alpha
 from .scheduler import ASSIGNMENTS, METRICS, ScheduleConfig
 from .train_engine import (
@@ -47,6 +45,8 @@ from .weight_store import load_snapshot, save_snapshot
 RMT_REL_ERR_TOL = 0.15
 RMT_GATE_MIN_SIZE = 64
 RMT_GATE_S_RANGE = (0.5, 3.0)
+# most values a start:stop:step grid may expand to
+MAX_GRID_VALUES = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,12 +259,10 @@ def cmd_analyze(args) -> int:
     for row in rows:
         hist_path = out_dir / f"esd_{_safe_name(row.name)}.csv"
         hist_lines = ["log10_lambda_left,log10_lambda_right,count"]
-        if row.esd is not None:
-            positive = row.esd.eigenvalues[row.esd.eigenvalues > 0]
-            if positive.size:
-                counts, edges = np.histogram(np.log10(positive), bins=args.bins)
-                for i, count in enumerate(counts):
-                    hist_lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{count}")
+        if row.esd is not None and row.esd.lambda_max > 0:
+            counts, edges = log10_histogram(row.esd.eigenvalues, args.bins)
+            for i, count in enumerate(counts):
+                hist_lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{count}")
         hist_path.write_text("\n".join(hist_lines) + "\n")
 
     print(f"analyzed {len(rows)} layers -> {metrics_path}")
@@ -331,7 +329,10 @@ def _parse_grid(raw: str, what: str) -> list[float]:
     start, stop, step = values
     if step <= 0 or stop < start:
         raise ConfigError(f"{what} range: need step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step  # inf when the quotient overflows
+    if steps > MAX_GRID_VALUES - 1:
+        raise ConfigError(f"{what} range {raw!r} expands to more than {MAX_GRID_VALUES} values")
+    count = int(round(steps)) + 1
     return [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
 
 
@@ -408,18 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except TempbalError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TempbalError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

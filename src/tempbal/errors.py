@@ -1,12 +1,10 @@
-"""Exception hierarchy shared across the package.
-
-The three branches map onto the CLI exit codes: ConfigError -> 1,
-DataError -> 2, NumericalError -> 3.
-"""
+"""Exception hierarchy shared across the package."""
 
 
 class TempbalError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; exit_code is the CLI's exit status for it."""
+
+    exit_code = 1
 
 
 class ConfigError(TempbalError, ValueError):
@@ -20,6 +18,10 @@ class ConfigError(TempbalError, ValueError):
 class DataError(TempbalError):
     """Malformed input data: snapshot files, CSV datasets."""
 
+    exit_code = 2
+
 
 class NumericalError(TempbalError):
     """Numerical failure: degenerate spectra, divergence, non-convergence."""
+
+    exit_code = 3

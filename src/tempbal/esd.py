@@ -17,9 +17,6 @@ import numpy as np
 from .errors import NumericalError
 from .weight_store import LayerTensor
 
-# roundoff eigenvalues below this fraction of the top eigenvalue clamp to 0
-_CLAMP_REL = 1e-12
-
 
 class NonFiniteMatrixError(NumericalError):
     """Weight matrix contains NaN or infinity."""
@@ -98,17 +95,12 @@ def orient(layer: LayerTensor) -> OrientedMatrix:
 def compute_esd(mat: OrientedMatrix) -> ESD:
     """Eigenvalues of the Gram matrix of an oriented layer, sorted ascending.
 
-    Computed as squared singular values of the matrix. Tiny negative values
-    from roundoff clamp to zero; anything more negative is a numerical
-    failure (cannot happen on the singular-value route, kept as a guard).
+    Computed as squared singular values of the matrix, so none is negative;
+    numpy returns the singular values descending, and reversing them gives
+    the ascending order.
     """
     if not np.all(np.isfinite(mat.values)):
         raise NonFiniteMatrixError(f"{mat.source_name!r}: non-finite entries in weight matrix")
     sv = np.linalg.svd(mat.values, compute_uv=False)
-    lam = np.sort(sv * sv)
-    if lam.size and lam[0] < 0:
-        top = lam[-1]
-        if np.any(lam < -_CLAMP_REL * max(top, 0.0)):
-            raise NumericalError(f"{mat.source_name!r}: negative eigenvalue beyond roundoff tolerance")
-        lam = np.maximum(lam, 0.0)
+    lam = (sv * sv)[::-1]
     return ESD(eigenvalues=lam, source_name=mat.source_name, n=mat.n, m=mat.m)

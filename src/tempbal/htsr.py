@@ -73,7 +73,6 @@ class LayerMetrics:
     lambda_min: float
     spectral_norm: float
     alpha_weighted: float
-    source_name: str
 
 
 def hill_alpha(esd: ESD, k: int) -> float:
@@ -132,16 +131,24 @@ def _select_k_ks(lam: np.ndarray) -> int:
     return best_k
 
 
+def log10_histogram(eigenvalues: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and edges of a histogram of log10(lambda) over the positive eigenvalues.
+
+    Spectra span decades, so the ESD is binned on a log scale; zero
+    eigenvalues have no logarithm and are left out.
+    """
+    return np.histogram(np.log10(eigenvalues[eigenvalues > 0]), bins=bins)
+
+
 def _select_k_fixfinger(lam: np.ndarray, bins: int) -> int:
     """k from the ESD peak: count eigenvalues strictly above the peak bin's left edge.
 
-    The histogram is taken over log10(lambda) because spectra span decades;
-    zero eigenvalues are excluded from the histogram. Ties in the peak break
-    toward smaller lambda. The count clamps into [2, n-1].
+    The peak is read off log10_histogram, the histogram `tempbal analyze`
+    writes. Ties in the peak break toward smaller lambda. The count clamps
+    into [2, n-1].
     """
     n = lam.size
-    positive = lam[lam > 0]
-    counts, edges = np.histogram(np.log10(positive), bins=bins)
+    counts, edges = log10_histogram(lam, bins)
     peak_bin = int(np.argmax(counts))
     lam_peak = 10.0 ** edges[peak_bin]
     k = int(np.sum(lam > lam_peak))
@@ -182,7 +189,6 @@ def layer_metrics(esd: ESD, policy: LambdaMinPolicy) -> LayerMetrics:
         lambda_min=float(esd.eigenvalues[esd.eigenvalues.size - k - 1]),
         spectral_norm=spectral_norm,
         alpha_weighted=weighted,
-        source_name=esd.source_name,
     )
 
 
@@ -193,11 +199,15 @@ def power_iteration_sigma(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Top singular value and unit vectors (sigma, u, v) by power iteration.
 
-    Alternates v <- normalize(W^T u), u <- normalize(W v) from the
-    deterministic all-ones start vector. Convergence is declared when the
-    pair residual ||W^T u - sigma v|| <= tol * sigma, which also makes
-    ||W v - sigma u|| <= tol * sigma hold at return (it is zero by
-    construction of u).
+    Alternates v <- normalize(W^T u), u <- normalize(W v) from a fixed
+    pseudo-random unit start vector (default_rng(0), the same on every
+    call). Unlike a structured start such as the all-ones vector, it does
+    not fall into the left null space of layers whose columns sum to zero
+    or that have low rank. The W^T u of one residual is the next step's
+    W^T u, so an iteration costs two mat-vecs. Convergence is declared
+    when the pair residual ||W^T u - sigma v|| <= tol * sigma, which also
+    makes ||W v - sigma u|| <= tol * sigma hold at return (it is zero by
+    construction of u). The zero matrix returns sigma = 0.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -208,27 +218,20 @@ def power_iteration_sigma(
     if not np.all(np.isfinite(w)):
         raise NumericalError(f"{name!r}: non-finite entries in weight matrix")
     n, m = w.shape
-    u = np.ones(n) / math.sqrt(n)
-    v = np.zeros(m)
+    u = np.random.default_rng(0).standard_normal(n)
+    u /= np.linalg.norm(u)
+    if not w.any():
+        return 0.0, u, np.zeros(m)
+    wu = w.T @ u
     residual = math.inf
     for _ in range(max_iter):
-        wu = w.T @ u
-        norm_wu = float(np.linalg.norm(wu))
-        if norm_wu == 0.0:
-            # u lies in the left null space; for the zero matrix sigma is 0
-            # and the residual check ||0 - 0|| <= 0 passes immediately.
-            sigma = 0.0
-            residual = float(np.linalg.norm(wu - sigma * v))
-            if residual <= tol * sigma:
-                return sigma, u, v
-            continue
-        v = wu / norm_wu
+        # u^T W v = ||W^T u||, which is nonzero once u lies in the range of W
+        v = wu / np.linalg.norm(wu)
         wv = w @ v
         sigma = float(np.linalg.norm(wv))
-        if sigma == 0.0:
-            return 0.0, u, v
         u = wv / sigma
-        residual = float(np.linalg.norm(w.T @ u - sigma * v))
+        wu = w.T @ u
+        residual = float(np.linalg.norm(wu - sigma * v))
         if residual <= tol * sigma:
             return sigma, u, v
     raise ConvergenceError(
@@ -252,11 +255,9 @@ class LayerAnalysis:
 
 def _analyze_layer(layer, policy: LambdaMinPolicy) -> LayerAnalysis:
     oriented = orient(layer)
+    spectrum = None
     try:
         spectrum = compute_esd(oriented)
-    except NumericalError as exc:
-        return LayerAnalysis(layer.name, oriented.n, oriented.m, None, None, str(exc))
-    try:
         metrics = layer_metrics(spectrum, policy)
     except (NumericalError, ValueError) as exc:
         return LayerAnalysis(layer.name, oriented.n, oriented.m, spectrum, None, str(exc))

@@ -87,12 +87,11 @@ class SAlphaRow:
 def verify_s_alpha(
     size: int,
     s_grid: list[float],
-    lambda1: float = 1.0,
     seed: int = 0,
 ) -> list[SAlphaRow]:
     """Tabulate the fitted Hill exponent against the prediction 1 + 1/s.
 
-    For each s a fresh matrix with spectrum lambda1 * k^(-s) is synthesized
+    For each s a fresh matrix with spectrum k^(-s) is synthesized
     and fit with the median threshold policy (k = n/2).
     """
     if not s_grid:
@@ -103,7 +102,7 @@ def verify_s_alpha(
         if s <= 0:
             raise ConfigError(f"decay exponents must be positive for the sweep, got {s}")
         cell_seed = np.random.SeedSequence([seed, size, idx]).generate_state(1)[0]
-        spec = PLSpectrumSpec(size=size, decay=s, lambda1=lambda1, seed=int(cell_seed))
+        spec = PLSpectrumSpec(size=size, decay=s, seed=int(cell_seed))
         metrics = layer_metrics(compute_esd(synth_pl_matrix(spec)), policy)
         pred = 1.0 + 1.0 / s
         rows.append(

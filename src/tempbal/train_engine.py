@@ -593,11 +593,13 @@ def run_training(
                 raise DivergenceError(t)
             batch_losses.append(loss)
             if lambda_sr > 0.0:
+                a0 = perf_counter()
                 for name in layer_names:
                     w = params[f"{name}.w"]
                     oriented = orient_array(w, name)
                     inc = snr_grad_term(oriented, lambda_sr)
                     grads[f"{name}.w"] = grads[f"{name}.w"] + inc.reshape(w.shape)
+                analysis_sec += perf_counter() - a0
             last_grad_norms = {
                 name: float(np.linalg.norm(grads[f"{name}.w"])) for name in layer_names
             }

@@ -205,10 +205,7 @@ def read_snapshot(source: BinaryIO) -> WeightSnapshot:
         except SnapshotStructureError as exc:
             raise SnapshotStructureError(f"layer {idx}: {exc}") from exc
 
-    try:
-        return WeightSnapshot(epoch=epoch, layers=tuple(layers))
-    except SnapshotStructureError as exc:
-        raise SnapshotStructureError(str(exc)) from exc
+    return WeightSnapshot(epoch=epoch, layers=tuple(layers))
 
 
 def save_snapshot(snapshot: WeightSnapshot, path: str) -> int:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tempbal.cli import CONFIG_KEYS, main, parse_config
+from tempbal.cli import CONFIG_KEYS, _parse_grid, main, parse_config
 from tempbal.errors import ConfigError
 from tempbal.rmt_lab import PLSpectrumSpec, synth_pl_matrix
 from tempbal.weight_store import LayerTensor, WeightSnapshot, save_snapshot
@@ -312,3 +312,15 @@ def test_rmt_sizes_and_decays_out_of_range_exit_1(capsys):
 def test_rmt_non_finite_or_fractional_grid_exit_1(capsys):
     for q, s in (("64.7", "1.0"), ("nan", "1.0"), ("16", "inf"), ("16", "0.5:inf:0.5"), ("16", "nan:1:0.5")):
         assert_usage_error(["rmt", "--q", q, "--s", s], capsys)
+
+
+def test_rmt_range_grid_capped():
+    # 25 001 values: past the cap, rejected before any list is built
+    with pytest.raises(ConfigError):
+        _parse_grid("0.5:3.0:1e-4", "s")
+    assert len(_parse_grid("0.5:3.0:1e-3", "s")) == 2501
+
+
+def test_rmt_huge_range_exit_1(capsys):
+    assert "0:1e9:1e-3" in assert_usage_error(["rmt", "--q", "64", "--s", "0:1e9:1e-3"], capsys)
+    assert_usage_error(["rmt", "--q", "64", "--s", "0:1e300:1e-300"], capsys)

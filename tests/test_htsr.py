@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempbal.esd import ESD, compute_esd, orient_array
 from tempbal.htsr import (
@@ -15,6 +17,7 @@ from tempbal.htsr import (
     power_iteration_sigma,
     select_k,
 )
+from tempbal.train_engine import snr_grad_term
 from tempbal.weight_store import LayerTensor, WeightSnapshot
 
 
@@ -226,6 +229,61 @@ def test_power_iteration_deterministic():
     b = power_iteration_sigma(w, tol=1e-8, max_iter=1000)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+
+
+# columns sum to zero, so the all-ones vector is in the left null space
+ZERO_COLUMN_SUMS = np.array([[1.0, -1.0, 2.0], [-1.0, 1.0, -2.0]])
+
+
+def test_power_iteration_zero_column_sums():
+    sigma, u, v = power_iteration_sigma(ZERO_COLUMN_SUMS)
+    assert sigma == pytest.approx(math.sqrt(12.0), rel=1e-9)
+    assert np.linalg.norm(ZERO_COLUMN_SUMS.T @ u - sigma * v) <= 1e-7 * sigma
+
+
+def test_snr_gradient_zero_column_sums():
+    inc = snr_grad_term(orient_array(ZERO_COLUMN_SUMS, "w"), 0.1)
+    # lambda_sr * sigma * u v^T with unit u, v has norm lambda_sr * sigma
+    assert np.linalg.norm(inc) == pytest.approx(0.1 * math.sqrt(12.0), rel=1e-9)
+
+
+def test_power_iteration_column_centred_default_budget():
+    w = np.random.default_rng(0).normal(size=(8, 16))
+    w -= w.mean(axis=0)
+    sigma, _, _ = power_iteration_sigma(w)
+    assert sigma == pytest.approx(np.linalg.svd(w, compute_uv=False)[0], rel=1e-6)
+
+
+@st.composite
+def structured_layers(draw):
+    """An oriented layer: plain, column-centred, rank-r, or a flattened 4-D conv tensor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    structure = draw(st.sampled_from(("plain", "centred", "rank", "conv")))
+    if structure == "conv":
+        kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        cin = draw(st.integers(2, 40 // (kh * kw)))
+        return orient_array(rng.normal(size=(n, cin, kh, kw)), structure)
+    w = rng.normal(size=(n, m))
+    if structure == "centred":
+        w -= w.mean(axis=0)
+    elif structure == "rank":
+        r = draw(st.integers(1, min(n, m)))
+        w = rng.normal(size=(n, r)) @ rng.normal(size=(r, m))
+    return orient_array(w, structure)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(structured_layers())
+def test_power_iteration_property(layer):
+    tol = 1e-9
+    w = layer.values
+    sigma, u, v = power_iteration_sigma(layer, tol=tol, max_iter=50000)
+    assert sigma == pytest.approx(np.linalg.svd(w, compute_uv=False)[0], rel=1e-6)
+    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(w.T @ u - sigma * v) <= tol * sigma
+    assert np.linalg.norm(w @ v - sigma * u) <= tol * sigma
 
 
 # ---------------------------------------------------------------------------

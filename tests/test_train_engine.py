@@ -1,8 +1,10 @@
 import io
+import time
 
 import numpy as np
 import pytest
 
+from tempbal import train_engine
 from tempbal.errors import ConfigError
 from tempbal.esd import orient_array
 from tempbal.htsr import LambdaMinPolicy
@@ -342,6 +344,21 @@ def test_snr_run_completes():
     telem, _ = run_training(model, data, sched, LambdaMinPolicy(), lambda_sr=0.01, epochs=3, seed=2)
     assert len(telem.epoch_rows()) == 3
     assert telem.epoch_rows()[-1].eval_acc > 0.9
+
+
+def test_analysis_time_counts_snr_penalty(monkeypatch):
+    calls = []
+
+    def slow_snr_grad_term(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.005)
+        return snr_grad_term(*args, **kwargs)
+
+    monkeypatch.setattr(train_engine, "snr_grad_term", slow_snr_grad_term)
+    model, data, sched = quick_setup(assignment="global_only")
+    telem, _ = run_training(model, data, sched, LambdaMinPolicy(), lambda_sr=0.01, epochs=1, seed=2)
+    assert calls
+    assert telem.total_analysis_sec() >= 0.005 * len(calls)
 
 
 def test_sub_epoch_update_interval():

@@ -16,6 +16,7 @@ prints it.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import re
 import sys
@@ -25,7 +26,7 @@ from typing import Any, Callable
 
 from .errors import ConfigError, NumericalError, TempbalError
 from .htsr import POLICY_VARIANTS, LambdaMinPolicy, analyze_snapshot, log10_histogram
-from .rmt_lab import verify_s_alpha
+from .rmt_lab import max_decay, verify_s_alpha
 from .scheduler import ASSIGNMENTS, METRICS, ScheduleConfig
 from .train_engine import (
     ACTIVATIONS,
@@ -140,9 +141,11 @@ class ConfigKey:
     meaning: str
 
 
-# Every `tempbal train` config key. Defaults that a library class already
-# declares are read from it; range and choice checks stay in the classes
-# the values are handed to.
+_RUN_PARAMS = inspect.signature(run_training).parameters
+
+# Every `tempbal train` config key. Defaults that a library class or
+# run_training already declares are read from it; range and choice checks
+# stay in the classes the values are handed to.
 CONFIG_KEYS: dict[str, ConfigKey] = {
     "eta0": ConfigKey(_float, 0.1, "initial global learning rate"),
     "total_epochs": ConfigKey(_int, 30, "cosine annealing horizon T"),
@@ -174,11 +177,15 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "split": ConfigKey(_float, GaussianMixtureSpec.split, "train fraction"),
     "csv_path": ConfigKey(str, "", "csv: input file"),
     "label_column": ConfigKey(str, CsvDataSpec.label_column, "csv: label column name"),
-    "lambda_sr": ConfigKey(_float, 0.0, "top-singular-value penalty coefficient"),
+    "lambda_sr": ConfigKey(
+        _float, _RUN_PARAMS["lambda_sr"].default, "top-singular-value penalty coefficient"
+    ),
     "batch_size": ConfigKey(_int, OptimState.batch_size, "SGD minibatch size"),
     "momentum": ConfigKey(_float, OptimState.momentum, "SGD momentum"),
     "weight_decay": ConfigKey(_float, OptimState.weight_decay, "SGD weight decay"),
-    "seed": ConfigKey(nonnegative_int, 0, "data, init and shuffle seed (--seed overrides)"),
+    "seed": ConfigKey(
+        nonnegative_int, _RUN_PARAMS["seed"].default, "data, init and shuffle seed (--seed overrides)"
+    ),
     "timing": ConfigKey(_one_of("wall", "off"), "wall", "wall|off (off zeroes CSV wall-times)"),
 }
 
@@ -397,7 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rmt = sub.add_parser("rmt", help="verify the decay-exponent vs tail-exponent relation")
     p_rmt.add_argument("--q", required=True, help="matrix sizes, e.g. 64,256,1024")
-    p_rmt.add_argument("--s", required=True, help="decay exponents, e.g. 0.5:3.0:0.25 or 1.0,2.0")
+    p_rmt.add_argument(
+        "--s",
+        required=True,
+        help="decay exponents, e.g. 0.5:3.0:0.25 or 1.0,2.0; each needs (Q//2+1)^-s above the ESD's "
+        f"roundoff floor Q*eps, i.e. s < {max_decay(64):.3g} at Q=64, {max_decay(1024):.3g} at Q=1024",
+    )
     p_rmt.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p_rmt.add_argument("--seed", type=nonnegative_int, default=0)
     p_rmt.set_defaults(func=cmd_rmt)

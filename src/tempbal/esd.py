@@ -1,11 +1,24 @@
 """Empirical spectral densities of layer weight matrices.
 
 A layer tensor is first oriented into an n x m matrix with n <= m (conv
-tensors flatten to out-channels x in*kh*kw), then the eigenvalues of its
-Gram matrix are computed as squared singular values of the oriented matrix.
-The squared-singular-value route avoids forming the m x m correlation
-matrix when m >> n and is better conditioned than an explicit
-eigendecomposition of W^T W.
+tensors flatten to out-channels x in*kh*kw), then the ESD is the set of
+eigenvalues of the n x n Gram matrix W W^T, from a symmetric eigensolve.
+W W^T is the smaller of the two Gram matrices and has the same nonzero
+spectrum as W^T W; one eigensolve of it costs a fraction of a full SVD of W.
+
+Forming W W^T and its eigensolve leave each eigenvalue with an absolute
+error of a few eps * lambda_max, so W W^T cannot resolve eigenvalues below
+about n * eps * lambda_max: a rank-r layer would get n - r eigenvalues of
+roundoff, some of them negative, in place of exact zeros, and a tail
+threshold could land on one. compute_esd sets every eigenvalue at or below
+roundoff_floor(n) * lambda_max = n * eps * lambda_max to zero, so
+rank-deficient layers read as rank-deficient and no eigenvalue is negative.
+The same floor bounds what the ESD can resolve: an eigenvalue below it,
+however well defined in W, reads as zero.
+
+W W^T squares the range of W, but so does the ESD itself (lambda = sigma^2):
+a layer whose W W^T overflows float64 has eigenvalues that overflow too,
+and compute_esd raises a NumericalError naming that.
 """
 
 from __future__ import annotations
@@ -92,15 +105,24 @@ def orient(layer: LayerTensor) -> OrientedMatrix:
     return orient_array(layer.as_array(), layer.name)
 
 
-def compute_esd(mat: OrientedMatrix) -> ESD:
-    """Eigenvalues of the Gram matrix of an oriented layer, sorted ascending.
+def roundoff_floor(n: int) -> float:
+    """n * eps: relative to lambda_max, the eigenvalue size an n x n Gram eigensolve cannot resolve."""
+    return n * np.finfo(np.float64).eps
 
-    Computed as squared singular values of the matrix, so none is negative;
-    numpy returns the singular values descending, and reversing them gives
-    the ascending order.
+
+def compute_esd(mat: OrientedMatrix) -> ESD:
+    """Eigenvalues of the Gram matrix W W^T of an oriented layer, ascending as eigvalsh returns them.
+
+    Those at or below roundoff_floor(n) * lambda_max, negative ones included,
+    are set to zero; the zero matrix gives all zeros.
     """
-    if not np.all(np.isfinite(mat.values)):
+    w = mat.values
+    if not np.all(np.isfinite(w)):
         raise NonFiniteMatrixError(f"{mat.source_name!r}: non-finite entries in weight matrix")
-    sv = np.linalg.svd(mat.values, compute_uv=False)
-    lam = (sv * sv)[::-1]
+    with np.errstate(over="ignore"):  # checked on the next line
+        gram = w @ w.T
+    if not np.all(np.isfinite(gram)):
+        raise NumericalError(f"{mat.source_name!r}: W W^T overflows float64, so its eigenvalues would too")
+    lam = np.linalg.eigvalsh(gram)
+    lam[lam <= roundoff_floor(mat.n) * lam[-1]] = 0.0
     return ESD(eigenvalues=lam, source_name=mat.source_name, n=mat.n, m=mat.m)

@@ -144,14 +144,15 @@ def _select_k_fixfinger(lam: np.ndarray, bins: int) -> int:
     """k from the ESD peak: count eigenvalues strictly above the peak bin's left edge.
 
     The peak is read off log10_histogram, the histogram `tempbal analyze`
-    writes. Ties in the peak break toward smaller lambda. The count clamps
-    into [2, n-1].
+    writes. Ties in the peak break toward smaller lambda. The count is taken
+    on the same log10 values the histogram bins, so when the peak is the
+    first bin its edge, the smallest positive eigenvalue, is never above
+    itself. The count clamps into [2, n-1].
     """
     n = lam.size
     counts, edges = log10_histogram(lam, bins)
     peak_bin = int(np.argmax(counts))
-    lam_peak = 10.0 ** edges[peak_bin]
-    k = int(np.sum(lam > lam_peak))
+    k = int(np.sum(np.log10(lam[lam > 0]) > edges[peak_bin]))
     return min(max(k, 2), n - 1)
 
 

@@ -15,12 +15,13 @@ eigenvalue from a random bulk ("bulk+spike").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .esd import ESD, OrientedMatrix, compute_esd
+from .esd import ESD, OrientedMatrix, compute_esd, roundoff_floor
 from .htsr import LambdaMinPolicy, layer_metrics
 
 # top/second eigenvalue ratio above which a spike counts as ejected
@@ -73,6 +74,11 @@ def synth_pl_matrix(spec: PLSpectrumSpec) -> OrientedMatrix:
     )
 
 
+def max_decay(size: int) -> float:
+    """Supremum of the decays verify_s_alpha accepts at this size: (size//2 + 1)^(-s) = roundoff_floor(size)."""
+    return -math.log(roundoff_floor(size)) / math.log(size // 2 + 1)
+
+
 @dataclass(frozen=True)
 class SAlphaRow:
     """One cell of the s vs alpha verification table."""
@@ -92,15 +98,25 @@ def verify_s_alpha(
     """Tabulate the fitted Hill exponent against the prediction 1 + 1/s.
 
     For each s a fresh matrix with spectrum k^(-s) is synthesized
-    and fit with the median threshold policy (k = n/2).
+    and fit with the median threshold policy (k = n/2), whose threshold is
+    the prescribed eigenvalue (n//2 + 1)^(-s). Every s must keep that
+    threshold above compute_esd's roundoff floor, (n//2 + 1)^(-s) >
+    roundoff_floor(n), or the fit would rest on an eigenvalue read as zero:
+    s < max_decay(n).
     """
     if not s_grid:
         raise ConfigError("s grid must be nonempty")
+    for s in s_grid:
+        if s <= 0:
+            raise ConfigError(f"decay exponents must be positive for the sweep, got {s}")
+        if (size // 2 + 1) ** -s <= roundoff_floor(size):
+            raise ConfigError(
+                f"decay {s:g} at Q={size}: the median threshold {size // 2 + 1}^-s falls under "
+                f"the ESD's roundoff floor Q*eps; need s < {max_decay(size):.4g}"
+            )
     policy = LambdaMinPolicy(variant="median")
     rows = []
     for idx, s in enumerate(s_grid):
-        if s <= 0:
-            raise ConfigError(f"decay exponents must be positive for the sweep, got {s}")
         cell_seed = np.random.SeedSequence([seed, size, idx]).generate_state(1)[0]
         spec = PLSpectrumSpec(size=size, decay=s, seed=int(cell_seed))
         metrics = layer_metrics(compute_esd(synth_pl_matrix(spec)), policy)

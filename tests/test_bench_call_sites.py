@@ -1,4 +1,4 @@
-"""The traced benchmark wraps names looked up on tempbal modules; each must still exist and be called."""
+"""The benchmark's hooks into tempbal: traced call sites must exist and fire, and its zoo references must hold."""
 
 import contextlib
 import importlib
@@ -9,16 +9,21 @@ from pathlib import Path
 import numpy as np
 
 from tempbal.cli import main
+from tempbal.htsr import LambdaMinPolicy, analyze_snapshot
 from tempbal.weight_store import LayerTensor, WeightSnapshot, save_snapshot
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return load_perfbench("spans")
 
 
 def test_traced_call_sites_resolve():
@@ -56,3 +61,22 @@ def test_traced_call_sites_fire(tmp_path):
     fired = {span[0] for span in tracer.spans[0]}
     missing = {name for _module, _attr, name in spans.CALL_SITES} - fired
     assert not missing, f"call sites never called: {sorted(missing)}"
+
+
+def test_zoo_references_hold():
+    """analyze_zoo's output checks, run in-process so that tier-1 fails on what would fail the bench."""
+    workloads = load_perfbench("workloads")
+    layers = tuple(LayerTensor(name, dims, values.ravel()) for name, dims, values in workloads.zoo_layers(201))
+    snapshot = WeightSnapshot(epoch=0, layers=layers)
+    for variant in workloads.POLICIES:
+        for row in analyze_snapshot(snapshot, LambdaMinPolicy(variant=variant)):
+            if row.name == workloads.LOW_RANK:
+                if variant == "median":
+                    # the median threshold of the rank-32 layer lies in its null space
+                    assert row.metrics is None, row.metrics
+                continue
+            k_ref, alpha_ref = workloads.ZOO_REFERENCE[(row.name, variant)]
+            assert row.metrics is not None, (row.name, variant, row.error)
+            assert row.metrics.k == k_ref, (row.name, variant)
+            alpha = row.metrics.alpha_hill
+            assert abs(alpha - alpha_ref) <= workloads.ALPHA_REL_TOL * alpha_ref, (row.name, variant, alpha)

@@ -275,6 +275,17 @@ def test_rmt_single_cell(tmp_path, capsys):
     assert float(rel) <= 0.15
 
 
+def test_rmt_decay_past_roundoff_floor_exit_1(tmp_path, capsys):
+    # at Q=1024 the median threshold 513^-s drops under 1024*eps past s = 4.665
+    for s in ("5", "0.5:6:0.5"):
+        err = assert_usage_error(["rmt", "--q", "1024", "--s", s], capsys)
+        assert "need s < 4.665" in err
+    # just inside the limit at Q=64 (9.119) the cell is still fitted
+    out = tmp_path / "table.csv"
+    assert main(["rmt", "--q", "64", "--s", "9", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("64,9,")
+
+
 def test_rmt_accuracy_improves_with_size(tmp_path):
     out = tmp_path / "table.csv"
     assert main(["rmt", "--q", "16,256", "--s", "0.5:3.0:0.5", "--out", str(out)]) == 0

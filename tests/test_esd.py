@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tempbal.esd import NonFiniteMatrixError, compute_esd, orient, orient_array
+from tempbal.errors import NumericalError
+from tempbal.esd import ESD, NonFiniteMatrixError, compute_esd, orient, orient_array
+from tempbal.htsr import POLICY_VARIANTS, LambdaMinPolicy, layer_metrics
+from tempbal.rmt_lab import PLSpectrumSpec, synth_pl_matrix
 from tempbal.weight_store import LayerTensor
+
+EPS = np.finfo(np.float64).eps
 
 
 def test_orient_already_wide():
@@ -107,3 +114,92 @@ def test_esd_ascending_and_nonnegative():
     assert np.all(np.diff(lam) >= 0)
     assert lam[0] >= 0
     assert esd.lambda_max == lam[-1]
+
+
+# ---------------------------------------------------------------------------
+# the Gram route against the SVD
+
+
+def svd_eigenvalues(w):
+    """Ascending squared singular values: the Gram spectrum without forming W W^T."""
+    sv = np.linalg.svd(w, compute_uv=False)
+    return (sv * sv)[::-1]
+
+
+def test_rank_deficient_esd_has_exact_zeros():
+    rng = np.random.default_rng(16)
+    w = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 10))
+    for raw in (w, w.T):
+        lam = compute_esd(orient_array(raw, "rank2")).eigenvalues
+        # the 4 null-space eigenvalues are exact zeros, not roundoff
+        assert np.count_nonzero(lam == 0.0) == 4
+        assert np.allclose(lam[4:], svd_eigenvalues(w)[4:], rtol=1e-12)
+
+
+def test_wide_rank_deficient_esd_has_exact_zeros():
+    # the Gram product sums m = 4608 terms per entry, yet its null-space
+    # roundoff stays under the n * eps * lambda_max floor
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(8, 2)) @ rng.normal(size=(2, 4608))
+        lam = compute_esd(orient_array(w, "wide")).eigenvalues
+        assert np.count_nonzero(lam == 0.0) == 6
+        assert np.allclose(lam[6:], svd_eigenvalues(w)[6:], rtol=1e-12)
+
+
+def test_esd_of_extreme_scales():
+    w = np.random.default_rng(0).normal(size=(8, 12))
+    unit = compute_esd(orient_array(w, "unit")).eigenvalues
+    # 1e-150: eigenvalues near 1e-299, still normal floats
+    tiny = compute_esd(orient_array(w * 1e-150, "tiny")).eigenvalues
+    assert np.allclose(tiny * 1e300, unit, rtol=1e-12)
+    # 1e160: the eigenvalues themselves pass float64's range
+    with pytest.raises(NumericalError, match="overflows float64"):
+        compute_esd(orient_array(w * 1e160, "huge"))
+
+
+@st.composite
+def gram_layers(draw):
+    """A raw layer with n >= 4 after orientation, wide or tall: plain, column-centred, rank-r, zero or 4-D conv."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(4, 40)), draw(st.integers(4, 40))
+    structure = draw(st.sampled_from(("plain", "centred", "rank", "zero", "conv")))
+    if structure == "conv":
+        kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        cin = draw(st.integers(-(-4 // (kh * kw)), 40 // (kh * kw)))
+        return rng.normal(size=(rows, cin, kh, kw))
+    w = rng.normal(size=(rows, cols))
+    if structure == "centred":
+        w -= w.mean(axis=0)
+    elif structure == "rank":
+        r = draw(st.integers(1, min(rows, cols)))
+        w = rng.normal(size=(rows, r)) @ rng.normal(size=(r, cols))
+    elif structure == "zero":
+        w[:] = 0.0
+    return w
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(gram_layers())
+def test_gram_route_matches_svd_property(raw):
+    mat = orient_array(raw, "w")
+    lam = compute_esd(mat).eigenvalues
+    svd = svd_eigenvalues(mat.values)
+    # the Gram route is off by a few eps * lambda_max, and its floor zeroes
+    # eigenvalues up to n * eps * lambda_max
+    assert np.all(np.abs(lam - svd) <= 4 * mat.n * EPS * svd[-1])
+    assert np.all(np.diff(lam) >= 0)
+    assert lam[0] >= 0
+
+
+@pytest.mark.parametrize("size", (256, 1024))
+def test_gram_route_matches_svd_on_prescribed_spectra(size):
+    for decay in (0.5, 1.5, 3.0):
+        mat = synth_pl_matrix(PLSpectrumSpec(size=size, decay=decay, seed=size))
+        gram = compute_esd(mat)
+        svd = ESD(eigenvalues=svd_eigenvalues(mat.values), source_name="svd", n=mat.n, m=mat.m)
+        for variant in POLICY_VARIANTS:
+            policy = LambdaMinPolicy(variant=variant)
+            got, want = layer_metrics(gram, policy), layer_metrics(svd, policy)
+            assert got.k == want.k, (decay, variant)
+            assert got.alpha_hill == pytest.approx(want.alpha_hill, rel=1e-6), (decay, variant)

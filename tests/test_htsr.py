@@ -310,3 +310,50 @@ def test_analyze_snapshot_captures_degenerate_layers():
     assert by_name["dead"].metrics is None
     assert by_name["dead"].error
     assert by_name["c"].n == 4 and by_name["c"].m == 18
+
+
+# ---------------------------------------------------------------------------
+# rank-deficient layers
+
+
+def rank2_layer():
+    rng = np.random.default_rng(16)
+    return rng.normal(size=(6, 2)) @ rng.normal(size=(2, 10))
+
+
+def test_rank_deficient_median_threshold_is_degenerate():
+    # median k = 3 puts lambda_(n-k) in the 4-dimensional null space
+    esd = compute_esd(orient_array(rank2_layer(), "rank2"))
+    with pytest.raises(DegenerateThresholdError):
+        layer_metrics(esd, LambdaMinPolicy(variant="median"))
+    snapshot = WeightSnapshot(epoch=0, layers=(LayerTensor("rank2", (6, 10), rank2_layer().ravel()),))
+    (row,) = analyze_snapshot(snapshot, LambdaMinPolicy(variant="median"))
+    assert row.metrics is None
+    assert "tail threshold" in row.error
+
+
+# rank 6 of 16 with a prescribed spectrum whose histogram peak (the two 2s)
+# sits inside the nonzero part, above the smallest nonzero eigenvalue 1
+RANK6_SPECTRUM = np.array([1.0, 2.0, 2.0, 5.0, 5.0, 20.0])
+
+
+def test_rank_deficient_fixfinger_threshold_off_null_space():
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.normal(size=(16, 6)))
+    v, _ = np.linalg.qr(rng.normal(size=(24, 6)))
+    w = (u * np.sqrt(RANK6_SPECTRUM)) @ v.T
+    met = layer_metrics(compute_esd(orient_array(w, "rank6")), LambdaMinPolicy(variant="fixfinger"))
+    assert met.k == 5
+    assert met.lambda_min >= RANK6_SPECTRUM.min() * (1 - 1e-12)
+
+
+def test_rank_deficient_fixfinger_peak_in_first_bin():
+    # rank 5 of 16: the peak is the first log10 bin, whose left edge is the
+    # smallest positive eigenvalue; it is not above itself, so k = r - 1 = 4
+    # whichever way log10 and back would round it
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(16, 5)) @ rng.normal(size=(5, 24))
+        met = layer_metrics(compute_esd(orient_array(w, "rank5")), LambdaMinPolicy(variant="fixfinger"))
+        assert met.k == 4, seed
+        assert met.lambda_min > 0

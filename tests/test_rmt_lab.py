@@ -3,9 +3,12 @@ import pytest
 
 from tempbal.esd import compute_esd, orient_array
 from tempbal.htsr import LambdaMinPolicy, layer_metrics
+from tempbal.errors import ConfigError
+from tempbal.esd import ESD
 from tempbal.rmt_lab import (
     PLSpectrumSpec,
     SpikeResult,
+    max_decay,
     pl_eigenvalues,
     spike_experiment,
     synth_pl_matrix,
@@ -136,3 +139,25 @@ def test_spike_result_type():
     result = spike_experiment(gaussian_bulk(64, seed=2), 5.0, seed=3)
     assert isinstance(result, SpikeResult)
     assert result.esd_before.n == 64
+
+
+def test_max_decay_keeps_the_median_threshold_resolvable():
+    # the supremum puts the median threshold exactly on the floor
+    for size in (8, 64, 1024):
+        assert (size // 2 + 1) ** -max_decay(size) == pytest.approx(size * np.finfo(float).eps, rel=1e-12)
+    with pytest.raises(ConfigError, match="roundoff floor"):
+        verify_s_alpha(256, [1.0, max_decay(256) + 0.01])
+
+
+def test_verify_s_alpha_near_max_decay_matches_svd():
+    # inside the limit the Gram route loses digits on the small threshold,
+    # but stays far below the fit's own error against 1 + 1/s
+    size, s = 256, 6.0
+    mat = synth_pl_matrix(PLSpectrumSpec(size=size, decay=s, seed=1))
+    sv = np.linalg.svd(mat.values, compute_uv=False)
+    svd = ESD(eigenvalues=(sv * sv)[::-1], source_name="svd", n=size, m=size)
+    policy = LambdaMinPolicy(variant="median")
+    got = layer_metrics(compute_esd(mat), policy).alpha_hill
+    want = layer_metrics(svd, policy).alpha_hill
+    assert got == pytest.approx(want, rel=1e-5)
+    assert abs(want - (1 + 1 / s)) > 100 * abs(got - want)

@@ -18,15 +18,15 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
-import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
+from urllib.parse import quote
 
 from .errors import ConfigError, NumericalError, TempbalError
 from .htsr import POLICY_VARIANTS, LambdaMinPolicy, analyze_snapshot, log10_histogram
-from .rmt_lab import max_decay, verify_s_alpha
+from .rmt_lab import MAX_SIZE, max_decay, verify_s_alpha
 from .scheduler import ASSIGNMENTS, METRICS, ScheduleConfig
 from .train_engine import (
     ACTIVATIONS,
@@ -38,6 +38,7 @@ from .train_engine import (
     conv_output_shape,
     make_dataset,
     run_training,
+    write_table,
 )
 from .weight_store import load_snapshot, save_snapshot
 
@@ -55,10 +56,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 # Config value parsers: text in, typed value out, ValueError on malformed text.
@@ -236,41 +233,35 @@ def parse_config(path: str) -> dict[str, Any]:
     return values
 
 
-def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
-
-
 METRICS_HEADER = "layer,n,m,k,lambda_min,alpha_hill,spectral_norm,alpha_weighted,status"
 
 
 def cmd_analyze(args) -> int:
-    snapshot = load_snapshot(args.snapshot)
     policy = LambdaMinPolicy(variant=args.policy, histogram_bins=args.bins)
-    rows = analyze_snapshot(snapshot, policy)
+    rows = analyze_snapshot(load_snapshot(args.snapshot), policy)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    lines = [METRICS_HEADER]
+    table = []
     for row in rows:
-        if row.metrics is None:
-            lines.append(f"{row.name},{row.n},{row.m},,,,,,degenerate")
+        met = row.metrics
+        if met is None:
+            table.append((row.name, row.n, row.m, None, None, None, None, None, "degenerate"))
         else:
-            met = row.metrics
-            lines.append(
-                f"{row.name},{row.n},{row.m},{met.k},{_fmt(met.lambda_min)},"
-                f"{_fmt(met.alpha_hill)},{_fmt(met.spectral_norm)},{_fmt(met.alpha_weighted)},ok"
-            )
+            fit = (met.k, met.lambda_min, met.alpha_hill, met.spectral_norm, met.alpha_weighted)
+            table.append((row.name, row.n, row.m, *fit, "ok"))
     metrics_path = out_dir / "metrics.csv"
-    metrics_path.write_text("\n".join(lines) + "\n")
+    with open(metrics_path, "w", newline="") as fh:
+        write_table(fh, METRICS_HEADER, table)
 
     for row in rows:
-        hist_path = out_dir / f"esd_{_safe_name(row.name)}.csv"
-        hist_lines = ["log10_lambda_left,log10_lambda_right,count"]
+        bins = []
         if row.esd is not None and row.esd.lambda_max > 0:
             counts, edges = log10_histogram(row.esd.eigenvalues, args.bins)
-            for i, count in enumerate(counts):
-                hist_lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{count}")
-        hist_path.write_text("\n".join(hist_lines) + "\n")
+            bins = zip(edges[:-1], edges[1:], counts)
+        # percent-encoding is one-to-one, so no two layers share a file
+        with open(out_dir / f"esd_{quote(row.name, safe='')}.csv", "w", newline="") as fh:
+            write_table(fh, "log10_lambda_left,log10_lambda_right,count", bins)
 
     print(f"analyzed {len(rows)} layers -> {metrics_path}")
     return 0
@@ -352,25 +343,24 @@ def cmd_rmt(args) -> int:
     if not sizes or not s_grid:
         raise ConfigError("q and s grids must be nonempty")
 
-    lines = ["Q,s,alpha_hill,alpha_pred,rel_err"]
+    table = []
     violations = []
     for size in sizes:
         for row in verify_s_alpha(size, s_grid, seed=args.seed):
-            lines.append(
-                f"{row.size},{row.decay:g},{_fmt(row.alpha_hill)},{_fmt(row.alpha_pred)},{_fmt(row.rel_err)}"
-            )
+            table.append((row.size, f"{row.decay:g}", row.alpha_hill, row.alpha_pred, row.rel_err))
             gated = (
                 row.size >= RMT_GATE_MIN_SIZE
                 and RMT_GATE_S_RANGE[0] <= row.decay <= RMT_GATE_S_RANGE[1]
             )
             if gated and row.rel_err > RMT_REL_ERR_TOL:
                 violations.append(row)
-    table = "\n".join(lines) + "\n"
+    header = "Q,s,alpha_hill,alpha_pred,rel_err"
     if args.out:
-        Path(args.out).write_text(table)
-        print(f"wrote {len(lines) - 1} cells -> {args.out}")
+        with open(args.out, "w", newline="") as fh:
+            write_table(fh, header, table)
+        print(f"wrote {len(table)} cells -> {args.out}")
     else:
-        sys.stdout.write(table)
+        write_table(sys.stdout, header, table)
     if violations:
         worst = max(violations, key=lambda r: r.rel_err)
         raise NumericalError(
@@ -403,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_rmt = sub.add_parser("rmt", help="verify the decay-exponent vs tail-exponent relation")
-    p_rmt.add_argument("--q", required=True, help="matrix sizes, e.g. 64,256,1024")
+    p_rmt.add_argument("--q", required=True, help=f"matrix sizes in [8, {MAX_SIZE}], e.g. 64,256,1024")
     p_rmt.add_argument(
         "--s",
         required=True,

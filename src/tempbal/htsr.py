@@ -32,6 +32,7 @@ from .esd import ESD, OrientedMatrix, compute_esd, orient
 from .weight_store import WeightSnapshot
 
 POLICY_VARIANTS = ("median", "ks", "fixfinger")
+MAX_HISTOGRAM_BINS = 10_000  # a histogram allocates O(bins); analyze writes a row per bin and layer
 
 
 class DegenerateSpectrumError(NumericalError):
@@ -60,8 +61,8 @@ class LambdaMinPolicy:
     def __post_init__(self):
         if self.variant not in POLICY_VARIANTS:
             raise ConfigError(f"unknown policy variant {self.variant!r}, expected one of {POLICY_VARIANTS}")
-        if self.histogram_bins < 2:
-            raise ConfigError(f"histogram_bins must be >= 2, got {self.histogram_bins}")
+        if not 2 <= self.histogram_bins <= MAX_HISTOGRAM_BINS:
+            raise ConfigError(f"histogram_bins must be in [2, {MAX_HISTOGRAM_BINS}], got {self.histogram_bins}")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .htsr import LambdaMinPolicy, layer_metrics
 
 # top/second eigenvalue ratio above which a spike counts as ejected
 SPIKE_SEPARATION = 3.0
+MAX_SIZE = 8192  # a Q x Q float64 matrix is then 512 MiB, and a sweep cell holds about five
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class PLSpectrumSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.size < 8:
-            raise ConfigError(f"size must be >= 8, got {self.size}")
+        if not 8 <= self.size <= MAX_SIZE:
+            raise ConfigError(f"size must be in [8, {MAX_SIZE}], got {self.size}")
         if self.decay < 0:
             raise ConfigError(f"decay exponent must be nonnegative, got {self.decay}")
         if self.lambda1 <= 0:
@@ -106,9 +107,12 @@ def verify_s_alpha(
     """
     if not s_grid:
         raise ConfigError("s grid must be nonempty")
-    for s in s_grid:
+    specs = []
+    for idx, s in enumerate(s_grid):
         if s <= 0:
             raise ConfigError(f"decay exponents must be positive for the sweep, got {s}")
+        cell_seed = np.random.SeedSequence([seed, size, idx]).generate_state(1)[0]
+        specs.append(PLSpectrumSpec(size=size, decay=s, seed=int(cell_seed)))
         if (size // 2 + 1) ** -s <= roundoff_floor(size):
             raise ConfigError(
                 f"decay {s:g} at Q={size}: the median threshold {size // 2 + 1}^-s falls under "
@@ -116,15 +120,13 @@ def verify_s_alpha(
             )
     policy = LambdaMinPolicy(variant="median")
     rows = []
-    for idx, s in enumerate(s_grid):
-        cell_seed = np.random.SeedSequence([seed, size, idx]).generate_state(1)[0]
-        spec = PLSpectrumSpec(size=size, decay=s, seed=int(cell_seed))
+    for spec in specs:
         metrics = layer_metrics(compute_esd(synth_pl_matrix(spec)), policy)
-        pred = 1.0 + 1.0 / s
+        pred = 1.0 + 1.0 / spec.decay
         rows.append(
             SAlphaRow(
                 size=size,
-                decay=s,
+                decay=spec.decay,
                 alpha_hill=metrics.alpha_hill,
                 alpha_pred=pred,
                 rel_err=abs(metrics.alpha_hill - pred) / pred,

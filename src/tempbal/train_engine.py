@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields, replace
 from time import perf_counter
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -27,10 +27,6 @@ from .weight_store import LayerTensor, WeightSnapshot
 
 ACTIVATIONS = ("relu", "tanh")
 INIT_SCHEMES = ("he", "xavier")
-
-TELEMETRY_HEADER = (
-    "epoch,layer,alpha_hill,spectral_norm,lr,grad_l2,train_loss,eval_acc,analysis_sec,epoch_sec"
-)
 
 
 class DivergenceError(NumericalError):
@@ -473,6 +469,9 @@ class TelemetryRow:
     epoch_sec: float | None = None
 
 
+TELEMETRY_HEADER = ",".join(f.name for f in fields(TelemetryRow))
+
+
 @dataclass
 class TrainTelemetry:
     """Per-epoch, per-layer training record; serializes to CSV."""
@@ -494,30 +493,24 @@ class TrainTelemetry:
         Wall times vary between runs, so reproducibility comparisons use
         timing=False to get byte-identical files.
         """
+        def wall(sec):
+            return sec if timing or sec is None else 0.0
 
-        def fmt(value) -> str:
-            return "" if value is None else repr(value)
+        rows = [replace(r, analysis_sec=wall(r.analysis_sec), epoch_sec=wall(r.epoch_sec)) for r in self.rows]
+        write_table(fh, TELEMETRY_HEADER, map(astuple, rows))
 
-        fh.write(TELEMETRY_HEADER + "\n")
-        for r in self.rows:
-            a_sec = r.analysis_sec
-            e_sec = r.epoch_sec
-            if not timing:
-                a_sec = 0.0 if a_sec is not None else None
-                e_sec = 0.0 if e_sec is not None else None
-            fields = [
-                str(r.epoch),
-                r.layer,
-                fmt(r.alpha_hill),
-                fmt(r.spectral_norm),
-                fmt(r.lr),
-                fmt(r.grad_l2),
-                fmt(r.train_loss),
-                fmt(r.eval_acc),
-                fmt(a_sec),
-                fmt(e_sec),
-            ]
-            fh.write(",".join(fields) + "\n")
+
+def write_table(fh: TextIO, header: str, rows: Iterable[Iterable]) -> None:
+    """Write a CSV table: the header line (comma-separated names), then one line per row.
+
+    Cells: None is empty, a Python or numpy float is repr(float(v)), which
+    reads back exactly, anything else is str(v). A cell holding a comma,
+    quote or line break is quoted, so a layer name reads back as one field.
+    """
+    fh.write(header + "\n")
+    csv.writer(fh, lineterminator="\n").writerows(
+        [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ Values are 64-bit IEEE-754 so a write/read cycle is bit-exact.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO
@@ -77,7 +79,7 @@ class LayerTensor:
         vals = np.asarray(self.values, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        expected = int(np.prod(self.dims))
+        expected = math.prod(self.dims)
         if vals.size != expected:
             raise SnapshotStructureError(
                 f"layer {self.name!r}: dims {self.dims} imply {expected} values, got {vals.size}"
@@ -151,12 +153,21 @@ class _Reader:
     def __init__(self, source: BinaryIO):
         self.source = source
         self.offset = 0
+        self.size = None  # bytes from the start to the end of a seekable source
+        if source.seekable():
+            start = source.tell()
+            self.size = source.seek(0, io.SEEK_END) - start
+            source.seek(start)
 
     def read(self, count: int, context: str) -> bytes:
+        # a seekable source is asked for no more than it holds, so an over-declared size allocates nothing
+        wanted = count if self.size is None else min(count, self.size - self.offset)
         try:
-            data = self.source.read(count)
+            data = self.source.read(wanted)
         except OSError as exc:
             raise SnapshotIOError(f"read failed: {exc}", self.offset) from exc
+        except (OverflowError, MemoryError) as exc:  # a source that cannot seek, or a layer beyond memory
+            raise SnapshotError(f"{context}: cannot buffer {count} bytes ({type(exc).__name__})") from exc
         if data is None or len(data) < count:
             raise SnapshotTruncatedError(
                 f"truncated {context}: wanted {count} bytes at offset {self.offset}, "
@@ -170,7 +181,10 @@ class _Reader:
 
 
 def read_snapshot(source: BinaryIO) -> WeightSnapshot:
-    """Parse a snapshot stream written by write_snapshot (its exact inverse)."""
+    """Parse a snapshot stream written by write_snapshot (its exact inverse).
+
+    Layer values are read-only views of the bytes read (copied only on a big-endian host).
+    """
     r = _Reader(source)
     magic = r.read(4, "reading magic")
     if magic != MAGIC:
@@ -198,8 +212,7 @@ def read_snapshot(source: BinaryIO) -> WeightSnapshot:
         dims = struct.unpack(f"<{ndims}Q", r.read(8 * ndims, ctx))
         if any(d == 0 for d in dims):
             raise SnapshotStructureError(f"layer {idx} ({name!r}): zero dimension in {dims}")
-        count = int(np.prod(dims))
-        values = np.frombuffer(r.read(8 * count, ctx), dtype="<f8").astype(np.float64)
+        values = np.frombuffer(r.read(8 * math.prod(dims), f"at layer {idx} ({name!r})"), dtype="<f8")
         try:
             layers.append(LayerTensor(name=name, dims=tuple(int(d) for d in dims), values=values))
         except SnapshotStructureError as exc:

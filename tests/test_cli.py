@@ -1,10 +1,13 @@
+import csv
+import struct
+
 import numpy as np
 import pytest
 
 from tempbal.cli import CONFIG_KEYS, _parse_grid, main, parse_config
 from tempbal.errors import ConfigError
 from tempbal.rmt_lab import PLSpectrumSpec, synth_pl_matrix
-from tempbal.weight_store import LayerTensor, WeightSnapshot, save_snapshot
+from tempbal.weight_store import MAGIC, LayerTensor, WeightSnapshot, save_snapshot
 
 
 @pytest.fixture()
@@ -335,3 +338,62 @@ def test_rmt_range_grid_capped():
 def test_rmt_huge_range_exit_1(capsys):
     assert "0:1e9:1e-3" in assert_usage_error(["rmt", "--q", "64", "--s", "0:1e9:1e-3"], capsys)
     assert_usage_error(["rmt", "--q", "64", "--s", "0:1e300:1e-300"], capsys)
+
+
+def test_rmt_size_above_limit_exit_1(capsys):
+    # rejected before any matrix is allocated: an 8193 x 8193 cell would hold about 2.5 GiB
+    for q in ("8193", "10000000000"):
+        assert "[8, 8192]" in assert_usage_error(["rmt", "--q", q, "--s", "0.5"], capsys)
+
+
+def test_histogram_bins_above_limit_exit_1(tmp_path, snapshot_path, capsys):
+    assert_usage_error(["train", "--config", str(train_config(tmp_path, policy_bins=10001))], capsys)
+    assert_usage_error(["analyze", str(snapshot_path), "--bins", "10001", "--out-dir", str(tmp_path)], capsys)
+
+
+# ---------------------------------------------------------------------------
+# layer names in CSV cells and file names
+
+
+def named_snapshot(tmp_path, names):
+    rng = np.random.default_rng(2)
+    layers = tuple(LayerTensor(name, (6, 9), rng.normal(size=54)) for name in names)
+    path = tmp_path / "named.wsnp"
+    save_snapshot(WeightSnapshot(epoch=0, layers=layers), str(path))
+    return path
+
+
+def test_analyze_names_with_commas_and_quotes_read_back(tmp_path):
+    names = ["fc,1", 'q"x', "plain"]
+    out = tmp_path / "out"
+    assert main(["analyze", str(named_snapshot(tmp_path, names)), "--out-dir", str(out)]) == 0
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["layer"] for row in rows] == names
+    for row in rows:
+        assert len(row) == 9 and None not in row.values(), row
+        assert row["status"] == "ok" and row["n"] == "6"
+
+
+def test_analyze_histogram_file_names_do_not_collide(tmp_path):
+    out = tmp_path / "out"
+    assert main(["analyze", str(named_snapshot(tmp_path, ["a/b", "a b", "a_b"])), "--out-dir", str(out)]) == 0
+    hists = sorted(out.glob("esd_*.csv"))
+    assert [p.name for p in hists] == ["esd_a%20b.csv", "esd_a%2Fb.csv", "esd_a_b.csv"]
+    for path in hists:
+        assert sum(int(line.split(",")[2]) for line in path.read_text().splitlines()[1:]) == 6
+
+
+# ---------------------------------------------------------------------------
+# snapshot headers that declare more than the file holds
+
+
+@pytest.mark.parametrize(
+    "dims", [(2**32, 2**32), (2**63, 2), (2**20, 2**20)], ids=["product-wraps", "overflow", "8-TiB"]
+)
+def test_analyze_over_declared_layer_exit_2(tmp_path, capsys, dims):
+    path = tmp_path / "big.wsnp"
+    header = MAGIC + struct.pack("<III", 1, 0, 1) + struct.pack("<I", 1) + b"x" + struct.pack("<I", 2)
+    path.write_bytes(header + struct.pack("<2Q", *dims) + b"\x00" * 16)
+    err = assert_usage_error(["analyze", str(path), "--out-dir", str(tmp_path)], capsys, code=2)
+    assert "layer 0 ('x')" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import time
 
@@ -17,6 +18,7 @@ from tempbal.train_engine import (
     ModelSpec,
     OptimState,
     TELEMETRY_HEADER,
+    TelemetryRow,
     conv_output_shape,
     init_params,
     loss_and_grads,
@@ -24,6 +26,7 @@ from tempbal.train_engine import (
     run_training,
     sgd_step,
     snr_grad_term,
+    write_table,
 )
 
 # ---------------------------------------------------------------------------
@@ -407,3 +410,13 @@ def test_conv_block_sizes_must_be_positive():
     for block in ((2, 1, 0, 3), (2, 1, -3, 3), (0, 1, 3, 3)):
         with pytest.raises(ConfigError):
             conv_output_shape((block,), (1, 4, 4))
+
+
+def test_telemetry_header_is_the_row_fields():
+    assert TELEMETRY_HEADER == ",".join(f.name for f in dataclasses.fields(TelemetryRow))
+
+
+def test_write_table_cell_rule():
+    buf = io.StringIO()
+    write_table(buf, "a,b,c,d,e,f", [(None, np.float32(0.1), np.float64(2.5), 1e-300, np.int64(3), 'x,"y"')])
+    assert buf.getvalue() == 'a,b,c,d,e,f\n,0.10000000149011612,2.5,1e-300,3,"x,""y"""\n'

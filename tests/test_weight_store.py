@@ -8,6 +8,7 @@ from conftest import random_snapshot
 from tempbal.weight_store import (
     MAGIC,
     LayerTensor,
+    SnapshotError,
     SnapshotMagicError,
     SnapshotStructureError,
     SnapshotTruncatedError,
@@ -159,3 +160,37 @@ def test_unicode_layer_names_roundtrip():
         epoch=2, layers=(LayerTensor("блок.0/conv→1", (1, 2), np.array([1.5, -2.5])),)
     )
     assert roundtrip(snap) == snap
+
+
+def test_dims_product_is_exact():
+    # 2**32 * 2**32 wraps to 0 in int64
+    with pytest.raises(SnapshotStructureError, match="imply"):
+        LayerTensor("x", (2**32, 2**32), np.zeros(0))
+
+
+class _Unseekable:
+    def __init__(self, raw: bytes):
+        self._buf = io.BytesIO(raw)
+
+    def read(self, count: int) -> bytes:
+        return self._buf.read(count)
+
+    def seekable(self) -> bool:
+        return False
+
+
+@pytest.mark.parametrize("dims", [(2**32, 2**32), (2**63, 2), (2**20, 2**20)])
+def test_over_declared_layer_size_is_a_snapshot_error(dims):
+    raw = MAGIC + struct.pack("<III", 1, 0, 1) + struct.pack("<I", 1) + b"x" + struct.pack("<I", 2)
+    raw += struct.pack("<2Q", *dims) + b"\x00" * 16
+    with pytest.raises(SnapshotTruncatedError, match="layer 0 \\('x'\\)"):
+        read_snapshot(io.BytesIO(raw))
+    # a stream that cannot seek: the read itself is refused, still a snapshot error
+    with pytest.raises(SnapshotError, match="layer 0 \\('x'\\)"):
+        read_snapshot(_Unseekable(raw))
+
+
+def test_read_values_are_read_only_views():
+    snap = roundtrip(random_snapshot(np.random.default_rng(3)))
+    # a copy would be writeable
+    assert not any(layer.values.flags.writeable for layer in snap.layers)

@@ -26,7 +26,7 @@ from urllib.parse import quote
 
 from .errors import ConfigError, NumericalError, TempbalError
 from .htsr import POLICY_VARIANTS, LambdaMinPolicy, analyze_snapshot, log10_histogram
-from .rmt_lab import MAX_SIZE, max_decay, verify_s_alpha
+from .rmt_lab import MAX_SIZE, max_decay, sweep_specs, verify_s_alpha
 from .scheduler import ASSIGNMENTS, METRICS, ScheduleConfig
 from .train_engine import (
     ACTIVATIONS,
@@ -234,6 +234,23 @@ def parse_config(path: str) -> dict[str, Any]:
 
 
 METRICS_HEADER = "layer,n,m,k,lambda_min,alpha_hill,spectral_norm,alpha_weighted,status"
+MAX_FILE_NAME = 255  # bytes in one path component on common filesystems
+
+
+def _histogram_file_name(layer: str) -> str:
+    """esd_<percent-encoded layer>.csv, one-to-one in the layer name and at most MAX_FILE_NAME bytes.
+
+    A name too long for that keeps a prefix of its encoding, then '%-' and the
+    SHA-256 of the whole name. quote() never writes '%-', so a shortened name
+    cannot equal an unshortened one.
+    """
+    file_name = f"esd_{quote(layer, safe='')}.csv"
+    if len(file_name) <= MAX_FILE_NAME:
+        return file_name
+    import hashlib  # here, not at the top: it maps OpenSSL, about 4 MiB, into every tempbal process
+
+    digest = "%-" + hashlib.sha256(layer.encode()).hexdigest() + ".csv"
+    return file_name[: MAX_FILE_NAME - len(digest)] + digest
 
 
 def cmd_analyze(args) -> int:
@@ -259,8 +276,7 @@ def cmd_analyze(args) -> int:
         if row.esd is not None and row.esd.lambda_max > 0:
             counts, edges = log10_histogram(row.esd.eigenvalues, args.bins)
             bins = zip(edges[:-1], edges[1:], counts)
-        # percent-encoding is one-to-one, so no two layers share a file
-        with open(out_dir / f"esd_{quote(row.name, safe='')}.csv", "w", newline="") as fh:
+        with open(out_dir / _histogram_file_name(row.name), "w", newline="") as fh:
             write_table(fh, "log10_lambda_left,log10_lambda_right,count", bins)
 
     print(f"analyzed {len(rows)} layers -> {metrics_path}")
@@ -342,6 +358,9 @@ def cmd_rmt(args) -> int:
     s_grid = _parse_grid(args.s, "s")
     if not sizes or not s_grid:
         raise ConfigError("q and s grids must be nonempty")
+    # a cell that cannot run exits 1 before the sweep of any size is spent
+    for size in sizes:
+        sweep_specs(size, s_grid, seed=args.seed)
 
     table = []
     violations = []

@@ -8,9 +8,10 @@ lambda^(-(1/s + 1)), so the Hill exponent of the ESD satisfies
     alpha = 1 + 1/s        equivalently  s = 1/(alpha - 1)
 
 synth_pl_matrix builds matrices with exactly prescribed decaying spectra
-(Haar-random singular frames), verify_s_alpha sweeps the relation on a
-grid of s, and spike_experiment demonstrates how a rank-1 update ejects an
-eigenvalue from a random bulk ("bulk+spike").
+(a random left orthogonal frame only: the Gram spectrum never sees a right
+one), sweep_specs checks the cells of a sweep, verify_s_alpha sweeps the
+relation on a grid of s, and spike_experiment demonstrates how a rank-1
+update ejects an eigenvalue from a random bulk ("bulk+spike").
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .htsr import LambdaMinPolicy, layer_metrics
 
 # top/second eigenvalue ratio above which a spike counts as ejected
 SPIKE_SEPARATION = 3.0
-MAX_SIZE = 8192  # a Q x Q float64 matrix is then 512 MiB, and a sweep cell holds about five
+# a Q x Q float64 matrix is then 512 MiB; a sweep cell's arrays peak at about four
+# of them, and with LAPACK's work space its resident memory rises by about five
+MAX_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -47,13 +50,6 @@ class PLSpectrumSpec:
             raise ConfigError(f"lambda1 must be positive, got {self.lambda1}")
 
 
-def _haar_orthogonal(size: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal matrix: QR of a Gaussian with sign correction."""
-    q, r = np.linalg.qr(rng.normal(size=(size, size)))
-    d = np.diag(r)
-    return q * np.where(d == 0, 1.0, np.sign(d))
-
-
 def pl_eigenvalues(spec: PLSpectrumSpec) -> np.ndarray:
     """The prescribed descending eigenvalues lambda1 * k^(-s), k = 1..size."""
     k = np.arange(1, spec.size + 1, dtype=np.float64)
@@ -63,13 +59,14 @@ def pl_eigenvalues(spec: PLSpectrumSpec) -> np.ndarray:
 def synth_pl_matrix(spec: PLSpectrumSpec) -> OrientedMatrix:
     """Square matrix whose Gram eigenvalues equal the prescribed spectrum.
 
-    W = U diag(sqrt(lambda_k)) V^T with seeded Haar-random orthogonal U, V,
-    so compute_esd(W) reproduces the spectrum up to roundoff.
+    W = U diag(sqrt(lambda_k)) with U the orthogonal QR factor of a seeded
+    Gaussian, so compute_esd(W), the spectrum of W W^T = U diag(lambda) U^T,
+    reproduces the prescription up to roundoff. No right singular frame is
+    drawn, nor are U's column signs fixed: W W^T is blind to both.
     """
     rng = np.random.default_rng(spec.seed)
-    u = _haar_orthogonal(spec.size, rng)
-    v = _haar_orthogonal(spec.size, rng)
-    w = (u * np.sqrt(pl_eigenvalues(spec))) @ v.T
+    w, _ = np.linalg.qr(rng.normal(size=(spec.size, spec.size)))
+    w *= np.sqrt(pl_eigenvalues(spec))
     return OrientedMatrix(
         values=w, source_name=f"pl_q{spec.size}_s{spec.decay:g}", transposed=False
     )
@@ -91,19 +88,14 @@ class SAlphaRow:
     rel_err: float
 
 
-def verify_s_alpha(
-    size: int,
-    s_grid: list[float],
-    seed: int = 0,
-) -> list[SAlphaRow]:
-    """Tabulate the fitted Hill exponent against the prediction 1 + 1/s.
+def sweep_specs(size: int, s_grid: list[float], seed: int = 0) -> list[PLSpectrumSpec]:
+    """The checked cells of one size of the s vs alpha sweep, one seeded spec per s.
 
-    For each s a fresh matrix with spectrum k^(-s) is synthesized
-    and fit with the median threshold policy (k = n/2), whose threshold is
-    the prescribed eigenvalue (n//2 + 1)^(-s). Every s must keep that
-    threshold above compute_esd's roundoff floor, (n//2 + 1)^(-s) >
-    roundoff_floor(n), or the fit would rest on an eigenvalue read as zero:
-    s < max_decay(n).
+    Nothing is synthesized. Raises ConfigError for an empty grid, a size
+    outside [8, MAX_SIZE] or an s <= 0. Every s must also keep the median
+    fit's threshold, the prescribed eigenvalue (size//2 + 1)^(-s), above
+    compute_esd's roundoff floor, roundoff_floor(size), or the fit would rest
+    on an eigenvalue read as zero: s < max_decay(size).
     """
     if not s_grid:
         raise ConfigError("s grid must be nonempty")
@@ -118,9 +110,23 @@ def verify_s_alpha(
                 f"decay {s:g} at Q={size}: the median threshold {size // 2 + 1}^-s falls under "
                 f"the ESD's roundoff floor Q*eps; need s < {max_decay(size):.4g}"
             )
+    return specs
+
+
+def verify_s_alpha(
+    size: int,
+    s_grid: list[float],
+    seed: int = 0,
+) -> list[SAlphaRow]:
+    """Tabulate the fitted Hill exponent against the prediction 1 + 1/s.
+
+    For each cell of sweep_specs(size, s_grid, seed) a fresh matrix with
+    spectrum k^(-s) is synthesized and fit with the median threshold policy
+    (k = n/2), whose threshold is the prescribed eigenvalue (n//2 + 1)^(-s).
+    """
     policy = LambdaMinPolicy(variant="median")
     rows = []
-    for spec in specs:
+    for spec in sweep_specs(size, s_grid, seed):
         metrics = layer_metrics(compute_esd(synth_pl_matrix(spec)), policy)
         pred = 1.0 + 1.0 / spec.decay
         rows.append(

@@ -273,7 +273,10 @@ def sgd_step(
     optim: OptimState,
     lr_map: dict[str, float],
 ) -> tuple[dict[str, np.ndarray], OptimState]:
-    """v <- momentum*v + g + weight_decay*w; w <- w - lr*v, per parameter."""
+    """v <- momentum*v + g + weight_decay*w; w <- w - lr*v, per parameter.
+
+    Each parameter array and momentum buffer is updated in place.
+    """
     for name, w in params.items():
         g = grads[name]
         if g.shape != w.shape:
@@ -282,10 +285,11 @@ def sgd_step(
             raise ValueError(f"no learning rate for parameter {name}")
         buf = optim.buffers.get(name)
         if buf is None:
-            buf = np.zeros_like(w)
-        buf = optim.momentum * buf + g + optim.weight_decay * w
-        optim.buffers[name] = buf
-        params[name] = w - lr_map[name] * buf
+            buf = optim.buffers[name] = np.zeros_like(w)
+        buf *= optim.momentum
+        buf += g
+        buf += optim.weight_decay * w
+        w -= lr_map[name] * buf
     return params, optim
 
 

@@ -153,6 +153,32 @@ def test_train_tempbalance_range(tmp_path):
         assert 0.5 * eta_t - 1e-15 <= lr <= 1.5 * eta_t + 1e-15
 
 
+def _out_of_place_sgd_step(params, grads, optim, lr_map):
+    """The SGD update with fresh buffer and parameter arrays at every step, the in-place one's reference."""
+    for name, w in params.items():
+        buf = optim.buffers.get(name)
+        if buf is None:
+            buf = np.zeros_like(w)
+        buf = optim.momentum * buf + grads[name] + optim.weight_decay * w
+        optim.buffers[name] = buf
+        params[name] = w - lr_map[name] * buf
+    return params, optim
+
+
+def test_train_in_place_sgd_gives_the_out_of_place_bytes(tmp_path, monkeypatch):
+    from tempbal import train_engine
+
+    # the benchmark's train_refresh config: 16 refreshes, momentum and weight decay on every step
+    bench = dict(dim=128, hidden="256,256,128", classes=10, samples=2560, update_interval_iters=5, seed=601)
+    outputs = []
+    for step in (train_engine.sgd_step, _out_of_place_sgd_step):
+        monkeypatch.setattr(train_engine, "sgd_step", step)
+        out = tmp_path / step.__name__
+        assert main(["train", "--config", str(train_config(tmp_path, **bench)), "--out-dir", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("telemetry.csv", "final.wsnp")])
+    assert outputs[0] == outputs[1]
+
+
 def test_train_unknown_key_exit_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("foo = 1\n")
@@ -346,6 +372,17 @@ def test_rmt_size_above_limit_exit_1(capsys):
         assert "[8, 8192]" in assert_usage_error(["rmt", "--q", q, "--s", "0.5"], capsys)
 
 
+def test_rmt_checks_every_cell_before_computing_any(capsys, monkeypatch):
+    from tempbal import rmt_lab
+
+    built = []
+    synth = rmt_lab.synth_pl_matrix
+    monkeypatch.setattr(rmt_lab, "synth_pl_matrix", lambda spec: built.append(spec) or synth(spec))
+    assert_usage_error(["rmt", "--q", "1024,8193", "--s", "0.5,1.5,3.0"], capsys)
+    assert_usage_error(["rmt", "--q", "64,1024", "--s", "0.5,6.0"], capsys)
+    assert built == []
+
+
 def test_histogram_bins_above_limit_exit_1(tmp_path, snapshot_path, capsys):
     assert_usage_error(["train", "--config", str(train_config(tmp_path, policy_bins=10001))], capsys)
     assert_usage_error(["analyze", str(snapshot_path), "--bins", "10001", "--out-dir", str(tmp_path)], capsys)
@@ -397,3 +434,22 @@ def test_analyze_over_declared_layer_exit_2(tmp_path, capsys, dims):
     path.write_bytes(header + struct.pack("<2Q", *dims) + b"\x00" * 16)
     err = assert_usage_error(["analyze", str(path), "--out-dir", str(tmp_path)], capsys, code=2)
     assert "layer 0 ('x')" in err
+
+
+def test_analyze_long_layer_name_gets_a_bounded_histogram_file(tmp_path):
+    name = "слой_" * 12  # 108 UTF-8 bytes, 288 once percent-encoded
+    out = tmp_path / "out"
+    assert main(["analyze", str(named_snapshot(tmp_path, [name])), "--out-dir", str(out)]) == 0
+    (hist,) = out.glob("esd_*.csv")
+    assert len(hist.name) == 255 and hist.name.startswith("esd_%D1%81%D0%BB")
+    assert sum(int(line.split(",")[2]) for line in hist.read_text().splitlines()[1:]) == 6
+
+
+def test_analyze_long_names_sharing_a_prefix_get_distinct_files(tmp_path):
+    prefix = "x" * 300
+    names = [prefix + "a", prefix + "b", "short"]
+    out = tmp_path / "out"
+    assert main(["analyze", str(named_snapshot(tmp_path, names)), "--out-dir", str(out)]) == 0
+    files = sorted(p.name for p in out.glob("esd_*.csv"))
+    assert len(files) == 3 and "esd_short.csv" in files
+    assert all(len(f.encode()) <= 255 for f in files)

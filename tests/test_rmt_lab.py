@@ -161,3 +161,15 @@ def test_verify_s_alpha_near_max_decay_matches_svd():
     want = layer_metrics(svd, policy).alpha_hill
     assert got == pytest.approx(want, rel=1e-5)
     assert abs(want - (1 + 1 / s)) > 100 * abs(got - want)
+
+
+def test_verify_s_alpha_pinned_values():
+    # alpha_hill of the sweep as computed when the synthesis drew both
+    # singular frames: dropping the right frame moves only roundoff
+    pinned = {
+        1024: [3.011942920284619, 1.6706476400948704, 1.3353238200488073],
+        64: [3.1101023367383673, 1.7033674455794574, 1.3516837227897762],
+    }
+    for size, alphas in pinned.items():
+        rows = verify_s_alpha(size, [0.5, 1.5, 3.0], seed=0)
+        assert [r.alpha_hill for r in rows] == pytest.approx(alphas, rel=1e-10, abs=0)

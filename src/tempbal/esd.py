@@ -110,19 +110,24 @@ def roundoff_floor(n: int) -> float:
     return n * np.finfo(np.float64).eps
 
 
+def gram(mat: OrientedMatrix) -> np.ndarray:
+    """The n x n Gram matrix W W^T of an oriented layer, checked finite."""
+    w = mat.values
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteMatrixError(f"{mat.source_name!r}: non-finite entries in weight matrix")
+    with np.errstate(over="ignore"):  # checked on the next line
+        product = w @ w.T
+    if not np.all(np.isfinite(product)):
+        raise NumericalError(f"{mat.source_name!r}: W W^T overflows float64, so its eigenvalues would too")
+    return product
+
+
 def compute_esd(mat: OrientedMatrix) -> ESD:
     """Eigenvalues of the Gram matrix W W^T of an oriented layer, ascending as eigvalsh returns them.
 
     Those at or below roundoff_floor(n) * lambda_max, negative ones included,
     are set to zero; the zero matrix gives all zeros.
     """
-    w = mat.values
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteMatrixError(f"{mat.source_name!r}: non-finite entries in weight matrix")
-    with np.errstate(over="ignore"):  # checked on the next line
-        gram = w @ w.T
-    if not np.all(np.isfinite(gram)):
-        raise NumericalError(f"{mat.source_name!r}: W W^T overflows float64, so its eigenvalues would too")
-    lam = np.linalg.eigvalsh(gram)
+    lam = np.linalg.eigvalsh(gram(mat))
     lam[lam <= roundoff_floor(mat.n) * lam[-1]] = 0.0
     return ESD(eigenvalues=lam, source_name=mat.source_name, n=mat.n, m=mat.m)

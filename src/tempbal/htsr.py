@@ -44,7 +44,7 @@ class DegenerateThresholdError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """Power iteration failed to reach the requested residual."""
+    """A top singular pair (power iteration, or the SNR gradient's eigensolve) missed its residual bound."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .esd import OrientedMatrix, orient_array
-from .htsr import LambdaMinPolicy, power_iteration_sigma
+from .esd import OrientedMatrix, gram, orient_array
+from .htsr import ConvergenceError, LambdaMinPolicy
 from .scheduler import ScheduleConfig, ScheduleDecision, schedule_epoch
 from .weight_store import LayerTensor, WeightSnapshot
 
@@ -220,7 +220,8 @@ def loss_and_grads(params, spec: ModelSpec, x: np.ndarray, y: np.ndarray):
             delta = delta * _act_grad(z, act, spec.activation)
         grads[f"dense{idx}.w"] = delta.T @ a_in
         grads[f"dense{idx}.b"] = delta.sum(axis=0)
-        delta = delta @ params[f"dense{idx}.w"]
+        if idx > 0 or spec.conv_stem:  # the input gradient of dense0 feeds only a conv stem
+            delta = delta @ params[f"dense{idx}.w"]
     if spec.conv_stem:
         c, h, w = conv_output_shape(spec.conv_stem, spec.conv_input)
         delta = delta.reshape(-1, c, h, w)
@@ -236,13 +237,21 @@ def loss_and_grads(params, spec: ModelSpec, x: np.ndarray, y: np.ndarray):
     return loss, grads
 
 
-def predict(params, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    logits, _ = _forward(params, spec, x)
-    return np.argmax(logits, axis=1)
+def predict(params, spec: ModelSpec, x: np.ndarray, batch_size: int) -> np.ndarray:
+    """Predicted class of each row, from forward passes over chunks of batch_size rows.
+
+    Only one chunk's activations are alive at a time, so memory tracks
+    batch_size and not len(x).
+    """
+    labels = np.empty(len(x), dtype=np.intp)
+    for start in range(0, len(x), batch_size):
+        logits, _ = _forward(params, spec, x[start:start + batch_size])
+        labels[start:start + batch_size] = np.argmax(logits, axis=1)
+    return labels
 
 
-def accuracy(params, spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(predict(params, spec, x) == y))
+def accuracy(params, spec: ModelSpec, x: np.ndarray, y: np.ndarray, batch_size: int) -> float:
+    return float(np.mean(predict(params, spec, x, batch_size) == y))
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +311,28 @@ def snr_grad_term(
     """Gradient of the penalty (lambda_sr/2) * sigma(W)^2 at a simple top singular value.
 
     Returns lambda_sr * sigma * u v^T in the layer's original 2-D
-    orientation (transposed layers get the transposed increment).
+    orientation (transposed layers get the transposed increment); zeros
+    when lambda_sr is 0 or W is the zero matrix.
+
+    u is the top eigenvector of the Gram matrix W W^T from one symmetric
+    eigensolve, sigma = ||W^T u|| and v = W^T u / sigma; unlike power
+    iteration, the cost does not grow as sigma_2 / sigma_1 nears 1. The
+    pair must satisfy ||W v - sigma u|| <= tol * sigma, else
+    ConvergenceError. max_iter is not used; it keeps the power-iteration
+    signature.
     """
-    if lambda_sr < 0:
-        raise ValueError(f"lambda_sr must be nonnegative, got {lambda_sr}")
-    if lambda_sr == 0.0:
-        shape = (layer.m, layer.n) if layer.transposed else (layer.n, layer.m)
-        return np.zeros(shape)
-    sigma, u, v = power_iteration_sigma(layer, tol=tol, max_iter=max_iter)
+    w = layer.values
+    if lambda_sr == 0.0 or not w.any():
+        return np.zeros((layer.m, layer.n) if layer.transposed else (layer.n, layer.m))
+    u = np.linalg.eigh(gram(layer))[1][:, -1]
+    wu = w.T @ u
+    sigma = float(np.linalg.norm(wu))
+    v = wu / sigma
+    residual = float(np.linalg.norm(w @ v - sigma * u))
+    if not residual <= tol * sigma:
+        raise ConvergenceError(
+            f"{layer.source_name!r}: top singular pair has residual {residual:.3e} > tol * sigma", residual
+        )
     inc = lambda_sr * sigma * np.outer(u, v)
     return inc.T if layer.transposed else inc
 
@@ -429,12 +452,13 @@ def make_dataset(spec: GaussianMixtureSpec | CsvDataSpec, seed: int) -> Dataset:
         means *= spec.separation / np.linalg.norm(means, axis=1, keepdims=True)
         counts = np.full(spec.classes, spec.samples // spec.classes)
         counts[: spec.samples % spec.classes] += 1
-        xs, ys = [], []
-        for cls in range(spec.classes):
-            xs.append(means[cls] + spec.spread * rng.normal(size=(counts[cls], spec.dim)))
-            ys.append(np.full(counts[cls], cls, dtype=np.int64))
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
+        # one array, filled class block by class block in draw order: z*spread + mean
+        x = np.empty((spec.samples, spec.dim))
+        for block, mean in zip(np.split(x, np.cumsum(counts)[:-1]), means):
+            rng.standard_normal(out=block)
+            block *= spec.spread
+            block += mean
+        y = np.repeat(np.arange(spec.classes, dtype=np.int64), counts)
         n_classes = spec.classes
     else:
         rng = np.random.default_rng([seed, 11])
@@ -601,7 +625,7 @@ def run_training(
                 name: float(np.linalg.norm(grads[f"{name}.w"])) for name in layer_names
             }
             sgd_step(params, grads, optim, lr_map)
-        eval_acc = accuracy(params, model, dataset.x_eval, dataset.y_eval)
+        eval_acc = accuracy(params, model, dataset.x_eval, dataset.y_eval, optim.batch_size)
         train_loss = float(np.mean(batch_losses))
         epoch_sec = perf_counter() - epoch_start
         for name in layer_names:

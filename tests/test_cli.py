@@ -179,6 +179,14 @@ def test_train_in_place_sgd_gives_the_out_of_place_bytes(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_train_snr_on_nearly_equal_top_singular_values_exit_0(tmp_path):
+    # seed 777 grows a dense1 whose top two singular values nearly coincide,
+    # where power iteration stalls at a residual of 3e-8 * sigma
+    bench = dict(dim=128, hidden="256,256,128", classes=10, samples=2560, update_interval_iters=5)
+    cfg = train_config(tmp_path, **bench, s1=0.5, s2=1.5, policy="median", lambda_sr=0.001, seed=777)
+    assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "snr")]) == 0
+
+
 def test_train_unknown_key_exit_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("foo = 1\n")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempbal.errors import ConfigError
 from tempbal.htsr import LambdaMinPolicy
@@ -296,3 +298,64 @@ def test_config_validation():
         ScheduleConfig(eta0=0.1, total_epochs=10, start_epoch=10)
     with pytest.raises(ConfigError):
         ScheduleConfig(eta0=0.1, total_epochs=10, update_interval_iters=0)
+
+
+@st.composite
+def scalable_snapshots(draw):
+    """3 to 5 small layers, each Gaussian, Student-t (heavy-tailed), rank-deficient, all-zero or 4-D conv.
+
+    Flat-tail layers (all singular values equal) are not drawn: roundoff in
+    the eigensolve gives them a huge finite alpha in place of the +inf
+    sentinel, and its value depends on the scale.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    for i in range(draw(st.integers(3, 5))):
+        n, m = draw(st.integers(4, 32)), draw(st.integers(4, 32))
+        kind = draw(st.sampled_from(("gaussian", "student_t", "rank", "zero", "conv")))
+        if kind == "gaussian":
+            w = rng.normal(size=(n, m))
+        elif kind == "student_t":
+            w = rng.standard_t(draw(st.sampled_from((1.5, 2.5, 4.0))), size=(n, m))
+        elif kind == "rank":
+            r = draw(st.integers(1, min(n, m) - 1))
+            w = rng.normal(size=(n, r)) @ rng.normal(size=(r, m))
+        elif kind == "zero":
+            w = np.zeros((n, m))
+        else:
+            w = rng.normal(size=(n, draw(st.integers(1, 3)), 3, 3))
+        layers.append(LayerTensor(f"{kind}{i}", w.shape, w.reshape(-1)))
+    return WeightSnapshot(epoch=0, layers=tuple(layers))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    scalable_snapshots(),
+    st.floats(1e-3, 1e3),
+    st.sampled_from(("tempbalance", "step")),
+    st.sampled_from(("median", "ks", "fixfinger")),
+    st.booleans(),
+)
+def test_schedule_is_invariant_to_weight_scale(snap, c, assignment, variant, exclude_first_last):
+    cfg = config(assignment=assignment, metric="alpha_hill", exclude_first_last=exclude_first_last)
+    policy = LambdaMinPolicy(variant=variant)
+    scaled = WeightSnapshot(
+        epoch=0, layers=tuple(LayerTensor(layer.name, layer.dims, c * layer.values) for layer in snap.layers)
+    )
+    base, other = (schedule_epoch(cfg, 3, s, policy) for s in (snap, scaled))
+    assert other.fallback_layers == base.fallback_layers
+    assert {n: m.k for n, m in other.layer_metrics.items()} == {n: m.k for n, m in base.layer_metrics.items()}
+    alphas, scaled_alphas = base.alphas_used, other.alphas_used
+    assert scaled_alphas.keys() == alphas.keys()
+    for name, alpha in alphas.items():
+        assert scaled_alphas[name] == pytest.approx(alpha, rel=1e-11)  # eigensolve roundoff only
+    if assignment == "step":
+        assert other.per_layer == base.per_layer  # the ranking alone sets each rate
+        return
+    # the linear map divides by the alpha span, so a rate moves by up to
+    # 4 * drift / span of the rate range; no more than the alphas' roundoff explains
+    span = max(alphas.values(), default=0.0) - min(alphas.values(), default=0.0)
+    drift = max((abs(scaled_alphas[n] - a) for n, a in alphas.items()), default=0.0)
+    moved = 4 * base.eta_t * (cfg.s2 - cfg.s1) * drift / span if span else 0.0
+    for name, lr in base.per_layer.items():
+        assert abs(other.per_layer[name] - lr) <= moved + 4 * np.finfo(float).eps * lr

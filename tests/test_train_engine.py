@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from tempbal.train_engine import (
     OptimState,
     TELEMETRY_HEADER,
     TelemetryRow,
+    accuracy,
     conv_output_shape,
     init_params,
     loss_and_grads,
     make_dataset,
+    predict,
     run_training,
     sgd_step,
     snr_grad_term,
@@ -166,6 +169,41 @@ def test_dataset_epoch_shuffles_differ():
     assert not np.array_equal(e0, e1)
 
 
+def _list_and_concatenate_dataset(spec: GaussianMixtureSpec, seed: int):
+    """The per-class list construction make_dataset replaced, kept as its reference."""
+    rng = np.random.default_rng([seed, 11])
+    means = rng.normal(size=(spec.classes, spec.dim))
+    means *= spec.separation / np.linalg.norm(means, axis=1, keepdims=True)
+    counts = np.full(spec.classes, spec.samples // spec.classes)
+    counts[: spec.samples % spec.classes] += 1
+    xs, ys = [], []
+    for cls in range(spec.classes):
+        xs.append(means[cls] + spec.spread * rng.normal(size=(counts[cls], spec.dim)))
+        ys.append(np.full(counts[cls], cls, dtype=np.int64))
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    order = rng.permutation(len(x))
+    return x[order], y[order]
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [
+        (GaussianMixtureSpec(), 0),
+        (GaussianMixtureSpec(classes=7, dim=5, samples=1003, spread=0.3, separation=2.5, split=0.7), 41),
+        (GaussianMixtureSpec(classes=10, dim=128, samples=2560, separation=6.0), 611),
+        (GaussianMixtureSpec(classes=3, dim=4, samples=3, spread=0.0, split=0.5), 2),
+    ],
+)
+def test_make_dataset_gives_the_list_and_concatenate_bytes(spec, seed):
+    data = make_dataset(spec, seed)
+    x, y = _list_and_concatenate_dataset(spec, seed)
+    n_train = int(len(x) * spec.split)
+    for got, want in ((data.x_train, x[:n_train]), (data.x_eval, x[n_train:])):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for got, want in ((data.y_train, y[:n_train]), (data.y_eval, y[n_train:])):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_csv_dataset(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("f0,f1,label\n0.0,1.0,a\n1.0,0.0,b\n0.1,0.9,a\n0.9,0.1,b\n1,1,a\n")
@@ -280,6 +318,41 @@ def test_model_spec_validation():
     with pytest.raises(ConfigError):
         # conv output is 2*2*2=8, not 4
         ModelSpec(widths=(4, 2, 2), conv_stem=((2, 1, 3, 3),), conv_input=(1, 4, 4))
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+CONV_SPEC = ModelSpec(widths=(18, 12, 4), seed=3, conv_stem=((2, 1, 3, 3),), conv_input=(1, 5, 5))
+
+
+@pytest.mark.parametrize("spec", [ModelSpec(widths=(6, 16, 8, 5), seed=4), CONV_SPEC], ids=["dense", "conv"])
+@pytest.mark.parametrize("rows, batch_size", [(301, 64), (301, 1), (64, 64), (40, 128)])
+def test_chunked_predict_is_the_whole_set_argmax(spec, rows, batch_size):
+    params = init_params(spec)
+    x = np.random.default_rng(rows).normal(size=(rows, spec.input_dim))
+    whole = np.argmax(train_engine._forward(params, spec, x)[0], axis=1)
+    assert np.array_equal(predict(params, spec, x, batch_size), whole)
+
+
+def test_accuracy_memory_tracks_the_batch_not_the_eval_set():
+    spec = ModelSpec(widths=(64, 256, 256, 10), seed=0)
+    params = init_params(spec)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(8192, 64)), rng.integers(0, 10, size=8192)
+    batch_size = 128
+    # 12 activations of one chunk at the widest layer: about 3 MiB; the
+    # whole-set forward pass with its backward cache peaks at about 65 MiB
+    bound = 12 * batch_size * max(spec.widths) * 8
+    tracemalloc.start()
+    try:
+        acc = accuracy(params, spec, x, y, batch_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert acc == np.mean(np.argmax(train_engine._forward(params, spec, x)[0], axis=1) == y)
+    assert peak < bound
 
 
 # ---------------------------------------------------------------------------

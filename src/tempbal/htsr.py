@@ -16,8 +16,8 @@ threshold policies are supported:
     fixfinger  lambda_min placed at the peak of the ESD, located on a
                histogram of log10(lambda)
 
-A perfectly flat tail (zero log-sum) yields an +inf sentinel instead of an
-error so that degenerate layers can still be scheduled.
+A flat tail, one whose log-sum is roundoff, yields an +inf sentinel instead
+of an error so that degenerate layers can still be scheduled.
 """
 
 from __future__ import annotations
@@ -28,11 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .esd import ESD, OrientedMatrix, compute_esd, orient
+from .esd import ESD, OrientedMatrix, compute_esd, orient, roundoff_floor
 from .weight_store import WeightSnapshot
 
 POLICY_VARIANTS = ("median", "ks", "fixfinger")
 MAX_HISTOGRAM_BINS = 10_000  # a histogram allocates O(bins); analyze writes a row per bin and layer
+# the eigenvalues of a layer whose singular values are all equal differ by roundoff
+# only, yet a k-value tail's log-sum reaches 2.8 k n eps at n = 4, 1.6 k n eps at
+# n = 8 and under k n eps from n = 16 on (probe: m <= 200, scales 1e-3 to 1e3)
+FLAT_TAIL_ROUNDOFFS = 4
 
 
 class DegenerateSpectrumError(NumericalError):
@@ -76,11 +80,18 @@ class LayerMetrics:
     alpha_weighted: float
 
 
+def _is_flat(log_sum: float, k: int, n: int) -> bool:
+    """Whether the log-sum of a k-value tail of n eigenvalues is roundoff, so the tail reads as flat."""
+    return log_sum <= FLAT_TAIL_ROUNDOFFS * k * roundoff_floor(n)
+
+
 def hill_alpha(esd: ESD, k: int) -> float:
     """Closed-form tail exponent from the top k of n ascending eigenvalues.
 
-    Returns 1 + k / sum_{i=1..k} ln(lambda_{n-i+1}/lambda_{n-k}). A zero
-    log-sum (all top k+1 eigenvalues equal) returns math.inf.
+    Returns 1 + k / sum_{i=1..k} ln(lambda_{n-i+1}/lambda_{n-k}). A flat
+    tail, whose log-sum is at most FLAT_TAIL_ROUNDOFFS * k * roundoff_floor(n)
+    (all top k+1 eigenvalues equal up to roundoff), returns math.inf at any
+    scale of the eigenvalues.
     """
     lam = esd.eigenvalues
     n = lam.size
@@ -92,7 +103,7 @@ def hill_alpha(esd: ESD, k: int) -> float:
             f"{esd.source_name!r}: tail threshold lambda_(n-k) is zero for k={k}"
         )
     log_sum = float(np.sum(np.log(lam[n - k:] / threshold)))
-    if log_sum == 0.0:
+    if _is_flat(log_sum, k, n):
         return math.inf
     return 1.0 + k / log_sum
 
@@ -103,8 +114,10 @@ def _select_k_ks(lam: np.ndarray) -> int:
     For each candidate k the model CDF on the tail is
     F(lambda) = 1 - (lambda/lambda_{n-k})^(1-alpha); the empirical CDF is
     the right-continuous step function i/k at the i-th smallest tail value.
-    Ties in the distance break toward larger k. Candidates whose threshold
-    is zero cannot be fit and are skipped.
+    A flat tail (see hill_alpha) reads as k values at the threshold, where
+    the degenerate model is 0, so its distance is 1. Ties in the distance
+    break toward larger k. Candidates whose threshold is zero cannot be fit
+    and are skipped.
     """
     n = lam.size
     best_k = None
@@ -116,14 +129,12 @@ def _select_k_ks(lam: np.ndarray) -> int:
             continue
         tail_logs = log_lam[n - k:] - math.log(threshold)
         log_sum = float(tail_logs.sum())
-        if log_sum == 0.0:
-            # flat tail: the degenerate model jumps to 1 above the threshold
-            model = np.where(tail_logs > 0, 1.0, 0.0)
+        if _is_flat(log_sum, k, n):
+            d = 1.0
         else:
             alpha = 1.0 + k / log_sum
             model = 1.0 - np.exp((1.0 - alpha) * tail_logs)
-        empirical = np.arange(1, k + 1) / k
-        d = float(np.max(np.abs(empirical - model)))
+            d = float(np.max(np.abs(np.arange(1, k + 1) / k - model)))
         if d <= best_d:
             best_d = d
             best_k = k
@@ -133,12 +144,25 @@ def _select_k_ks(lam: np.ndarray) -> int:
 
 
 def log10_histogram(eigenvalues: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and edges of a histogram of log10(lambda) over the positive eigenvalues.
+    """Counts and edges of a histogram of log10(lambda) over the positive ascending eigenvalues.
 
     Spectra span decades, so the ESD is binned on a log scale; zero
-    eigenvalues have no logarithm and are left out.
+    eigenvalues have no logarithm and are left out. Positive eigenvalues that
+    read as one value, because they are flat (hill_alpha's test of the tail
+    above the smallest) or their log span is too narrow for bins distinct
+    edges, are binned the way numpy bins a zero span: all in bin bins//2 of a
+    range one decade wide, here centered on the smallest log, so that none of
+    them sits on an edge at any scale.
     """
-    return np.histogram(np.log10(eigenvalues[eigenvalues > 0]), bins=bins)
+    positive = eigenvalues[eigenvalues > 0]
+    logs = np.log10(positive)
+    if positive.size:
+        flat = _is_flat(float(np.sum(np.log(positive / positive[0]))), positive.size - 1, eigenvalues.size)
+        edges = np.linspace(logs[0], logs[-1], bins + 1)
+        if flat or np.any(edges[:-1] >= edges[1:]):
+            lower = logs[0] - (bins // 2 + 0.5) / bins
+            return np.histogram(logs, bins=bins, range=(lower, lower + 1.0))
+    return np.histogram(logs, bins=bins)
 
 
 def _select_k_fixfinger(lam: np.ndarray, bins: int) -> int:
@@ -148,7 +172,8 @@ def _select_k_fixfinger(lam: np.ndarray, bins: int) -> int:
     writes. Ties in the peak break toward smaller lambda. The count is taken
     on the same log10 values the histogram bins, so when the peak is the
     first bin its edge, the smallest positive eigenvalue, is never above
-    itself. The count clamps into [2, n-1].
+    itself. A flat spectrum's peak holds every positive eigenvalue, all above
+    its left edge. The count clamps into [2, n-1].
     """
     n = lam.size
     counts, edges = log10_histogram(lam, bins)

@@ -7,10 +7,11 @@ lambda^(-(1/s + 1)), so the Hill exponent of the ESD satisfies
 
     alpha = 1 + 1/s        equivalently  s = 1/(alpha - 1)
 
-synth_pl_matrix builds matrices with exactly prescribed decaying spectra
-(a random left orthogonal frame only: the Gram spectrum never sees a right
-one), sweep_specs checks the cells of a sweep, verify_s_alpha sweeps the
-relation on a grid of s, and spike_experiment demonstrates how a rank-1
+synth_pl_matrix builds matrices with exactly prescribed decaying spectra by
+scaling the columns of a random orthogonal frame from random_frame (a left
+frame only: the Gram spectrum never sees a right one), sweep_specs checks
+the cells of a sweep, verify_s_alpha sweeps the relation on a grid of s
+with one frame per size, and spike_experiment demonstrates how a rank-1
 update ejects an eigenvalue from a random bulk ("bulk+spike").
 """
 
@@ -27,8 +28,10 @@ from .htsr import LambdaMinPolicy, layer_metrics
 
 # top/second eigenvalue ratio above which a spike counts as ejected
 SPIKE_SEPARATION = 3.0
-# a Q x Q float64 matrix is then 512 MiB; a sweep cell's arrays peak at about four
-# of them, and with LAPACK's work space its resident memory rises by about five
+# a Q x Q float64 matrix is then 512 MiB. The numpy arrays of a sweep of one size peak
+# at about four of them, in the frame's QR and in each cell (frame, W, W W^T and the
+# eigensolver's copy): 4.13 at Q = 512 under tracemalloc. With LAPACK's work space
+# its resident memory rises by about five (5.1 at Q = 2048)
 MAX_SIZE = 8192
 
 
@@ -56,19 +59,29 @@ def pl_eigenvalues(spec: PLSpectrumSpec) -> np.ndarray:
     return spec.lambda1 * k ** (-spec.decay)
 
 
-def synth_pl_matrix(spec: PLSpectrumSpec) -> OrientedMatrix:
+def random_frame(size: int, seed: int) -> np.ndarray:
+    """The orthogonal QR factor of a seeded size x size Gaussian."""
+    rng = np.random.default_rng(seed)
+    frame, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    return frame
+
+
+def synth_pl_matrix(spec: PLSpectrumSpec, frame: np.ndarray | None = None) -> OrientedMatrix:
     """Square matrix whose Gram eigenvalues equal the prescribed spectrum.
 
-    W = U diag(sqrt(lambda_k)) with U the orthogonal QR factor of a seeded
-    Gaussian, so compute_esd(W), the spectrum of W W^T = U diag(lambda) U^T,
-    reproduces the prescription up to roundoff. No right singular frame is
-    drawn, nor are U's column signs fixed: W W^T is blind to both.
+    W = U diag(sqrt(lambda_k)) with U = frame, by default
+    random_frame(spec.size, spec.seed), so compute_esd(W), the spectrum of
+    W W^T = U diag(lambda) U^T, reproduces the prescription up to roundoff.
+    No right singular frame is drawn, nor are U's column signs fixed: W W^T
+    is blind to both. Passing that frame saves recomputing it and gives the
+    same bytes; any orthogonal size x size frame gives the same spectrum.
     """
-    rng = np.random.default_rng(spec.seed)
-    w, _ = np.linalg.qr(rng.normal(size=(spec.size, spec.size)))
-    w *= np.sqrt(pl_eigenvalues(spec))
+    if frame is None:
+        frame = random_frame(spec.size, spec.seed)
     return OrientedMatrix(
-        values=w, source_name=f"pl_q{spec.size}_s{spec.decay:g}", transposed=False
+        values=frame * np.sqrt(pl_eigenvalues(spec)),
+        source_name=f"pl_q{spec.size}_s{spec.decay:g}",
+        transposed=False,
     )
 
 
@@ -89,8 +102,10 @@ class SAlphaRow:
 
 
 def sweep_specs(size: int, s_grid: list[float], seed: int = 0) -> list[PLSpectrumSpec]:
-    """The checked cells of one size of the s vs alpha sweep, one seeded spec per s.
+    """The checked cells of one size of the s vs alpha sweep, one spec per s.
 
+    Every cell of a size gets the one seed SeedSequence([seed, size]), so a
+    cell depends only on (seed, size, s) and not on where s sits in the grid.
     Nothing is synthesized. Raises ConfigError for an empty grid, a size
     outside [8, MAX_SIZE] or an s <= 0. Every s must also keep the median
     fit's threshold, the prescribed eigenvalue (size//2 + 1)^(-s), above
@@ -99,12 +114,12 @@ def sweep_specs(size: int, s_grid: list[float], seed: int = 0) -> list[PLSpectru
     """
     if not s_grid:
         raise ConfigError("s grid must be nonempty")
+    size_seed = int(np.random.SeedSequence([seed, size]).generate_state(1)[0])
     specs = []
-    for idx, s in enumerate(s_grid):
+    for s in s_grid:
         if s <= 0:
             raise ConfigError(f"decay exponents must be positive for the sweep, got {s}")
-        cell_seed = np.random.SeedSequence([seed, size, idx]).generate_state(1)[0]
-        specs.append(PLSpectrumSpec(size=size, decay=s, seed=int(cell_seed)))
+        specs.append(PLSpectrumSpec(size=size, decay=s, seed=size_seed))
         if (size // 2 + 1) ** -s <= roundoff_floor(size):
             raise ConfigError(
                 f"decay {s:g} at Q={size}: the median threshold {size // 2 + 1}^-s falls under "
@@ -120,14 +135,19 @@ def verify_s_alpha(
 ) -> list[SAlphaRow]:
     """Tabulate the fitted Hill exponent against the prediction 1 + 1/s.
 
-    For each cell of sweep_specs(size, s_grid, seed) a fresh matrix with
-    spectrum k^(-s) is synthesized and fit with the median threshold policy
-    (k = n/2), whose threshold is the prescribed eigenvalue (n//2 + 1)^(-s).
+    The cells of sweep_specs(size, s_grid, seed) share one seed, so one
+    random_frame is drawn for the size and each cell scales it into a matrix
+    with spectrum k^(-s): the bytes synth_pl_matrix(spec) gives alone, for
+    one QR per size in place of one per cell. Each is fit with the median
+    threshold policy (k = n/2), whose threshold is the prescribed eigenvalue
+    (n//2 + 1)^(-s).
     """
     policy = LambdaMinPolicy(variant="median")
+    specs = sweep_specs(size, s_grid, seed)
+    frame = random_frame(size, specs[0].seed)
     rows = []
-    for spec in sweep_specs(size, s_grid, seed):
-        metrics = layer_metrics(compute_esd(synth_pl_matrix(spec)), policy)
+    for spec in specs:
+        metrics = layer_metrics(compute_esd(synth_pl_matrix(spec, frame)), policy)
         pred = 1.0 + 1.0 / spec.decay
         rows.append(
             SAlphaRow(

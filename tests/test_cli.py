@@ -383,12 +383,23 @@ def test_rmt_size_above_limit_exit_1(capsys):
 def test_rmt_checks_every_cell_before_computing_any(capsys, monkeypatch):
     from tempbal import rmt_lab
 
-    built = []
-    synth = rmt_lab.synth_pl_matrix
-    monkeypatch.setattr(rmt_lab, "synth_pl_matrix", lambda spec: built.append(spec) or synth(spec))
+    built, frames = [], []
+    synth, frame = rmt_lab.synth_pl_matrix, rmt_lab.random_frame
+    monkeypatch.setattr(rmt_lab, "synth_pl_matrix", lambda spec, *args: built.append(spec) or synth(spec, *args))
+    monkeypatch.setattr(rmt_lab, "random_frame", lambda size, seed: frames.append(size) or frame(size, seed))
     assert_usage_error(["rmt", "--q", "1024,8193", "--s", "0.5,1.5,3.0"], capsys)
     assert_usage_error(["rmt", "--q", "64,1024", "--s", "0.5,6.0"], capsys)
     assert built == []
+    assert frames == []
+
+
+def test_rmt_row_does_not_depend_on_the_rest_of_the_grid(tmp_path):
+    rows = []
+    for grid in ("2.0", "0.5,2.0", "2.0,0.5"):
+        out = tmp_path / "table.csv"
+        assert main(["rmt", "--q", "256", "--s", grid, "--seed", "3", "--out", str(out)]) == 0
+        rows.append(next(line for line in out.read_text().splitlines() if line.startswith("256,2,")))
+    assert rows[0] == rows[1] == rows[2]
 
 
 def test_histogram_bins_above_limit_exit_1(tmp_path, snapshot_path, capsys):

@@ -65,6 +65,9 @@ def test_analyze_argv_fuzz(policy, bins, exists):
             LayerTensor("dense", (12, 8), rng.normal(size=96)),
             LayerTensor("conv", (4, 2, 3, 3), rng.normal(size=72)),
             LayerTensor("dead", (5, 5), np.zeros(25)),
+            # every singular value 3: its eigenvalues differ by roundoff, and its log10 span
+            # has no room for distinct histogram edges
+            LayerTensor("flat", (8, 12), 3.0 * np.linalg.qr(rng.normal(size=(12, 8)))[0].T.ravel()),
         ),
     )
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempbal.errors import NumericalError
 from tempbal.esd import ESD, compute_esd, orient_array
 from tempbal.htsr import (
     ConvergenceError,
@@ -14,6 +15,7 @@ from tempbal.htsr import (
     analyze_snapshot,
     hill_alpha,
     layer_metrics,
+    log10_histogram,
     power_iteration_sigma,
     select_k,
 )
@@ -357,3 +359,90 @@ def test_rank_deficient_fixfinger_peak_in_first_bin():
         met = layer_metrics(compute_esd(orient_array(w, "rank5")), LambdaMinPolicy(variant="fixfinger"))
         assert met.k == 4, seed
         assert met.lambda_min > 0
+
+
+# ---------------------------------------------------------------------------
+# flat spectra: every singular value equal, so the eigenvalues differ by roundoff
+
+
+def flat_layer(n, m, seed=0):
+    """n x m with every singular value 3: 3 Q^T with Q's columns orthonormal."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(max(n, m), min(n, m))))
+    return 3.0 * (q.T if n <= m else q)
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.1, 1 / 3, 1.0, 7.3, 1e3])
+def test_flat_layer_reads_flat_at_every_scale(c):
+    # at c = 1/3 the eigenvalues sit near 1, where their log10 span has room for distinct edges
+    esd = compute_esd(orient_array(c * flat_layer(8, 12), "flat"))
+    for variant, k in (("median", 4), ("ks", 7), ("fixfinger", 7)):
+        met = layer_metrics(esd, LambdaMinPolicy(variant=variant))
+        assert (met.k, met.alpha_hill) == (k, math.inf), variant
+
+
+def test_log10_histogram_bins_a_flat_or_narrow_span_like_a_zero_span():
+    eps = np.finfo(float).eps
+    cases = (
+        (np.full(6, 2.0), (2, 7, 100, 10_000)),  # a zero span
+        (1.0 + 2 * eps * np.arange(6), (2, 7, 100, 10_000)),  # flat to roundoff
+        (1e300 * (1.0 + 1e-13 * np.arange(6)), (10_000,)),  # no room for 10 000 edges
+    )
+    for lam, all_bins in cases:
+        for bins in all_bins:
+            counts, edges = log10_histogram(lam, bins)
+            assert counts[bins // 2] == 6 and counts.sum() == 6
+            assert edges[-1] - edges[0] == pytest.approx(1.0)
+            assert edges[bins // 2] < np.log10(lam[0]) and np.log10(lam[-1]) < edges[bins // 2 + 1]
+
+
+def test_log10_histogram_of_a_spread_spectrum_is_numpys():
+    lam = np.concatenate([np.zeros(3), np.sort(np.random.default_rng(4).pareto(2.0, 40)) + 1e-3])
+    for bins in (2, 10, 100):
+        counts, edges = log10_histogram(lam, bins)
+        want_counts, want_edges = np.histogram(np.log10(lam[3:]), bins=bins)
+        assert np.array_equal(counts, want_counts) and np.array_equal(edges, want_edges)
+
+
+@st.composite
+def scalable_spectra(draw):
+    """The ESD of a small Student-t (heavy-tailed), rank-deficient or flat layer."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(4, 32))
+    m = draw(st.integers(n, 48))
+    kind = draw(st.sampled_from(("student_t", "rank", "flat")))
+    if kind == "student_t":
+        w = rng.standard_t(draw(st.sampled_from((1.5, 2.5, 4.0))), size=(n, m))
+    elif kind == "rank":
+        r = draw(st.integers(1, n - 1))
+        w = rng.normal(size=(n, r)) @ rng.normal(size=(r, m))
+    else:
+        w = flat_layer(n, m, seed)
+    return compute_esd(orient_array(w, kind))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the NumericalError it raises."""
+    try:
+        return fn(*args)
+    except NumericalError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(scalable_spectra(), st.floats(1e-3, 1e3))
+def test_hill_alpha_and_select_k_are_invariant_to_eigenvalue_scale(esd, c):
+    scaled = ESD(eigenvalues=c * esd.eigenvalues, source_name=esd.source_name, n=esd.n, m=esd.m)
+    for variant in ("median", "ks"):
+        policy = LambdaMinPolicy(variant=variant)
+        k = outcome(select_k, esd, policy)
+        assert outcome(select_k, scaled, policy) == k, variant
+        if not isinstance(k, int):
+            continue  # a rank-1 spectrum leaves ks no candidate at either scale
+        alpha, scaled_alpha = outcome(hill_alpha, esd, k), outcome(hill_alpha, scaled, k)
+        if isinstance(alpha, float) and math.isfinite(alpha):
+            assert scaled_alpha == pytest.approx(alpha, rel=1e-12), variant
+        else:
+            assert scaled_alpha == alpha, variant  # +inf, or the same error
+        if esd.source_name == "flat":
+            assert alpha == math.inf

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tempbal import rmt_lab
 from tempbal.esd import compute_esd, orient_array
 from tempbal.htsr import LambdaMinPolicy, layer_metrics
 from tempbal.errors import ConfigError
@@ -10,7 +13,9 @@ from tempbal.rmt_lab import (
     SpikeResult,
     max_decay,
     pl_eigenvalues,
+    random_frame,
     spike_experiment,
+    sweep_specs,
     synth_pl_matrix,
     verify_s_alpha,
 )
@@ -165,7 +170,8 @@ def test_verify_s_alpha_near_max_decay_matches_svd():
 
 def test_verify_s_alpha_pinned_values():
     # alpha_hill of the sweep as computed when the synthesis drew both
-    # singular frames: dropping the right frame moves only roundoff
+    # singular frames and each cell its own: dropping the right frame, and
+    # sharing one left frame among the cells of a size, move only roundoff
     pinned = {
         1024: [3.011942920284619, 1.6706476400948704, 1.3353238200488073],
         64: [3.1101023367383673, 1.7033674455794574, 1.3516837227897762],
@@ -173,3 +179,62 @@ def test_verify_s_alpha_pinned_values():
     for size, alphas in pinned.items():
         rows = verify_s_alpha(size, [0.5, 1.5, 3.0], seed=0)
         assert [r.alpha_hill for r in rows] == pytest.approx(alphas, rel=1e-10, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# one frame per size
+
+
+def test_verify_s_alpha_draws_one_frame_per_size(monkeypatch, tmp_path):
+    from tempbal.cli import main
+
+    drawn = []
+    monkeypatch.setattr(rmt_lab, "random_frame", lambda size, seed: drawn.append(size) or random_frame(size, seed))
+    assert len(verify_s_alpha(32, [0.5, 1.0, 1.5, 2.0, 3.0], seed=1)) == 5
+    assert drawn == [32]
+    drawn.clear()
+    assert main(["rmt", "--q", "16,32", "--s", "0.5,1.5,3.0", "--out", str(tmp_path / "table.csv")]) == 0
+    assert drawn == [16, 32]
+
+
+def test_sweep_specs_gives_the_cells_of_a_size_one_seed():
+    specs = sweep_specs(64, [0.5, 1.5, 3.0], seed=4)
+    assert len({spec.seed for spec in specs}) == 1
+    assert sweep_specs(64, [3.0], seed=4)[0] == specs[2]
+    assert sweep_specs(32, [3.0], seed=4)[0].seed != specs[0].seed
+    assert sweep_specs(64, [3.0], seed=5)[0].seed != specs[0].seed
+
+
+def test_each_cell_is_the_matrix_its_spec_gives_alone(monkeypatch):
+    cells = []
+
+    def record(spec, frame=None):
+        cells.append((spec, synth_pl_matrix(spec, frame)))
+        return cells[-1][1]
+
+    monkeypatch.setattr(rmt_lab, "synth_pl_matrix", record)
+    verify_s_alpha(48, [0.5, 1.5, 3.0], seed=2)
+    assert [spec.decay for spec, _ in cells] == [0.5, 1.5, 3.0]
+    for spec, mat in cells:
+        assert mat.values.tobytes() == synth_pl_matrix(spec).values.tobytes()
+
+
+def test_a_row_depends_only_on_seed_size_and_s():
+    rows = [
+        next(row for row in verify_s_alpha(256, grid, seed=3) if row.decay == 2.0)
+        for grid in ([2.0], [0.5, 2.0], [2.0, 0.5])
+    ]
+    assert rows[0] == rows[1] == rows[2]
+
+
+def test_sweep_memory_peaks_at_four_and_a_half_matrices():
+    size = 512
+    verify_s_alpha(size, [0.5, 1.5, 3.0])  # first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        verify_s_alpha(size, [0.5, 1.5, 3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured at 4.13 Q x Q arrays, in the frame's QR or in a cell
+    assert peak <= 4.5 * size * size * 8

@@ -302,17 +302,16 @@ def test_config_validation():
 
 @st.composite
 def scalable_snapshots(draw):
-    """3 to 5 small layers, each Gaussian, Student-t (heavy-tailed), rank-deficient, all-zero or 4-D conv.
+    """3 to 5 small layers, each Gaussian, Student-t (heavy-tailed), rank-deficient, all-zero, 4-D conv or flat.
 
-    Flat-tail layers (all singular values equal) are not drawn: roundoff in
-    the eigensolve gives them a huge finite alpha in place of the +inf
-    sentinel, and its value depends on the scale.
+    A flat layer has all its singular values equal, so its eigenvalues differ
+    only by roundoff.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layers = []
     for i in range(draw(st.integers(3, 5))):
         n, m = draw(st.integers(4, 32)), draw(st.integers(4, 32))
-        kind = draw(st.sampled_from(("gaussian", "student_t", "rank", "zero", "conv")))
+        kind = draw(st.sampled_from(("gaussian", "student_t", "rank", "zero", "conv", "flat")))
         if kind == "gaussian":
             w = rng.normal(size=(n, m))
         elif kind == "student_t":
@@ -322,6 +321,9 @@ def scalable_snapshots(draw):
             w = rng.normal(size=(n, r)) @ rng.normal(size=(r, m))
         elif kind == "zero":
             w = np.zeros((n, m))
+        elif kind == "flat":
+            q, _ = np.linalg.qr(rng.normal(size=(max(n, m), min(n, m))))
+            w = q.T if n <= m else q
         else:
             w = rng.normal(size=(n, draw(st.integers(1, 3)), 3, 3))
         layers.append(LayerTensor(f"{kind}{i}", w.shape, w.reshape(-1)))
@@ -353,9 +355,11 @@ def test_schedule_is_invariant_to_weight_scale(snap, c, assignment, variant, exc
         assert other.per_layer == base.per_layer  # the ranking alone sets each rate
         return
     # the linear map divides by the alpha span, so a rate moves by up to
-    # 4 * drift / span of the rate range; no more than the alphas' roundoff explains
-    span = max(alphas.values(), default=0.0) - min(alphas.values(), default=0.0)
-    drift = max((abs(scaled_alphas[n] - a) for n, a in alphas.items()), default=0.0)
+    # 4 * drift / span of the rate range; no more than the alphas' roundoff explains.
+    # A flat layer's +inf rides the largest finite alpha, so only finite ones count
+    finite = {n: a for n, a in alphas.items() if math.isfinite(a)}
+    span = max(finite.values(), default=0.0) - min(finite.values(), default=0.0)
+    drift = max((abs(scaled_alphas[n] - a) for n, a in finite.items()), default=0.0)
     moved = 4 * base.eta_t * (cfg.s2 - cfg.s1) * drift / span if span else 0.0
     for name, lr in base.per_layer.items():
         assert abs(other.per_layer[name] - lr) <= moved + 4 * np.finfo(float).eps * lr

@@ -16,7 +16,6 @@ from .htsr import (
     analyze_snapshot,
     hill_alpha,
     layer_metrics,
-    power_iteration_sigma,
     select_k,
 )
 from .rmt_lab import PLSpectrumSpec, spike_experiment, synth_pl_matrix, verify_s_alpha
@@ -82,7 +81,6 @@ __all__ = [
     "make_dataset",
     "orient",
     "orient_array",
-    "power_iteration_sigma",
     "read_snapshot",
     "run_training",
     "save_snapshot",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .esd import ESD, OrientedMatrix, compute_esd, orient, roundoff_floor
+from .esd import ESD, compute_esd, orient, roundoff_floor
 from .weight_store import WeightSnapshot
 
 POLICY_VARIANTS = ("median", "ks", "fixfinger")
@@ -48,7 +48,7 @@ class DegenerateThresholdError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """A top singular pair (power iteration, or the SNR gradient's eigensolve) missed its residual bound."""
+    """The SNR gradient's top singular pair, from the Gram eigensolve, missed its residual bound."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -216,55 +216,6 @@ def layer_metrics(esd: ESD, policy: LambdaMinPolicy) -> LayerMetrics:
         lambda_min=float(esd.eigenvalues[esd.eigenvalues.size - k - 1]),
         spectral_norm=spectral_norm,
         alpha_weighted=weighted,
-    )
-
-
-def power_iteration_sigma(
-    mat: OrientedMatrix | np.ndarray,
-    tol: float = 1e-7,
-    max_iter: int = 100,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Top singular value and unit vectors (sigma, u, v) by power iteration.
-
-    Alternates v <- normalize(W^T u), u <- normalize(W v) from a fixed
-    pseudo-random unit start vector (default_rng(0), the same on every
-    call). Unlike a structured start such as the all-ones vector, it does
-    not fall into the left null space of layers whose columns sum to zero
-    or that have low rank. The W^T u of one residual is the next step's
-    W^T u, so an iteration costs two mat-vecs. Convergence is declared
-    when the pair residual ||W^T u - sigma v|| <= tol * sigma, which also
-    makes ||W v - sigma u|| <= tol * sigma hold at return (it is zero by
-    construction of u). The zero matrix returns sigma = 0.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    w = mat.values if isinstance(mat, OrientedMatrix) else np.asarray(mat, dtype=np.float64)
-    name = mat.source_name if isinstance(mat, OrientedMatrix) else "matrix"
-    if not np.all(np.isfinite(w)):
-        raise NumericalError(f"{name!r}: non-finite entries in weight matrix")
-    n, m = w.shape
-    u = np.random.default_rng(0).standard_normal(n)
-    u /= np.linalg.norm(u)
-    if not w.any():
-        return 0.0, u, np.zeros(m)
-    wu = w.T @ u
-    residual = math.inf
-    for _ in range(max_iter):
-        # u^T W v = ||W^T u||, which is nonzero once u lies in the range of W
-        v = wu / np.linalg.norm(wu)
-        wv = w @ v
-        sigma = float(np.linalg.norm(wv))
-        u = wv / sigma
-        wu = w.T @ u
-        residual = float(np.linalg.norm(wu - sigma * v))
-        if residual <= tol * sigma:
-            return sigma, u, v
-    raise ConvergenceError(
-        f"{name!r}: power iteration did not converge in {max_iter} iterations "
-        f"(last residual {residual:.3e})",
-        residual,
     )
 
 

@@ -164,8 +164,9 @@ def assign_variant(
         names = list(values)
         if len(names) == 1:
             return {names[0]: eta_t * (s1 + s2) / 2.0}
-        # stable sort: ties in the metric keep layer order
-        ranked = sorted(names, key=lambda name: values[name])
+        # stable sort on the metric itself, so a +inf sentinel ranks above the
+        # finite value standing in for it; ties keep layer order
+        ranked = sorted(names, key=lambda name: metrics[name])
         width = (s2 - s1) / (len(names) - 1)
         return {name: eta_t * (s1 + rank * width) for rank, name in enumerate(ranked)}
     raise ConfigError(f"unknown variant {variant!r}")

@@ -306,7 +306,6 @@ def snr_grad_term(
     layer: OrientedMatrix,
     lambda_sr: float,
     tol: float = 1e-9,
-    max_iter: int = 10000,
 ) -> np.ndarray:
     """Gradient of the penalty (lambda_sr/2) * sigma(W)^2 at a simple top singular value.
 
@@ -318,8 +317,7 @@ def snr_grad_term(
     eigensolve, sigma = ||W^T u|| and v = W^T u / sigma; unlike power
     iteration, the cost does not grow as sigma_2 / sigma_1 nears 1. The
     pair must satisfy ||W v - sigma u|| <= tol * sigma, else
-    ConvergenceError. max_iter is not used; it keeps the power-iteration
-    signature.
+    ConvergenceError.
     """
     w = layer.values
     if lambda_sr == 0.0 or not w.any():

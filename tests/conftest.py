@@ -1,6 +1,12 @@
 import numpy as np
+from hypothesis import settings
 
 from tempbal.weight_store import LayerTensor, WeightSnapshot
+
+# every property test replays the same examples on every run and leaves no
+# example database behind; a test's own settings() sets only max_examples
+settings.register_profile("tempbal", derandomize=True, database=None, deadline=None)
+settings.load_profile("tempbal")
 
 
 def random_snapshot(rng: np.random.Generator, max_layers: int = 4) -> WeightSnapshot:

@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempbal.cli import CONFIG_KEYS, _parse_grid, main, parse_config
 from tempbal.errors import ConfigError
@@ -181,10 +187,44 @@ def test_train_in_place_sgd_gives_the_out_of_place_bytes(tmp_path, monkeypatch):
 
 def test_train_snr_on_nearly_equal_top_singular_values_exit_0(tmp_path):
     # seed 777 grows a dense1 whose top two singular values nearly coincide,
-    # where power iteration stalls at a residual of 3e-8 * sigma
+    # where a power iteration stalls at a residual of 3e-8 * sigma
     bench = dict(dim=128, hidden="256,256,128", classes=10, samples=2560, update_interval_iters=5)
     cfg = train_config(tmp_path, **bench, s1=0.5, s2=1.5, policy="median", lambda_sr=0.001, seed=777)
     assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "snr")]) == 0
+
+
+@st.composite
+def small_train_configs(draw):
+    """Overrides of train_config (timing = off) for a small run: widths, assignment, policy, conv stem or not, SNR or not."""
+    cfg = {
+        "total_epochs": "2",
+        "samples": "80",
+        "batch_size": str(draw(st.integers(8, 32))),
+        "update_interval_iters": str(draw(st.integers(1, 4))),
+        "hidden": ",".join(map(str, draw(st.lists(st.integers(4, 12), min_size=1, max_size=3)))),
+        "assignment": draw(st.sampled_from(("tempbalance", "sqrt", "log2", "step", "lars", "global_only"))),
+        "policy": draw(st.sampled_from(("median", "ks", "fixfinger"))),
+        "lambda_sr": draw(st.sampled_from(("0", "0.001"))),
+        "seed": str(draw(st.integers(0, 2**32 - 1))),
+    }
+    if draw(st.booleans()):
+        cfg.update(conv_stem="3x1x3x3", conv_input="1x6x6", dim="36")
+    else:
+        cfg["dim"] = str(draw(st.integers(2, 12)))
+    return cfg
+
+
+@settings(max_examples=40)
+@given(small_train_configs())
+def test_train_repeat_runs_are_byte_identical(cfg):
+    with tempfile.TemporaryDirectory() as tmp:  # hypothesis runs every example in one tmp_path
+        path = train_config(Path(tmp), **cfg)
+        outputs = []
+        for run in ("a", "b"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["train", "--config", str(path), "--out-dir", str(Path(tmp) / run)]) == 0
+            outputs.append([(Path(tmp) / run / f).read_bytes() for f in ("telemetry.csv", "final.wsnp")])
+    assert outputs[0] == outputs[1]
 
 
 def test_train_unknown_key_exit_1(tmp_path, capsys):
@@ -210,6 +250,20 @@ def test_train_divergence_exit_3(tmp_path, capsys):
 
 def test_train_missing_config_exit_1(tmp_path):
     assert main(["train", "--config", str(tmp_path / "none.cfg")]) == 1
+
+
+# each first large array is over a PiB, so numpy refuses it before touching memory:
+# the dataset (1.4 PiB), the first dense layer (1.1 PiB), the class means (5.7 PiB)
+@pytest.mark.parametrize(
+    "sizes",
+    [dict(samples=10_000_000_000_000), dict(hidden=4_000_000_000, dim=40_000, samples=10), dict(dim=400_000_000_000_000)],
+    ids=["samples", "hidden", "dim"],
+)
+def test_train_sizes_beyond_memory_exit_1(tmp_path, capsys, sizes):
+    cfg = train_config(tmp_path, **sizes)
+    assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "big")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
 
 
 def test_config_comments_and_defaults(tmp_path):

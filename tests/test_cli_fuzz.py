@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from tempbal.cli import CONFIG_KEYS, main
 from tempbal.weight_store import LayerTensor, WeightSnapshot, save_snapshot
 
-FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+FUZZ = settings(max_examples=100)
 
 BASE_CONFIG = {"total_epochs": "1", "samples": "40", "dim": "6", "hidden": "8", "timing": "off"}
 

@@ -179,7 +179,7 @@ def gram_layers(draw):
     return w
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(gram_layers())
 def test_gram_route_matches_svd_property(raw):
     mat = orient_array(raw, "w")

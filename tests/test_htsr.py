@@ -16,7 +16,6 @@ from tempbal.htsr import (
     hill_alpha,
     layer_metrics,
     log10_histogram,
-    power_iteration_sigma,
     select_k,
 )
 from tempbal.train_engine import snr_grad_term
@@ -182,55 +181,73 @@ def test_layer_metrics_flat_tail_sentinel():
 
 
 # ---------------------------------------------------------------------------
-# power iteration
+# top singular pair: snr_grad_term's increment lambda_sr * sigma * u v^T,
+# from the Gram eigensolve (the power_iteration_ test ids are kept stable)
+
+
+def check_top_pair(layer, sigma_1, rel, tol=1e-9, lambda_sr=0.1):
+    """Check that snr_grad_term's increment is lambda_sr * sigma_1 * u v^T for a top pair (u, v) within tol.
+
+    ||inc||_F = lambda_sr * sigma and <inc, W> = lambda_sr * sigma^2 pin the
+    pair with no sign convention. With p = inc / lambda_sr = sigma u v^T,
+    W p^T - p p^T = sigma (W v - sigma u) u^T and p^T W - p^T p =
+    sigma v (W^T u - sigma v)^T carry the two pair residuals.
+    """
+    w = layer.values.T if layer.transposed else layer.values
+    inc = snr_grad_term(layer, lambda_sr, tol=tol)
+    assert inc.shape == w.shape
+    sigma = float(np.linalg.norm(inc)) / lambda_sr
+    assert sigma == pytest.approx(sigma_1, rel=rel)
+    assert float(np.vdot(inc, w)) == pytest.approx(lambda_sr * sigma_1**2, rel=rel)
+    p = inc / lambda_sr
+    assert np.linalg.norm(w @ p.T - p @ p.T) <= tol * sigma**2
+    assert np.linalg.norm(p.T @ w - p.T @ p) <= tol * sigma**2
+
+
+def top_singular_value(w):
+    return float(np.linalg.svd(w, compute_uv=False)[0])
 
 
 def test_power_iteration_diagonal():
     w = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    sigma, u, v = power_iteration_sigma(orient_array(w, "diag"), tol=1e-9, max_iter=1000)
-    assert sigma == pytest.approx(3.0, rel=1e-9)
-    assert np.linalg.norm(w @ v - sigma * u) <= 1e-9 * sigma
+    check_top_pair(orient_array(w, "diag"), 3.0, rel=1e-12)
 
 
 def test_power_iteration_zero_matrix():
-    sigma, u, v = power_iteration_sigma(orient_array(np.zeros((2, 5)), "zero"))
-    assert sigma == 0.0
+    inc = snr_grad_term(orient_array(np.zeros((2, 5)), "zero"), 0.1)
+    assert inc.shape == (2, 5) and not inc.any()
 
 
 def test_power_iteration_matches_svd():
     rng = np.random.default_rng(100)
     for _ in range(25):
         w = rng.normal(size=(int(rng.integers(2, 50)), int(rng.integers(2, 50))))
-        top = np.linalg.svd(w, compute_uv=False)[0]
-        sigma, u, v = power_iteration_sigma(w, tol=1e-9, max_iter=50000)
-        assert sigma == pytest.approx(top, rel=1e-6)
+        check_top_pair(orient_array(w, "w"), top_singular_value(w), rel=1e-12)
 
 
 def test_power_iteration_squared_matches_esd():
     rng = np.random.default_rng(101)
-    w = rng.normal(size=(50, 30))
-    oriented = orient_array(w, "w")
-    sigma, _, _ = power_iteration_sigma(oriented, tol=1e-9, max_iter=50000)
-    lam_max = compute_esd(oriented).lambda_max
-    assert sigma**2 == pytest.approx(lam_max, rel=1e-9)
+    oriented = orient_array(rng.normal(size=(50, 30)), "w")
+    check_top_pair(oriented, math.sqrt(compute_esd(oriented).lambda_max), rel=1e-12)
 
 
-def test_power_iteration_convergence_error():
-    # a near-tied spectrum mixes the top directions for far longer than a
-    # handful of iterations allows at a very tight tolerance
-    w = np.diag([1.0, 0.999])
+def test_snr_pair_tol_below_its_residual_raises_convergence_error():
+    rng = np.random.default_rng(102)
+    layer = orient_array(rng.normal(size=(12, 20)), "w")
+    w = layer.values
+    u = np.linalg.eigh(w @ w.T)[1][:, -1]  # the pair snr_grad_term forms, step by step
+    sigma = float(np.linalg.norm(w.T @ u))
+    residual = float(np.linalg.norm(w @ (w.T @ u / sigma) - sigma * u))
+    assert residual > 0
+    snr_grad_term(layer, 0.1, tol=2 * residual / sigma)
     with pytest.raises(ConvergenceError) as info:
-        power_iteration_sigma(w, tol=1e-12, max_iter=5)
-    assert info.value.residual > 0
+        snr_grad_term(layer, 0.1, tol=residual / sigma / 2)
+    assert info.value.residual == residual
 
 
 def test_power_iteration_deterministic():
-    rng = np.random.default_rng(102)
-    w = rng.normal(size=(12, 20))
-    a = power_iteration_sigma(w, tol=1e-8, max_iter=1000)
-    b = power_iteration_sigma(w, tol=1e-8, max_iter=1000)
-    assert a[0] == b[0]
-    assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+    layer = orient_array(np.random.default_rng(102).normal(size=(12, 20)), "w")
+    assert np.array_equal(snr_grad_term(layer, 0.1), snr_grad_term(layer, 0.1))
 
 
 # columns sum to zero, so the all-ones vector is in the left null space
@@ -238,9 +255,7 @@ ZERO_COLUMN_SUMS = np.array([[1.0, -1.0, 2.0], [-1.0, 1.0, -2.0]])
 
 
 def test_power_iteration_zero_column_sums():
-    sigma, u, v = power_iteration_sigma(ZERO_COLUMN_SUMS)
-    assert sigma == pytest.approx(math.sqrt(12.0), rel=1e-9)
-    assert np.linalg.norm(ZERO_COLUMN_SUMS.T @ u - sigma * v) <= 1e-7 * sigma
+    check_top_pair(orient_array(ZERO_COLUMN_SUMS, "w"), math.sqrt(12.0), rel=1e-12)
 
 
 def test_snr_gradient_zero_column_sums():
@@ -252,8 +267,7 @@ def test_snr_gradient_zero_column_sums():
 def test_power_iteration_column_centred_default_budget():
     w = np.random.default_rng(0).normal(size=(8, 16))
     w -= w.mean(axis=0)
-    sigma, _, _ = power_iteration_sigma(w)
-    assert sigma == pytest.approx(np.linalg.svd(w, compute_uv=False)[0], rel=1e-6)
+    check_top_pair(orient_array(w, "centred"), top_singular_value(w), rel=1e-12)
 
 
 @st.composite
@@ -275,17 +289,10 @@ def structured_layers(draw):
     return orient_array(w, structure)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(structured_layers())
 def test_power_iteration_property(layer):
-    tol = 1e-9
-    w = layer.values
-    sigma, u, v = power_iteration_sigma(layer, tol=tol, max_iter=50000)
-    assert sigma == pytest.approx(np.linalg.svd(w, compute_uv=False)[0], rel=1e-6)
-    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
-    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
-    assert np.linalg.norm(w.T @ u - sigma * v) <= tol * sigma
-    assert np.linalg.norm(w @ v - sigma * u) <= tol * sigma
+    check_top_pair(layer, top_singular_value(layer.values), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +436,7 @@ def outcome(fn, *args):
         return type(exc)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(scalable_spectra(), st.floats(1e-3, 1e3))
 def test_hill_alpha_and_select_k_are_invariant_to_eigenvalue_scale(esd, c):
     scaled = ESD(eigenvalues=c * esd.eigenvalues, source_name=esd.source_name, n=esd.n, m=esd.m)

@@ -161,6 +161,12 @@ def test_step_ties_break_by_layer_order():
     assert out["second"] == pytest.approx(0.15, abs=1e-15)
 
 
+def test_step_ranks_inf_sentinel_above_its_stand_in():
+    # the flat layer's +inf stands in as 3.0 and comes first, yet ranks last
+    out = assign_variant(0.1, {"flat": math.inf, "A": 1.0, "B": 3.0}, "step", 0.5, 1.5)
+    assert out == {"A": 0.05, "B": 0.1, "flat": pytest.approx(0.15, abs=1e-15)}
+
+
 def test_step_single_layer_midpoint():
     out = assign_variant(0.1, {"only": 7.0}, "step", 0.5, 1.5)
     assert out["only"] == pytest.approx(0.1, abs=1e-15)
@@ -330,7 +336,7 @@ def scalable_snapshots(draw):
     return WeightSnapshot(epoch=0, layers=tuple(layers))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(
     scalable_snapshots(),
     st.floats(1e-3, 1e3),
@@ -363,3 +369,30 @@ def test_schedule_is_invariant_to_weight_scale(snap, c, assignment, variant, exc
     moved = 4 * base.eta_t * (cfg.s2 - cfg.s1) * drift / span if span else 0.0
     for name, lr in base.per_layer.items():
         assert abs(other.per_layer[name] - lr) <= moved + 4 * np.finfo(float).eps * lr
+
+
+@settings(max_examples=150)
+@given(
+    scalable_snapshots(),
+    st.integers(0, 9),
+    st.sampled_from(("tempbalance", "step")),
+    st.sampled_from(("median", "ks", "fixfinger")),
+    st.sampled_from(("alpha_hill", "spectral_norm", "alpha_weighted")),
+    st.booleans(),
+)
+def test_schedule_decisions_keep_range_fallback_and_metric_order(
+    snap, t, assignment, variant, metric, exclude_first_last
+):
+    cfg = config(assignment=assignment, metric=metric, exclude_first_last=exclude_first_last)
+    decision = schedule_epoch(cfg, t, snap, LambdaMinPolicy(variant=variant))
+    eta_t = decision.eta_t
+    assert eta_t == cal_rate(cfg.eta0, t, cfg.total_epochs)
+    assert decision.per_layer.keys() == set(snap.layer_names())
+    for lr in decision.per_layer.values():
+        assert cfg.s1 * eta_t <= lr <= cfg.s2 * eta_t
+    assigned = decision.alphas_used
+    for name, lr in decision.per_layer.items():
+        if name not in assigned:  # fell back or excluded
+            assert lr == eta_t, name
+    for a, b in ((a, b) for a in assigned for b in assigned if assigned[a] < assigned[b]):
+        assert decision.per_layer[a] <= decision.per_layer[b], (a, b)

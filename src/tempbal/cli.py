@@ -147,8 +147,8 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "eta0": ConfigKey(_float, 0.1, "initial global learning rate"),
     "total_epochs": ConfigKey(_int, 30, "cosine annealing horizon T"),
     "epochs": ConfigKey(_optional_int, None, "epochs to actually run (unset: total_epochs)"),
-    "s1": ConfigKey(_float, ScheduleConfig.s1, "lower scaling ratio"),
-    "s2": ConfigKey(_float, ScheduleConfig.s2, "upper scaling ratio"),
+    "s1": ConfigKey(_float, ScheduleConfig.s1, "lower scaling ratio, in (0, 1]"),
+    "s2": ConfigKey(_float, ScheduleConfig.s2, "upper scaling ratio, at least 1"),
     "assignment": ConfigKey(str, ScheduleConfig.assignment, "|".join(ASSIGNMENTS)),
     "metric": ConfigKey(str, ScheduleConfig.metric, "|".join(METRICS)),
     "start_epoch": ConfigKey(_int, ScheduleConfig.start_epoch, "epochs before layer-wise rates engage"),

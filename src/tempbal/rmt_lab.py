@@ -8,8 +8,13 @@ lambda^(-(1/s + 1)), so the Hill exponent of the ESD satisfies
     alpha = 1 + 1/s        equivalently  s = 1/(alpha - 1)
 
 synth_pl_matrix builds matrices with exactly prescribed decaying spectra by
-scaling the columns of a random orthogonal frame from random_frame (a left
-frame only: the Gram spectrum never sees a right one), sweep_specs checks
+scaling the columns of an orthogonal frame from random_frame: the DCT-II
+basis with its rows in a seeded order and with seeded signs. W W^T =
+U diag(lambda) U^T has the prescribed spectrum for every orthogonal U, so
+any exactly orthogonal frame will do; a dense one spreads each eigenvalue
+over the rows as a random rotation would, and a sign-flipped DCT is the
+usual cheap stand-in for one (Ailon & Chazelle, 2009). Only a left frame
+is built: the Gram spectrum never sees a right one. sweep_specs checks
 the cells of a sweep, verify_s_alpha sweeps the relation on a grid of s
 with one frame per size, and spike_experiment demonstrates how a rank-1
 update ejects an eigenvalue from a random bulk ("bulk+spike").
@@ -29,9 +34,9 @@ from .htsr import LambdaMinPolicy, layer_metrics
 # top/second eigenvalue ratio above which a spike counts as ejected
 SPIKE_SEPARATION = 3.0
 # a Q x Q float64 matrix is then 512 MiB. The numpy arrays of a sweep of one size peak
-# at about four of them, in the frame's QR and in each cell (frame, W, W W^T and the
-# eigensolver's copy): 4.13 at Q = 512 under tracemalloc. With LAPACK's work space
-# its resident memory rises by about five (5.1 at Q = 2048)
+# in a cell, at about three of them (frame, W and W W^T): 3.13 at Q = 512 under
+# tracemalloc; building the frame holds one. With the eigensolver's copy and LAPACK's
+# work space its resident memory rises by about four and a half (4.3 at Q = 2048)
 MAX_SIZE = 8192
 
 
@@ -60,9 +65,31 @@ def pl_eigenvalues(spec: PLSpectrumSpec) -> np.ndarray:
 
 
 def random_frame(size: int, seed: int) -> np.ndarray:
-    """The orthogonal QR factor of a seeded size x size Gaussian."""
+    """A seeded orthogonal size x size frame: the DCT-II basis, rows shuffled and sign-flipped.
+
+    The orthonormal DCT-II basis C[j, k] = sqrt(2/Q) c_k cos(pi (2j+1) k / (2Q)),
+    with c_0 = 1/sqrt(2) and c_k = 1 otherwise, is orthogonal, and so is any
+    reordering or sign flip of its rows: row i of the frame is +-C[p_i], the
+    order p and the signs drawn from default_rng(seed). Row j's phases
+    (2j+1)k are reduced mod 4Q in integers and looked up in a table of the
+    4Q values cos(pi t / (2Q)), each computed from an angle within pi/4, so
+    every entry is within about two ulps at any size. Rows are filled in
+    place: the build holds one size x size array.
+    """
     rng = np.random.default_rng(seed)
-    frame, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    order = rng.permutation(size)
+    flips = rng.integers(0, 2, size=size)
+    step = math.pi / (2 * size)
+    t = np.arange(size + 1)
+    quarter = np.where(2 * t <= size, np.cos(t * step), np.sin((size - t) * step))  # t in [0, Q]
+    half = np.concatenate([quarter, -quarter[-2::-1]])  # t in [0, 2Q]: cos(pi - x) = -cos(x)
+    table = np.concatenate([half, half[-2:0:-1]]) * math.sqrt(2.0 / size)  # cos(2 pi - x) = cos(x)
+    signed = np.stack([table, -table])
+    cols = np.arange(size)
+    frame = np.empty((size, size))
+    for row, j, flip in zip(frame, order, flips):
+        np.take(signed[flip], (2 * j + 1) * cols % (4 * size), out=row)
+    frame[:, 0] *= math.sqrt(0.5)
     return frame
 
 
@@ -70,11 +97,12 @@ def synth_pl_matrix(spec: PLSpectrumSpec, frame: np.ndarray | None = None) -> Or
     """Square matrix whose Gram eigenvalues equal the prescribed spectrum.
 
     W = U diag(sqrt(lambda_k)) with U = frame, by default
-    random_frame(spec.size, spec.seed), so compute_esd(W), the spectrum of
-    W W^T = U diag(lambda) U^T, reproduces the prescription up to roundoff.
-    No right singular frame is drawn, nor are U's column signs fixed: W W^T
-    is blind to both. Passing that frame saves recomputing it and gives the
-    same bytes; any orthogonal size x size frame gives the same spectrum.
+    random_frame(spec.size, spec.seed), the seeded shuffled and sign-flipped
+    DCT-II basis, so compute_esd(W), the spectrum of W W^T = U diag(lambda)
+    U^T, reproduces the prescription up to roundoff. No right singular frame
+    is drawn: W W^T is blind to it. Passing that frame saves recomputing it
+    and gives the same bytes; any orthogonal size x size frame gives the
+    same spectrum.
     """
     if frame is None:
         frame = random_frame(spec.size, spec.seed)
@@ -138,7 +166,7 @@ def verify_s_alpha(
     The cells of sweep_specs(size, s_grid, seed) share one seed, so one
     random_frame is drawn for the size and each cell scales it into a matrix
     with spectrum k^(-s): the bytes synth_pl_matrix(spec) gives alone, for
-    one QR per size in place of one per cell. Each is fit with the median
+    one frame per size in place of one per cell. Each is fit with the median
     threshold policy (k = n/2), whose threshold is the prescribed eigenvalue
     (n//2 + 1)^(-s).
     """

@@ -58,8 +58,8 @@ class ScheduleConfig:
             raise ConfigError(f"eta0 must be positive, got {self.eta0}")
         if self.total_epochs <= 0:
             raise ConfigError(f"total_epochs must be positive, got {self.total_epochs}")
-        if not 0 < self.s1 <= self.s2:
-            raise ConfigError(f"need 0 < s1 <= s2, got ({self.s1}, {self.s2})")
+        if not 0 < self.s1 <= 1 <= self.s2:  # excluded and fallback layers ride eta_t, inside the range
+            raise ConfigError(f"need 0 < s1 <= 1 <= s2, got ({self.s1}, {self.s2})")
         if self.assignment not in ASSIGNMENTS:
             raise ConfigError(f"unknown assignment {self.assignment!r}, expected one of {ASSIGNMENTS}")
         if self.metric not in METRICS:
@@ -168,7 +168,8 @@ def assign_variant(
         # finite value standing in for it; ties keep layer order
         ranked = sorted(names, key=lambda name: metrics[name])
         width = (s2 - s1) / (len(names) - 1)
-        return {name: eta_t * (s1 + rank * width) for rank, name in enumerate(ranked)}
+        hi = s2 * eta_t  # rounding can carry the top rank an ulp past it
+        return {name: min(eta_t * (s1 + rank * width), hi) for rank, name in enumerate(ranked)}
     raise ConfigError(f"unknown variant {variant!r}")
 
 

@@ -330,6 +330,13 @@ def test_optimizer_out_of_range_exit_1(tmp_path, capsys):
         assert_usage_error(["train", "--config", str(cfg)], capsys)
 
 
+def test_rate_range_must_contain_the_global_rate_exit_1(tmp_path, capsys):
+    # excluded and fallback layers ride eta_t, so [s1, s2] must hold 1
+    for s1, s2 in ((2.0, 3.0), (0.2, 0.8)):
+        cfg = train_config(tmp_path, s1=s1, s2=s2)
+        assert "0 < s1 <= 1 <= s2" in assert_usage_error(["train", "--config", str(cfg)], capsys)
+
+
 def test_float_keys_reject_non_finite_exit_1(tmp_path, capsys):
     for key, value in (("eta0", "nan"), ("weight_decay", "nan"), ("s2", "inf"), ("lambda_sr", "-inf")):
         cfg = train_config(tmp_path, **{key: value})

@@ -182,7 +182,7 @@ def test_layer_metrics_flat_tail_sentinel():
 
 # ---------------------------------------------------------------------------
 # top singular pair: snr_grad_term's increment lambda_sr * sigma * u v^T,
-# from the Gram eigensolve (the power_iteration_ test ids are kept stable)
+# from the Gram eigensolve
 
 
 def check_top_pair(layer, sigma_1, rel, tol=1e-9, lambda_sr=0.1):
@@ -208,24 +208,24 @@ def top_singular_value(w):
     return float(np.linalg.svd(w, compute_uv=False)[0])
 
 
-def test_power_iteration_diagonal():
+def test_snr_pair_diagonal():
     w = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     check_top_pair(orient_array(w, "diag"), 3.0, rel=1e-12)
 
 
-def test_power_iteration_zero_matrix():
+def test_snr_pair_zero_matrix():
     inc = snr_grad_term(orient_array(np.zeros((2, 5)), "zero"), 0.1)
     assert inc.shape == (2, 5) and not inc.any()
 
 
-def test_power_iteration_matches_svd():
+def test_snr_pair_matches_svd():
     rng = np.random.default_rng(100)
     for _ in range(25):
         w = rng.normal(size=(int(rng.integers(2, 50)), int(rng.integers(2, 50))))
         check_top_pair(orient_array(w, "w"), top_singular_value(w), rel=1e-12)
 
 
-def test_power_iteration_squared_matches_esd():
+def test_snr_pair_squared_matches_esd():
     rng = np.random.default_rng(101)
     oriented = orient_array(rng.normal(size=(50, 30)), "w")
     check_top_pair(oriented, math.sqrt(compute_esd(oriented).lambda_max), rel=1e-12)
@@ -245,7 +245,7 @@ def test_snr_pair_tol_below_its_residual_raises_convergence_error():
     assert info.value.residual == residual
 
 
-def test_power_iteration_deterministic():
+def test_snr_pair_deterministic():
     layer = orient_array(np.random.default_rng(102).normal(size=(12, 20)), "w")
     assert np.array_equal(snr_grad_term(layer, 0.1), snr_grad_term(layer, 0.1))
 
@@ -254,7 +254,7 @@ def test_power_iteration_deterministic():
 ZERO_COLUMN_SUMS = np.array([[1.0, -1.0, 2.0], [-1.0, 1.0, -2.0]])
 
 
-def test_power_iteration_zero_column_sums():
+def test_snr_pair_zero_column_sums():
     check_top_pair(orient_array(ZERO_COLUMN_SUMS, "w"), math.sqrt(12.0), rel=1e-12)
 
 
@@ -264,7 +264,7 @@ def test_snr_gradient_zero_column_sums():
     assert np.linalg.norm(inc) == pytest.approx(0.1 * math.sqrt(12.0), rel=1e-9)
 
 
-def test_power_iteration_column_centred_default_budget():
+def test_snr_pair_column_centred_default_budget():
     w = np.random.default_rng(0).normal(size=(8, 16))
     w -= w.mean(axis=0)
     check_top_pair(orient_array(w, "centred"), top_singular_value(w), rel=1e-12)
@@ -291,7 +291,7 @@ def structured_layers(draw):
 
 @settings(max_examples=200)
 @given(structured_layers())
-def test_power_iteration_property(layer):
+def test_snr_pair_property(layer):
     check_top_pair(layer, top_singular_value(layer.values), rel=1e-12)
 
 

@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tempbal import rmt_lab
-from tempbal.esd import compute_esd, orient_array
+from tempbal import esd, rmt_lab
+from tempbal.cli import RMT_REL_ERR_TOL
+from tempbal.esd import compute_esd, orient_array, roundoff_floor
 from tempbal.htsr import LambdaMinPolicy, layer_metrics
 from tempbal.errors import ConfigError
 from tempbal.esd import ESD
@@ -56,7 +59,7 @@ def test_synth_deterministic():
 
 
 def test_synth_matrix_is_orthogonally_mixed():
-    # the matrix should not be diagonal: the Haar frames spread the spectrum
+    # the matrix should not be diagonal: the shuffled DCT frame spreads each eigenvalue over the rows
     spec = PLSpectrumSpec(size=16, decay=1.0, seed=3)
     w = synth_pl_matrix(spec).values
     off_diag = w - np.diag(np.diag(w))
@@ -238,3 +241,86 @@ def test_sweep_memory_peaks_at_four_and_a_half_matrices():
         tracemalloc.stop()
     # measured at 4.13 Q x Q arrays, in the frame's QR or in a cell
     assert peak <= 4.5 * size * size * 8
+
+
+# ---------------------------------------------------------------------------
+# the frame: a shuffled, sign-flipped DCT-II basis
+
+EPS = np.finfo(np.float64).eps
+# U^T U accumulated in long double, so the bound is on the frame and not on the
+# float64 summation (which, over the DCT's equal-magnitude first column, alone
+# reaches 34.5 eps at Q = 295). The QR factor of a seeded Gaussian, the frame
+# this one replaced, reached 7.0 eps on sizes 8-300, seeds 0-2 (at Q = 253);
+# the DCT frame 2.3 eps (at Q = 93)
+QR_FRAME_ORTHOGONALITY = 7.0 * EPS
+extended = pytest.mark.skipif(
+    np.finfo(np.longdouble).precision <= np.finfo(np.float64).precision,
+    reason="needs a long double wider than float64",
+)
+
+
+@extended
+@settings(max_examples=40)
+@given(size=st.integers(8, 300), seed=st.integers(0, 2**32 - 1), decay=st.floats(0.0, 3.0))
+@example(size=8, seed=0, decay=3.0)
+@example(size=9, seed=1, decay=0.0)
+@example(size=251, seed=2, decay=1.0)  # prime
+@example(size=253, seed=1, decay=3.0)  # the QR frame's worst size
+@example(size=300, seed=3, decay=2.0)
+def test_frame_is_orthogonal_and_round_trips_the_spectrum(size, seed, decay):
+    frame = random_frame(size, seed)
+    exact = frame.astype(np.longdouble)
+    assert np.abs(exact.T @ exact - np.eye(size)).max() <= QR_FRAME_ORTHOGONALITY
+    spec = PLSpectrumSpec(size=size, decay=decay, seed=seed)
+    lam = compute_esd(synth_pl_matrix(spec, frame)).eigenvalues
+    np.testing.assert_allclose(lam, np.sort(pl_eigenvalues(spec)), rtol=1e-8, atol=4 * roundoff_floor(size))
+
+
+@extended
+def test_frame_is_the_dct_basis_to_two_ulps():
+    # recover each row's DCT row and sign, then compare entries against the
+    # basis computed in long double; with the phase (2j+1)k taken as a float
+    # and never reduced, entries of Q = 1024 are off by 1.5e-14, 2200 such ulps
+    size = 1024
+    frame = random_frame(size, seed=5)
+    phase = np.arange(1, 2 * size, 2)[:, None] * np.arange(size) % (4 * size)
+    pi = np.longdouble("3.141592653589793238462643383279502884")
+    basis = np.sqrt(np.longdouble(2) / size) * np.cos(phase * pi / (2 * size))
+    basis[:, 0] /= np.sqrt(np.longdouble(2))
+    match = frame @ basis.astype(np.float64).T  # a signed permutation matrix
+    order = np.abs(match).argmax(axis=1)
+    assert sorted(order) == list(range(size))
+    signs = np.sign(match[np.arange(size), order])
+    err = np.abs(frame - signs[:, None] * basis[order]).astype(np.float64)
+    assert err.max() <= 2 * np.spacing(np.sqrt(2 / size))
+    assert not np.array_equal(order, np.arange(size)) and (signs < 0).any() and (signs > 0).any()
+
+
+def test_frame_build_holds_at_most_two_matrices():
+    size = 512
+    random_frame(size, 0)  # first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        random_frame(size, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the frame itself and a few Q-vectors: 1.04 Q x Q arrays
+    assert peak <= 2 * size * size * 8
+
+
+def test_a_float32_gram_moves_the_pinned_alpha(monkeypatch):
+    # the 0.15 gate alone does not catch a lossy ESD route: with W W^T formed
+    # in float32 the Q = 1024, s = 3 cell's rel_err only rises from 0.0015 to
+    # about 0.025. Its alpha moves by 2.3e-2 relative, so the values pinned at
+    # 1e-10 in test_verify_s_alpha_pinned_values are what guard precision
+    exact = verify_s_alpha(1024, [3.0])[0]
+
+    def float32_gram(mat):
+        w = mat.values.astype(np.float32)
+        return (w @ w.T).astype(np.float64)
+
+    monkeypatch.setattr(esd, "gram", float32_gram)
+    lossy = verify_s_alpha(1024, [3.0])[0]
+    assert lossy.rel_err < RMT_REL_ERR_TOL
+    assert abs(lossy.alpha_hill - exact.alpha_hill) > 1e-3 * exact.alpha_hill

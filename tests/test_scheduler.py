@@ -167,6 +167,14 @@ def test_step_ranks_inf_sentinel_above_its_stand_in():
     assert out == {"A": 0.05, "B": 0.1, "flat": pytest.approx(0.15, abs=1e-15)}
 
 
+def test_step_top_rank_stays_inside_the_range():
+    # eta_t * (s1 + 3 * ((s2 - s1) / 3)) rounds to one ulp above s2 * eta_t here
+    s1, s2, eta_t = 0.5604763915302339, 1.576842428862421, 0.4129550530466246
+    out = assign_variant(eta_t, {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}, "step", s1, s2)
+    assert out["d"] == s2 * eta_t
+    assert all(s1 * eta_t <= lr <= s2 * eta_t for lr in out.values())
+
+
 def test_step_single_layer_midpoint():
     out = assign_variant(0.1, {"only": 7.0}, "step", 0.5, 1.5)
     assert out["only"] == pytest.approx(0.1, abs=1e-15)
@@ -379,11 +387,13 @@ def test_schedule_is_invariant_to_weight_scale(snap, c, assignment, variant, exc
     st.sampled_from(("median", "ks", "fixfinger")),
     st.sampled_from(("alpha_hill", "spectral_norm", "alpha_weighted")),
     st.booleans(),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(1.0, 3.0),
 )
 def test_schedule_decisions_keep_range_fallback_and_metric_order(
-    snap, t, assignment, variant, metric, exclude_first_last
+    snap, t, assignment, variant, metric, exclude_first_last, s1, s2
 ):
-    cfg = config(assignment=assignment, metric=metric, exclude_first_last=exclude_first_last)
+    cfg = config(assignment=assignment, metric=metric, exclude_first_last=exclude_first_last, s1=s1, s2=s2)
     decision = schedule_epoch(cfg, t, snap, LambdaMinPolicy(variant=variant))
     eta_t = decision.eta_t
     assert eta_t == cal_rate(cfg.eta0, t, cfg.total_epochs)

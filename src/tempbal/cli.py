@@ -19,13 +19,13 @@ import argparse
 import inspect
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 from urllib.parse import quote
 
 from .errors import ConfigError, NumericalError, TempbalError
-from .htsr import POLICY_VARIANTS, LambdaMinPolicy, analyze_snapshot, log10_histogram
+from .htsr import POLICY_VARIANTS, LambdaMinPolicy, LayerMetrics, analyze_snapshot, log10_histogram
 from .rmt_lab import MAX_SIZE, max_decay, sweep_specs, verify_s_alpha
 from .scheduler import ASSIGNMENTS, METRICS, ScheduleConfig
 from .train_engine import (
@@ -233,7 +233,7 @@ def parse_config(path: str) -> dict[str, Any]:
     return values
 
 
-METRICS_HEADER = "layer,n,m,k,lambda_min,alpha_hill,spectral_norm,alpha_weighted,status"
+METRICS_HEADER = ",".join(("layer", "n", "m", *(f.name for f in fields(LayerMetrics)), "status"))
 MAX_FILE_NAME = 255  # bytes in one path component on common filesystems
 
 
@@ -259,14 +259,12 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    table = []
-    for row in rows:
-        met = row.metrics
-        if met is None:
-            table.append((row.name, row.n, row.m, None, None, None, None, None, "degenerate"))
-        else:
-            fit = (met.k, met.lambda_min, met.alpha_hill, met.spectral_norm, met.alpha_weighted)
-            table.append((row.name, row.n, row.m, *fit, "ok"))
+    no_fit = (None,) * len(fields(LayerMetrics))
+    table = (
+        (row.name, row.n, row.m, *astuple(row.metrics), "ok") if row.metrics
+        else (row.name, row.n, row.m, *no_fit, "degenerate")
+        for row in rows
+    )
     metrics_path = out_dir / "metrics.csv"
     with open(metrics_path, "w", newline="") as fh:
         write_table(fh, METRICS_HEADER, table)

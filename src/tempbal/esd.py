@@ -66,18 +66,20 @@ class ESD:
 
     eigenvalues: np.ndarray = field(repr=False)
     source_name: str
-    n: int
-    m: int
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=np.float64)
-        if lam.ndim != 1 or lam.size != self.n:
-            raise ValueError(f"{self.source_name!r}: expected {self.n} eigenvalues, got shape {lam.shape}")
+        if lam.ndim != 1:
+            raise ValueError(f"{self.source_name!r}: eigenvalues must be 1-D, got shape {lam.shape}")
         if np.any(np.diff(lam) < 0):
             raise ValueError(f"{self.source_name!r}: eigenvalues must be ascending")
         if lam.size and lam[0] < 0:
             raise ValueError(f"{self.source_name!r}: eigenvalues must be nonnegative")
         object.__setattr__(self, "eigenvalues", lam)
+
+    @property
+    def n(self) -> int:
+        return self.eigenvalues.size
 
     @property
     def lambda_max(self) -> float:
@@ -130,4 +132,4 @@ def compute_esd(mat: OrientedMatrix) -> ESD:
     """
     lam = np.linalg.eigvalsh(gram(mat))
     lam[lam <= roundoff_floor(mat.n) * lam[-1]] = 0.0
-    return ESD(eigenvalues=lam, source_name=mat.source_name, n=mat.n, m=mat.m)
+    return ESD(eigenvalues=lam, source_name=mat.source_name)

@@ -71,11 +71,11 @@ class LambdaMinPolicy:
 
 @dataclass(frozen=True)
 class LayerMetrics:
-    """Per-layer heavy-tail quantities used for scheduling and diagnostics."""
+    """Per-layer heavy-tail quantities used for scheduling and diagnostics, in metrics.csv column order."""
 
-    alpha_hill: float
     k: int
     lambda_min: float
+    alpha_hill: float
     spectral_norm: float
     alpha_weighted: float
 
@@ -211,9 +211,9 @@ def layer_metrics(esd: ESD, policy: LambdaMinPolicy) -> LayerMetrics:
     else:
         weighted = alpha * math.log10(spectral_norm)
     return LayerMetrics(
-        alpha_hill=alpha,
         k=k,
         lambda_min=float(esd.eigenvalues[esd.eigenvalues.size - k - 1]),
+        alpha_hill=alpha,
         spectral_norm=spectral_norm,
         alpha_weighted=weighted,
     )

@@ -23,7 +23,7 @@ update ejects an eigenvalue from a random bulk ("bulk+spike").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,10 +191,11 @@ def verify_s_alpha(
 
 @dataclass(frozen=True)
 class SpikeResult:
+    """Bulk ESDs before and after the spike, and whether it shows; its scale is the caller's argument."""
+
     esd_before: ESD
     esd_after: ESD
     spike_detected: bool
-    spike_scale: float = field(default=0.0, compare=False)
 
 
 def spike_experiment(
@@ -227,6 +228,4 @@ def spike_experiment(
         detected = lam[-1] > 0.0
     else:
         detected = lam[-1] > SPIKE_SEPARATION * lam[-2]
-    return SpikeResult(
-        esd_before=before, esd_after=after, spike_detected=bool(detected), spike_scale=spike_scale
-    )
+    return SpikeResult(esd_before=before, esd_after=after, spike_detected=bool(detected))

@@ -20,13 +20,13 @@ of the exponent estimate does not matter, only the layer ranking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .htsr import LambdaMinPolicy, LayerMetrics, analyze_snapshot
+from .htsr import LambdaMinPolicy, LayerAnalysis, analyze_snapshot
 from .weight_store import WeightSnapshot
 
 ASSIGNMENTS = ("tempbalance", "sqrt", "log2", "step", "lars", "global_only")
@@ -74,14 +74,24 @@ class ScheduleConfig:
 
 @dataclass(frozen=True)
 class ScheduleDecision:
-    """Learning rates for the next update window."""
+    """Learning rates for the next update window, with the per-layer fits they came from.
+
+    per_layer gives every snapshot layer its rate. alphas_used holds the
+    metric value of each layer the assignment ranked. analyses are the
+    analyze_snapshot rows the decision read, in snapshot order; the tuple is
+    empty when no spectrum was taken (before start_epoch, global_only, lars).
+    """
 
     epoch: int
     eta_t: float
     per_layer: dict[str, float]
     alphas_used: dict[str, float]
-    layer_metrics: dict[str, LayerMetrics] = field(default_factory=dict)
-    fallback_layers: tuple[str, ...] = ()
+    analyses: tuple[LayerAnalysis, ...] = ()
+
+    @property
+    def fallback_layers(self) -> tuple[str, ...]:
+        """Layers whose spectrum was degenerate, in snapshot order; they ride eta_t."""
+        return tuple(row.name for row in self.analyses if row.metrics is None)
 
 
 def cal_rate(eta0: float, t: int, total_epochs: int) -> float:
@@ -200,62 +210,40 @@ def schedule_epoch(
 ) -> ScheduleDecision:
     """Learning rates for epoch t from the current weight snapshot.
 
-    Before start_epoch, and always under global_only, every layer rides the
-    global eta_t. Otherwise per-layer metrics drive the configured
+    Every layer starts at the global eta_t and keeps it before start_epoch
+    and under global_only. lars rescales each layer by its trust ratio once
+    grad_norms, the previous step's gradient norms, are given. Otherwise the
+    snapshot is analyzed and its metric values drive the configured
     assignment; with exclude_first_last the first and last snapshot layers
-    skip the metric map and ride eta_t directly. A layer whose spectrum is
-    degenerate falls back to eta_t and is recorded in fallback_layers.
+    skip the metric map and ride eta_t. A layer whose spectrum is degenerate
+    also rides eta_t and shows in the decision's fallback_layers.
     """
     if t >= config.total_epochs:
         raise ValueError(f"t must be below total_epochs={config.total_epochs}, got {t}")
     eta_t = cal_rate(config.eta0, t, config.total_epochs)
     names = snapshot.layer_names()
-
-    if t < config.start_epoch or config.assignment == "global_only":
-        return ScheduleDecision(
-            epoch=t, eta_t=eta_t, per_layer={name: eta_t for name in names}, alphas_used={}
-        )
-
-    if config.assignment == "lars":
-        weight_norms = {
-            layer.name: float(np.linalg.norm(layer.values)) for layer in snapshot.layers
-        }
-        if grad_norms is None:
-            # no gradient observed yet (first window): ride the global rate
-            per_layer = {name: eta_t for name in names}
-        else:
-            per_layer = assign_lars(eta_t, weight_norms, grad_norms)
-        return ScheduleDecision(epoch=t, eta_t=eta_t, per_layer=per_layer, alphas_used={})
-
-    excluded = set()
-    if config.exclude_first_last:
-        excluded.update((names[0], names[-1]))
-
-    analyses = analyze_snapshot(snapshot, policy)
-    metrics_by_layer = {}
-    fallback = []
+    per_layer = dict.fromkeys(names, eta_t)
+    analyses = ()
     metric_map = {}
-    for row in analyses:
-        if row.metrics is None:
-            fallback.append(row.name)
-            continue
-        metrics_by_layer[row.name] = row.metrics
-        if row.name not in excluded:
-            metric_map[row.name] = getattr(row.metrics, config.metric)
+    scheduled = t >= config.start_epoch and config.assignment != "global_only"
 
-    per_layer = {name: eta_t for name in names}
-    if metric_map:
-        if config.assignment == "tempbalance":
-            assigned = assign_tempbalance(eta_t, metric_map, config.s1, config.s2)
-        else:
-            assigned = assign_variant(eta_t, metric_map, config.assignment, config.s1, config.s2)
-        per_layer.update(assigned)
+    if scheduled and config.assignment == "lars":
+        if grad_norms is not None:  # none observed yet in the first window
+            weight_norms = {layer.name: float(np.linalg.norm(layer.values)) for layer in snapshot.layers}
+            per_layer.update(assign_lars(eta_t, weight_norms, grad_norms))
+    elif scheduled:
+        excluded = {names[0], names[-1]} if config.exclude_first_last else set()
+        analyses = tuple(analyze_snapshot(snapshot, policy))
+        metric_map = {
+            row.name: getattr(row.metrics, config.metric)
+            for row in analyses
+            if row.metrics is not None and row.name not in excluded
+        }
+        if metric_map and config.assignment == "tempbalance":
+            per_layer.update(assign_tempbalance(eta_t, metric_map, config.s1, config.s2))
+        elif metric_map:
+            per_layer.update(assign_variant(eta_t, metric_map, config.assignment, config.s1, config.s2))
 
     return ScheduleDecision(
-        epoch=t,
-        eta_t=eta_t,
-        per_layer=per_layer,
-        alphas_used=metric_map,
-        layer_metrics=metrics_by_layer,
-        fallback_layers=tuple(fallback),
+        epoch=t, eta_t=eta_t, per_layer=per_layer, alphas_used=metric_map, analyses=analyses
     )

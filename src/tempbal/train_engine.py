@@ -281,10 +281,10 @@ def sgd_step(
     grads: dict[str, np.ndarray],
     optim: OptimState,
     lr_map: dict[str, float],
-) -> tuple[dict[str, np.ndarray], OptimState]:
+) -> None:
     """v <- momentum*v + g + weight_decay*w; w <- w - lr*v, per parameter.
 
-    Each parameter array and momentum buffer is updated in place.
+    Each parameter array and momentum buffer is updated in place; nothing is returned.
     """
     for name, w in params.items():
         g = grads[name]
@@ -299,7 +299,6 @@ def sgd_step(
         buf += g
         buf += optim.weight_decay * w
         w -= lr_map[name] * buf
-    return params, optim
 
 
 def snr_grad_term(
@@ -543,17 +542,10 @@ def write_table(fh: TextIO, header: str, rows: Iterable[Iterable]) -> None:
 # training loop
 
 
-def _param_lr_map(
-    decision: ScheduleDecision, params: dict[str, np.ndarray]
-) -> dict[str, float]:
-    lr_map = {}
-    for name in params:
-        layer = name.rsplit(".", 1)[0]
-        if name.endswith(".w") and layer in decision.per_layer:
-            lr_map[name] = decision.per_layer[layer]
-        else:
-            lr_map[name] = decision.eta_t
-    return lr_map
+def _param_lr_map(decision: ScheduleDecision, params: dict[str, np.ndarray]) -> dict[str, float]:
+    """Each parameter's rate: a weight <layer>.w takes its layer's rate, a bias rides eta_t."""
+    eta_t, rates = decision.eta_t, decision.per_layer
+    return {name: rates.get(name[:-2], eta_t) if name.endswith(".w") else eta_t for name in params}
 
 
 def run_training(
@@ -626,8 +618,9 @@ def run_training(
         eval_acc = accuracy(params, model, dataset.x_eval, dataset.y_eval, optim.batch_size)
         train_loss = float(np.mean(batch_losses))
         epoch_sec = perf_counter() - epoch_start
+        fits = {row.name: row.metrics for row in decision.analyses}
         for name in layer_names:
-            metrics = decision.layer_metrics.get(name)
+            metrics = fits.get(name)
             telemetry.rows.append(
                 TelemetryRow(
                     epoch=t,

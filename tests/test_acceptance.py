@@ -41,7 +41,7 @@ def report(criterion: int, text: str) -> None:
 
 
 def esd_of(lam: np.ndarray) -> ESD:
-    return ESD(eigenvalues=lam, source_name="acc", n=lam.size, m=lam.size)
+    return ESD(eigenvalues=lam, source_name="acc")
 
 
 # ---------------------------------------------------------------------------

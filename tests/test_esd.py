@@ -197,7 +197,7 @@ def test_gram_route_matches_svd_on_prescribed_spectra(size):
     for decay in (0.5, 1.5, 3.0):
         mat = synth_pl_matrix(PLSpectrumSpec(size=size, decay=decay, seed=size))
         gram = compute_esd(mat)
-        svd = ESD(eigenvalues=svd_eigenvalues(mat.values), source_name="svd", n=mat.n, m=mat.m)
+        svd = ESD(eigenvalues=svd_eigenvalues(mat.values), source_name="svd")
         for variant in POLICY_VARIANTS:
             policy = LambdaMinPolicy(variant=variant)
             got, want = layer_metrics(gram, policy), layer_metrics(svd, policy)

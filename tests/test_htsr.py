@@ -24,7 +24,7 @@ from tempbal.weight_store import LayerTensor, WeightSnapshot
 
 def esd_of(values) -> ESD:
     lam = np.asarray(values, dtype=np.float64)
-    return ESD(eigenvalues=lam, source_name="test", n=lam.size, m=lam.size)
+    return ESD(eigenvalues=lam, source_name="test")
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +439,7 @@ def outcome(fn, *args):
 @settings(max_examples=300)
 @given(scalable_spectra(), st.floats(1e-3, 1e3))
 def test_hill_alpha_and_select_k_are_invariant_to_eigenvalue_scale(esd, c):
-    scaled = ESD(eigenvalues=c * esd.eigenvalues, source_name=esd.source_name, n=esd.n, m=esd.m)
+    scaled = ESD(eigenvalues=c * esd.eigenvalues, source_name=esd.source_name)
     for variant in ("median", "ks"):
         policy = LambdaMinPolicy(variant=variant)
         k = outcome(select_k, esd, policy)

@@ -163,7 +163,7 @@ def test_verify_s_alpha_near_max_decay_matches_svd():
     size, s = 256, 6.0
     mat = synth_pl_matrix(PLSpectrumSpec(size=size, decay=s, seed=1))
     sv = np.linalg.svd(mat.values, compute_uv=False)
-    svd = ESD(eigenvalues=(sv * sv)[::-1], source_name="svd", n=size, m=size)
+    svd = ESD(eigenvalues=(sv * sv)[::-1], source_name="svd")
     policy = LambdaMinPolicy(variant="median")
     got = layer_metrics(compute_esd(mat), policy).alpha_hill
     want = layer_metrics(svd, policy).alpha_hill

@@ -360,7 +360,9 @@ def test_schedule_is_invariant_to_weight_scale(snap, c, assignment, variant, exc
     )
     base, other = (schedule_epoch(cfg, 3, s, policy) for s in (snap, scaled))
     assert other.fallback_layers == base.fallback_layers
-    assert {n: m.k for n, m in other.layer_metrics.items()} == {n: m.k for n, m in base.layer_metrics.items()}
+    assert {r.name: r.metrics.k for r in other.analyses if r.metrics} == {
+        r.name: r.metrics.k for r in base.analyses if r.metrics
+    }
     alphas, scaled_alphas = base.alphas_used, other.alphas_used
     assert scaled_alphas.keys() == alphas.keys()
     for name, alpha in alphas.items():

@@ -12,7 +12,7 @@ from tempbal import train_engine
 from tempbal.errors import ConfigError
 from tempbal.esd import orient_array
 from tempbal.htsr import LambdaMinPolicy
-from tempbal.scheduler import ScheduleConfig, cal_rate
+from tempbal.scheduler import ScheduleConfig, ScheduleDecision, cal_rate, schedule_epoch
 from tempbal.train_engine import (
     CsvDataSpec,
     CsvParseError,
@@ -476,6 +476,65 @@ def test_analysis_time_counts_snr_penalty(monkeypatch):
     telem, _ = run_training(model, data, sched, LambdaMinPolicy(), lambda_sr=0.01, epochs=1, seed=2)
     assert calls
     assert telem.total_analysis_sec() >= 0.005 * len(calls)
+
+
+def test_param_lr_map_gives_weights_their_layer_rate_and_biases_eta_t():
+    decision = ScheduleDecision(epoch=0, eta_t=0.1, per_layer={"conv0": 0.05, "dense0": 0.15}, alphas_used={})
+    params = {name: np.zeros(1) for name in ("conv0.w", "conv0.b", "dense0.w", "dense0.b", "dense1.w")}
+    assert train_engine._param_lr_map(decision, params) == {
+        "conv0.w": 0.05, "conv0.b": 0.1, "dense0.w": 0.15, "dense0.b": 0.1, "dense1.w": 0.1,
+    }
+
+
+def spy_on_refreshes(monkeypatch):
+    """Record every schedule refresh and SGD step of the runs that follow.
+
+    A refresh is (epoch, steps taken before it, grad_norms it was given,
+    decision); a step is (lr_map, weight gradient norms by layer).
+    """
+    refreshes, steps = [], []
+
+    def spy_schedule(config, t, snapshot, policy, grad_norms=None):
+        decision = schedule_epoch(config, t, snapshot, policy, grad_norms=grad_norms)
+        refreshes.append((t, len(steps), grad_norms, decision))
+        return decision
+
+    def spy_sgd(params, grads, optim, lr_map):
+        norms = {name[:-2]: float(np.linalg.norm(g)) for name, g in grads.items() if name.endswith(".w")}
+        steps.append((dict(lr_map), norms))
+        sgd_step(params, grads, optim, lr_map)
+
+    monkeypatch.setattr(train_engine, "schedule_epoch", spy_schedule)
+    monkeypatch.setattr(train_engine, "sgd_step", spy_sgd)
+    return refreshes, steps
+
+
+def test_schedule_refreshes_every_interval_and_each_step_uses_the_latest(monkeypatch):
+    # sqrt over all four layers: each refresh's rates follow the weights continuously
+    model, data, sched = quick_setup(assignment="sqrt", exclude_first_last=False, update_interval_iters=3)
+    iters = make_dataset(data, 7).iters_per_epoch(32)
+    assert iters % 3 != 0 and iters > 3
+    refreshes, steps = spy_on_refreshes(monkeypatch)
+    run_training(model, data, sched, LambdaMinPolicy(), epochs=2, seed=7, optim=OptimState(batch_size=32))
+    expected = [(t, t * iters + j) for t in range(2) for j in range(0, iters, 3)]
+    assert [(t, step) for t, step, _, _ in refreshes] == expected
+    assert len(steps) == 2 * iters
+    for i, (lr_map, _) in enumerate(steps):
+        latest = [decision for _, step, _, decision in refreshes if step <= i][-1]
+        assert lr_map == train_engine._param_lr_map(latest, lr_map), i
+    rates = [decision.per_layer for *_, decision in refreshes]
+    assert all(a != b for a, b in zip(rates, rates[1:]))  # so a stale map cannot pass for the latest
+
+
+def test_lars_refresh_reads_the_gradient_norms_of_the_step_before(monkeypatch):
+    model, data, sched = quick_setup(assignment="lars", update_interval_iters=3)
+    sched = dataclasses.replace(sched, eta0=0.01)  # trust ratios at eta0 = 0.1 diverge within 2 epochs
+    refreshes, steps = spy_on_refreshes(monkeypatch)
+    run_training(model, data, sched, LambdaMinPolicy(), epochs=2, seed=7, optim=OptimState(batch_size=32))
+    assert refreshes[0][2] is None  # no gradient observed yet
+    assert len(refreshes) > 4
+    for _, step, grad_norms, _ in refreshes[1:]:
+        assert grad_norms == steps[step - 1][1], step
 
 
 def test_sub_epoch_update_interval():

@@ -104,7 +104,7 @@ def orient_array(values: np.ndarray, name: str) -> OrientedMatrix:
 
 def orient(layer: LayerTensor) -> OrientedMatrix:
     """Orient a layer tensor; conv tensors flatten to (out, in*kh*kw) first."""
-    return orient_array(layer.as_array(), layer.name)
+    return orient_array(layer.values, layer.name)
 
 
 def roundoff_floor(n: int) -> float:

@@ -132,8 +132,7 @@ def snapshot_params(params: dict[str, np.ndarray], spec: ModelSpec, epoch: int) 
     """Snapshot of the 2-D/4-D weight tensors (biases are not analyzed)."""
     layers = []
     for name in weight_layer_names(spec):
-        w = params[f"{name}.w"]
-        layers.append(LayerTensor(name=name, dims=w.shape, values=w.reshape(-1).copy()))
+        layers.append(LayerTensor(name, params[f"{name}.w"].copy()))
     return WeightSnapshot(epoch=epoch, layers=tuple(layers))
 
 
@@ -223,8 +222,7 @@ def loss_and_grads(params, spec: ModelSpec, x: np.ndarray, y: np.ndarray):
         if idx > 0 or spec.conv_stem:  # the input gradient of dense0 feeds only a conv stem
             delta = delta @ params[f"dense{idx}.w"]
     if spec.conv_stem:
-        c, h, w = conv_output_shape(spec.conv_stem, spec.conv_input)
-        delta = delta.reshape(-1, c, h, w)
+        delta = delta.reshape(cache["conv"][-1][3].shape)  # the last conv activation's shape
         for idx in range(len(spec.conv_stem) - 1, -1, -1):
             out, cin, kh, kw = spec.conv_stem[idx]
             x_shape, cols, z, act = cache["conv"][idx]
@@ -443,8 +441,8 @@ def _load_csv(spec: CsvDataSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def make_dataset(spec: GaussianMixtureSpec | CsvDataSpec, seed: int) -> Dataset:
     """Materialize a dataset with a deterministic shuffle and train/eval split."""
+    rng = np.random.default_rng([seed, 11])
     if isinstance(spec, GaussianMixtureSpec):
-        rng = np.random.default_rng([seed, 11])
         means = rng.normal(size=(spec.classes, spec.dim))
         means *= spec.separation / np.linalg.norm(means, axis=1, keepdims=True)
         counts = np.full(spec.classes, spec.samples // spec.classes)
@@ -456,11 +454,8 @@ def make_dataset(spec: GaussianMixtureSpec | CsvDataSpec, seed: int) -> Dataset:
             block *= spec.spread
             block += mean
         y = np.repeat(np.arange(spec.classes, dtype=np.int64), counts)
-        n_classes = spec.classes
     else:
-        rng = np.random.default_rng([seed, 11])
         x, y = _load_csv(spec)
-        n_classes = int(y.max()) + 1
     order = rng.permutation(len(x))
     x, y = x[order], y[order]
     n_train = int(len(x) * spec.split)
@@ -471,7 +466,7 @@ def make_dataset(spec: GaussianMixtureSpec | CsvDataSpec, seed: int) -> Dataset:
         y_train=y[:n_train],
         x_eval=x[n_train:],
         y_eval=y[n_train:],
-        n_classes=n_classes,
+        n_classes=int(y.max()) + 1,
         seed=seed,
     )
 

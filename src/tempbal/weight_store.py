@@ -16,7 +16,8 @@ File layout (".wsnp", all integers little-endian):
         dims       u64 each
         values     product(dims) f64, row-major
 
-Values are 64-bit IEEE-754 so a write/read cycle is bit-exact.
+Values are 64-bit IEEE-754 so a write/read cycle is bit-exact. In memory a
+LayerTensor holds its values in their own shape: only the file is flat.
 """
 
 from __future__ import annotations
@@ -61,45 +62,32 @@ class SnapshotIOError(SnapshotError):
 
 @dataclass(frozen=True)
 class LayerTensor:
-    """One named weight tensor: 2-D dense or 4-D conv (out, in, kh, kw)."""
+    """One named weight tensor, a C-contiguous float64 array of 2-D dense or 4-D conv (out, in, kh, kw) shape."""
 
     name: str
-    dims: tuple[int, ...]
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if not self.name:
             raise SnapshotStructureError("layer name must be nonempty")
-        if len(self.dims) not in (2, 4):
-            raise SnapshotStructureError(
-                f"layer {self.name!r}: dims must have length 2 or 4, got {len(self.dims)}"
-            )
-        if any(d <= 0 for d in self.dims):
-            raise SnapshotStructureError(f"layer {self.name!r}: dims must be positive, got {self.dims}")
-        vals = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        if vals.ndim not in (2, 4):
+            raise SnapshotStructureError(f"layer {self.name!r}: values must be 2-D or 4-D, got {vals.ndim}-D")
+        if 0 in vals.shape:
+            raise SnapshotStructureError(f"layer {self.name!r}: zero dimension in {vals.shape}")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        expected = math.prod(self.dims)
-        if vals.size != expected:
-            raise SnapshotStructureError(
-                f"layer {self.name!r}: dims {self.dims} imply {expected} values, got {vals.size}"
-            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LayerTensor):
             return NotImplemented
         return (
             self.name == other.name
-            and self.dims == other.dims
+            and self.values.shape == other.values.shape
             and self.values.tobytes() == other.values.tobytes()
         )
 
     def __hash__(self):
-        return hash((self.name, self.dims))
-
-    def as_array(self) -> np.ndarray:
-        """Values reshaped to self.dims (row-major)."""
-        return self.values.reshape(self.dims)
+        return hash((self.name, self.values.shape))
 
 
 @dataclass(frozen=True)
@@ -134,8 +122,8 @@ def write_snapshot(snapshot: WeightSnapshot, dest: BinaryIO) -> int:
         name_bytes = layer.name.encode("utf-8")
         chunks.append(struct.pack("<I", len(name_bytes)))
         chunks.append(name_bytes)
-        chunks.append(struct.pack("<I", len(layer.dims)))
-        chunks.append(struct.pack(f"<{len(layer.dims)}Q", *layer.dims))
+        chunks.append(struct.pack("<I", layer.values.ndim))
+        chunks.append(struct.pack(f"<{layer.values.ndim}Q", *layer.values.shape))
         chunks.append(layer.values.astype("<f8", copy=False).tobytes())
     written = 0
     for chunk in chunks:
@@ -183,7 +171,7 @@ class _Reader:
 def read_snapshot(source: BinaryIO) -> WeightSnapshot:
     """Parse a snapshot stream written by write_snapshot (its exact inverse).
 
-    Layer values are read-only views of the bytes read (copied only on a big-endian host).
+    Layer values are read-only views of the bytes read, shaped by the dims (copied only on a big-endian host).
     """
     r = _Reader(source)
     magic = r.read(4, "reading magic")
@@ -194,8 +182,6 @@ def read_snapshot(source: BinaryIO) -> WeightSnapshot:
         raise SnapshotStructureError(f"unsupported version {version}")
     epoch = r.u32("reading epoch")
     layer_count = r.u32("reading layer count")
-    if layer_count == 0:
-        raise SnapshotStructureError("snapshot declares zero layers")
 
     layers = []
     for idx in range(layer_count):
@@ -207,15 +193,14 @@ def read_snapshot(source: BinaryIO) -> WeightSnapshot:
         except UnicodeDecodeError as exc:
             raise SnapshotStructureError(f"layer {idx}: name is not valid UTF-8") from exc
         ndims = r.u32(ctx)
+        # before the dims are read: on a source that cannot seek, a huge ndims would buffer 8 * ndims bytes
         if ndims not in (2, 4):
             raise SnapshotStructureError(f"layer {idx} ({name!r}): ndims must be 2 or 4, got {ndims}")
         dims = struct.unpack(f"<{ndims}Q", r.read(8 * ndims, ctx))
-        if any(d == 0 for d in dims):
-            raise SnapshotStructureError(f"layer {idx} ({name!r}): zero dimension in {dims}")
-        values = np.frombuffer(r.read(8 * math.prod(dims), f"at layer {idx} ({name!r})"), dtype="<f8")
+        payload = r.read(8 * math.prod(dims), f"at layer {idx} ({name!r})")
         try:
-            layers.append(LayerTensor(name=name, dims=tuple(int(d) for d in dims), values=values))
-        except SnapshotStructureError as exc:
+            layers.append(LayerTensor(name, np.frombuffer(payload, dtype="<f8").reshape(dims)))
+        except (SnapshotStructureError, ValueError) as exc:  # ValueError: numpy refuses a dim past its index range
             raise SnapshotStructureError(f"layer {idx}: {exc}") from exc
 
     return WeightSnapshot(epoch=epoch, layers=tuple(layers))

@@ -18,7 +18,6 @@ def random_snapshot(rng: np.random.Generator, max_layers: int = 4) -> WeightSnap
             dims = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
         else:
             dims = tuple(int(d) for d in rng.integers(1, 5, size=4))
-        count = int(np.prod(dims))
-        values = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=count)
-        layers.append(LayerTensor(name=f"layer{i}", dims=dims, values=values))
+        values = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=dims)
+        layers.append(LayerTensor(f"layer{i}", values))
     return WeightSnapshot(epoch=int(rng.integers(0, 1000)), layers=tuple(layers))

@@ -304,7 +304,7 @@ def test_criterion_9_format_roundtrip_and_errors(tmp_path):
     with pytest.raises(SnapshotTruncatedError):
         read_snapshot(io.BytesIO(good.getvalue()[:-4]))
     with pytest.raises(SnapshotStructureError):
-        LayerTensor("bad", (2, 3), np.zeros(7))
+        LayerTensor("bad", np.zeros((2, 3, 1)))
 
     bad = tmp_path / "bad.wsnp"
     bad.write_bytes(b"not a snapshot at all")

@@ -36,7 +36,7 @@ def test_traced_call_sites_resolve():
 def run_traced(tmp_path, spans):
     """One op of analyze, train and rmt under a tracer over spans' call sites; returns the tracer."""
     rng = np.random.default_rng(3)
-    layers = (LayerTensor("fc", (8, 12), rng.normal(size=96)), LayerTensor("dead", (4, 6), np.zeros(24)))
+    layers = (LayerTensor("fc", rng.normal(size=(8, 12))), LayerTensor("dead", np.zeros((4, 6))))
     snapshot = tmp_path / "tiny.wsnp"
     save_snapshot(WeightSnapshot(epoch=0, layers=layers), str(snapshot))
     config = tmp_path / "run.cfg"
@@ -97,7 +97,7 @@ LOW_RANK_REFERENCE = {"ks": (8, 2.828678362647), "fixfinger": (31, 3.81370962782
 def test_zoo_references_hold():
     """analyze_zoo's output checks, run in-process so that tier-1 fails on what would fail the bench."""
     workloads = load_perfbench("workloads")
-    layers = tuple(LayerTensor(name, dims, values.ravel()) for name, dims, values in workloads.zoo_layers(201))
+    layers = tuple(LayerTensor(name, values.reshape(dims)) for name, dims, values in workloads.zoo_layers(201))
     snapshot = WeightSnapshot(epoch=0, layers=layers)
     for variant in workloads.POLICIES:
         for row in analyze_snapshot(snapshot, LambdaMinPolicy(variant=variant)):

@@ -23,9 +23,9 @@ def snapshot_path(tmp_path):
     snap = WeightSnapshot(
         epoch=3,
         layers=(
-            LayerTensor("pl64", mat.values.shape, mat.values.reshape(-1)),
-            LayerTensor("wide", (72, 10), rng.normal(size=720)),
-            LayerTensor("dead", (6, 8), np.zeros(48)),
+            LayerTensor("pl64", mat.values),
+            LayerTensor("wide", rng.normal(size=(72, 10))),
+            LayerTensor("dead", np.zeros((6, 8))),
         ),
     )
     path = tmp_path / "model.wsnp"
@@ -474,7 +474,7 @@ def test_histogram_bins_above_limit_exit_1(tmp_path, snapshot_path, capsys):
 
 def named_snapshot(tmp_path, names):
     rng = np.random.default_rng(2)
-    layers = tuple(LayerTensor(name, (6, 9), rng.normal(size=54)) for name in names)
+    layers = tuple(LayerTensor(name, rng.normal(size=(6, 9))) for name in names)
     path = tmp_path / "named.wsnp"
     save_snapshot(WeightSnapshot(epoch=0, layers=layers), str(path))
     return path

@@ -62,12 +62,12 @@ def test_analyze_argv_fuzz(policy, bins, exists):
     snap = WeightSnapshot(
         epoch=0,
         layers=(
-            LayerTensor("dense", (12, 8), rng.normal(size=96)),
-            LayerTensor("conv", (4, 2, 3, 3), rng.normal(size=72)),
-            LayerTensor("dead", (5, 5), np.zeros(25)),
+            LayerTensor("dense", rng.normal(size=(12, 8))),
+            LayerTensor("conv", rng.normal(size=(4, 2, 3, 3))),
+            LayerTensor("dead", np.zeros((5, 5))),
             # every singular value 3: its eigenvalues differ by roundoff, and its log10 span
             # has no room for distinct histogram edges
-            LayerTensor("flat", (8, 12), 3.0 * np.linalg.qr(rng.normal(size=(12, 8)))[0].T.ravel()),
+            LayerTensor("flat", 3.0 * np.linalg.qr(rng.normal(size=(12, 8)))[0].T),
         ),
     )
     with tempfile.TemporaryDirectory() as tmp:

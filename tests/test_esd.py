@@ -13,13 +13,13 @@ EPS = np.finfo(np.float64).eps
 
 
 def test_orient_already_wide():
-    layer = LayerTensor("fc", (10, 72), np.zeros(720))
+    layer = LayerTensor("fc", np.zeros((10, 72)))
     mat = orient(layer)
     assert (mat.n, mat.m, mat.transposed) == (10, 72, False)
 
 
 def test_orient_transposes_tall():
-    layer = LayerTensor("fc", (72, 10), np.arange(720.0))
+    layer = LayerTensor("fc", np.arange(720.0).reshape(72, 10))
     mat = orient(layer)
     assert (mat.n, mat.m, mat.transposed) == (10, 72, True)
     assert np.array_equal(mat.values, np.arange(720.0).reshape(72, 10).T)
@@ -27,14 +27,13 @@ def test_orient_transposes_tall():
 
 def test_orient_conv_reshape_matches_index_oracle():
     rng = np.random.default_rng(3)
-    vals = rng.normal(size=72)
-    layer = LayerTensor("conv", (4, 2, 3, 3), vals)
+    tensor = rng.normal(size=(4, 2, 3, 3))
+    layer = LayerTensor("conv", tensor)
     mat = orient(layer)
     assert (mat.n, mat.m) == (4, 18)
 
     # oracle: place each tensor element by explicit row-major index arithmetic
     oracle = np.zeros((4, 18))
-    tensor = vals.reshape(4, 2, 3, 3)
     for o in range(4):
         for c in range(2):
             for ki in range(3):

@@ -304,9 +304,9 @@ def make_snapshot():
     return WeightSnapshot(
         epoch=0,
         layers=(
-            LayerTensor("a", (16, 24), rng.normal(size=384)),
-            LayerTensor("dead", (6, 8), np.zeros(48)),
-            LayerTensor("c", (4, 2, 3, 3), rng.normal(size=72)),
+            LayerTensor("a", rng.normal(size=(16, 24))),
+            LayerTensor("dead", np.zeros((6, 8))),
+            LayerTensor("c", rng.normal(size=(4, 2, 3, 3))),
         ),
     )
 
@@ -335,7 +335,7 @@ def test_rank_deficient_median_threshold_is_degenerate():
     esd = compute_esd(orient_array(rank2_layer(), "rank2"))
     with pytest.raises(DegenerateThresholdError):
         layer_metrics(esd, LambdaMinPolicy(variant="median"))
-    snapshot = WeightSnapshot(epoch=0, layers=(LayerTensor("rank2", (6, 10), rank2_layer().ravel()),))
+    snapshot = WeightSnapshot(epoch=0, layers=(LayerTensor("rank2", rank2_layer()),))
     (row,) = analyze_snapshot(snapshot, LambdaMinPolicy(variant="median"))
     assert row.metrics is None
     assert "tail threshold" in row.error

@@ -216,7 +216,7 @@ def test_lars_eps_floor():
 def make_snapshot(seed=0, n_layers=4, epoch=0):
     rng = np.random.default_rng(seed)
     layers = tuple(
-        LayerTensor(f"fc{i}", (16, 24), rng.normal(size=384)) for i in range(n_layers)
+        LayerTensor(f"fc{i}", rng.normal(size=(16, 24))) for i in range(n_layers)
     )
     return WeightSnapshot(epoch=epoch, layers=layers)
 
@@ -272,10 +272,10 @@ def test_exclude_first_last_ride_global():
 def test_degenerate_layer_falls_back_flagged():
     rng = np.random.default_rng(5)
     layers = (
-        LayerTensor("ok1", (16, 24), rng.normal(size=384)),
-        LayerTensor("dead", (8, 12), np.zeros(96)),
-        LayerTensor("ok2", (16, 24), rng.normal(size=384)),
-        LayerTensor("ok3", (16, 24), rng.normal(size=384)),
+        LayerTensor("ok1", rng.normal(size=(16, 24))),
+        LayerTensor("dead", np.zeros((8, 12))),
+        LayerTensor("ok2", rng.normal(size=(16, 24))),
+        LayerTensor("ok3", rng.normal(size=(16, 24))),
     )
     snap = WeightSnapshot(epoch=0, layers=layers)
     decision = schedule_epoch(config(exclude_first_last=False), 0, snap, LambdaMinPolicy())
@@ -340,7 +340,7 @@ def scalable_snapshots(draw):
             w = q.T if n <= m else q
         else:
             w = rng.normal(size=(n, draw(st.integers(1, 3)), 3, 3))
-        layers.append(LayerTensor(f"{kind}{i}", w.shape, w.reshape(-1)))
+        layers.append(LayerTensor(f"{kind}{i}", w))
     return WeightSnapshot(epoch=0, layers=tuple(layers))
 
 
@@ -356,7 +356,7 @@ def test_schedule_is_invariant_to_weight_scale(snap, c, assignment, variant, exc
     cfg = config(assignment=assignment, metric="alpha_hill", exclude_first_last=exclude_first_last)
     policy = LambdaMinPolicy(variant=variant)
     scaled = WeightSnapshot(
-        epoch=0, layers=tuple(LayerTensor(layer.name, layer.dims, c * layer.values) for layer in snap.layers)
+        epoch=0, layers=tuple(LayerTensor(layer.name, c * layer.values) for layer in snap.layers)
     )
     base, other = (schedule_epoch(cfg, 3, s, policy) for s in (snap, scaled))
     assert other.fallback_layers == base.fallback_layers

@@ -413,7 +413,7 @@ def test_zero_epochs_is_noop():
     assert telem.rows == []
     init = init_params(model)
     for layer in final.layers:
-        assert np.array_equal(layer.as_array(), init[f"{layer.name}.w"])
+        assert np.array_equal(layer.values, init[f"{layer.name}.w"])
 
 
 def test_identical_until_first_boundary():

@@ -18,6 +18,17 @@ from tempbal.weight_store import (
 )
 
 
+class _Unseekable:
+    def __init__(self, raw: bytes):
+        self._buf = io.BytesIO(raw)
+
+    def read(self, count: int) -> bytes:
+        return self._buf.read(count)
+
+    def seekable(self) -> bool:
+        return False
+
+
 def roundtrip(snapshot: WeightSnapshot) -> WeightSnapshot:
     buf = io.BytesIO()
     write_snapshot(snapshot, buf)
@@ -32,7 +43,7 @@ def snapshot_bytes(snapshot: WeightSnapshot) -> bytes:
 
 
 def test_zero_tensor_roundtrip():
-    snap = WeightSnapshot(epoch=0, layers=(LayerTensor("fc", (2, 3), np.zeros(6)),))
+    snap = WeightSnapshot(epoch=0, layers=(LayerTensor("fc", np.zeros((2, 3))),))
     raw = snapshot_bytes(snap)
     # header: magic + version/epoch/count, then name, ndims, dims, 6 zero f64
     assert raw[:4] == MAGIC
@@ -45,8 +56,8 @@ def test_two_layer_roundtrip():
     snap = WeightSnapshot(
         epoch=17,
         layers=(
-            LayerTensor("conv", (4, 2, 3, 3), rng.normal(size=72)),
-            LayerTensor("fc", (10, 72), rng.normal(size=720)),
+            LayerTensor("conv", rng.normal(size=(4, 2, 3, 3))),
+            LayerTensor("fc", rng.normal(size=(10, 72))),
         ),
     )
     back = roundtrip(snap)
@@ -71,7 +82,7 @@ def test_write_is_deterministic():
 def test_roundtrip_preserves_bits_exactly():
     # values that stress the f64 encoding, including signed zero and denormals
     values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1 + 2**-52, np.pi])
-    snap = WeightSnapshot(epoch=1, layers=(LayerTensor("bits", (2, 4), values),))
+    snap = WeightSnapshot(epoch=1, layers=(LayerTensor("bits", values.reshape(2, 4)),))
     back = roundtrip(snap)
     assert back.layers[0].values.tobytes() == values.tobytes()
 
@@ -86,8 +97,8 @@ def test_truncated_mid_values_names_layer():
     snap = WeightSnapshot(
         epoch=0,
         layers=(
-            LayerTensor("a", (2, 2), rng.normal(size=4)),
-            LayerTensor("b", (3, 3), rng.normal(size=9)),
+            LayerTensor("a", rng.normal(size=(2, 2))),
+            LayerTensor("b", rng.normal(size=(3, 3))),
         ),
     )
     raw = snapshot_bytes(snap)
@@ -112,6 +123,10 @@ def test_bad_ndims_rejected():
     raw += struct.pack("<3Q", 2, 2, 2) + b"\x00" * 64
     with pytest.raises(SnapshotStructureError, match="ndims"):
         read_snapshot(io.BytesIO(raw))
+    # checked before the dims are read: 0xFFFFFFFF dims are 8 * (2**32 - 1) bytes to ask of a source that cannot seek
+    raw = MAGIC + struct.pack("<III", 1, 0, 1) + struct.pack("<I", 1) + b"x" + struct.pack("<I", 0xFFFFFFFF)
+    with pytest.raises(SnapshotStructureError, match="ndims"):
+        read_snapshot(_Unseekable(raw))
 
 
 def test_zero_dimension_rejected():
@@ -120,6 +135,25 @@ def test_zero_dimension_rejected():
     raw += struct.pack("<2Q", 0, 4)
     with pytest.raises(SnapshotStructureError, match="zero dimension"):
         read_snapshot(io.BytesIO(raw))
+    # a payload of 0 bytes beside a dim that numpy cannot index
+    raw = raw[:-16] + struct.pack("<2Q", 0, 2**64 - 1)
+    with pytest.raises(SnapshotStructureError, match="layer 0"):
+        read_snapshot(io.BytesIO(raw))
+
+
+def test_format_is_pinned_byte_for_byte():
+    # little-endian counts and dims, conv dims in out/in/kh/kw order, values little-endian row-major
+    dense = np.arange(15.0).reshape(3, 5)
+    conv = np.arange(24.0).reshape(2, 3, 2, 2)
+    expected = MAGIC + struct.pack("<III", 1, 9, 2)
+    expected += struct.pack("<I", 5) + b"dense" + struct.pack("<I2Q", 2, 3, 5) + struct.pack("<15d", *range(15))
+    expected += struct.pack("<I", 4) + b"conv" + struct.pack("<I4Q", 4, 2, 3, 2, 2) + struct.pack("<24d", *range(24))
+    snap = WeightSnapshot(epoch=9, layers=(LayerTensor("dense", dense), LayerTensor("conv", conv)))
+    assert snapshot_bytes(snap) == expected
+    back = read_snapshot(io.BytesIO(expected))
+    assert back.epoch == 9 and back.layer_names() == ["dense", "conv"]
+    assert np.array_equal(back.layers[0].values, dense) and back.layers[0].values.shape == (3, 5)
+    assert np.array_equal(back.layers[1].values, conv) and back.layers[1].values.shape == (2, 3, 2, 2)
 
 
 def test_non_utf8_name_rejected():
@@ -136,19 +170,16 @@ def test_unsupported_version_rejected():
         read_snapshot(io.BytesIO(raw))
 
 
-def test_dims_value_count_mismatch_rejected():
-    with pytest.raises(SnapshotStructureError, match="imply"):
-        LayerTensor("bad", (2, 3), np.zeros(5))
-
-
 def test_constructor_invariants():
     with pytest.raises(SnapshotStructureError):
-        LayerTensor("", (2, 2), np.zeros(4))
-    with pytest.raises(SnapshotStructureError):
-        LayerTensor("x", (2, 2, 2), np.zeros(8))
+        LayerTensor("", np.zeros((2, 2)))
+    with pytest.raises(SnapshotStructureError, match="3-D"):
+        LayerTensor("x", np.zeros((2, 2, 2)))
+    with pytest.raises(SnapshotStructureError, match="zero dimension"):
+        LayerTensor("x", np.zeros((2, 0, 3, 3)))
     with pytest.raises(SnapshotStructureError):
         WeightSnapshot(epoch=0, layers=())
-    tensor = LayerTensor("dup", (1, 1), np.zeros(1))
+    tensor = LayerTensor("dup", np.zeros((1, 1)))
     with pytest.raises(SnapshotStructureError):
         WeightSnapshot(epoch=0, layers=(tensor, tensor))
     with pytest.raises(SnapshotStructureError):
@@ -157,26 +188,9 @@ def test_constructor_invariants():
 
 def test_unicode_layer_names_roundtrip():
     snap = WeightSnapshot(
-        epoch=2, layers=(LayerTensor("блок.0/conv→1", (1, 2), np.array([1.5, -2.5])),)
+        epoch=2, layers=(LayerTensor("блок.0/conv→1", np.array([[1.5, -2.5]])),)
     )
     assert roundtrip(snap) == snap
-
-
-def test_dims_product_is_exact():
-    # 2**32 * 2**32 wraps to 0 in int64
-    with pytest.raises(SnapshotStructureError, match="imply"):
-        LayerTensor("x", (2**32, 2**32), np.zeros(0))
-
-
-class _Unseekable:
-    def __init__(self, raw: bytes):
-        self._buf = io.BytesIO(raw)
-
-    def read(self, count: int) -> bytes:
-        return self._buf.read(count)
-
-    def seekable(self) -> bool:
-        return False
 
 
 @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**63, 2), (2**20, 2**20)])

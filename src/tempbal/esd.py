@@ -86,25 +86,23 @@ class ESD:
         return float(self.eigenvalues[-1])
 
 
+def _orient(arr: np.ndarray, name: str) -> OrientedMatrix:
+    flat = arr.reshape(arr.shape[0], -1)  # a conv (out, in, kh, kw) tensor to (out, in*kh*kw); 2-D stays a view
+    transposed = flat.shape[0] > flat.shape[1]
+    return OrientedMatrix(values=flat.T if transposed else flat, source_name=name, transposed=transposed)
+
+
 def orient_array(values: np.ndarray, name: str) -> OrientedMatrix:
     """Orient a raw 2-D or 4-D weight array into an n x m matrix, n <= m."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 4:
-        out = arr.shape[0]
-        arr = arr.reshape(out, -1)
-    elif arr.ndim != 2:
-        raise ValueError(f"{name!r}: weight tensor must be 2-D or 4-D, got {arr.ndim}-D")
-    if 0 in arr.shape:
-        raise ValueError(f"{name!r}: zero-sized dimension in {arr.shape}")
-    transposed = arr.shape[0] > arr.shape[1]
-    if transposed:
-        arr = arr.T
-    return OrientedMatrix(values=arr, source_name=name, transposed=transposed)
+    if arr.ndim not in (2, 4) or 0 in arr.shape:
+        raise ValueError(f"{name!r}: weight tensor must be 2-D or 4-D with no zero dimension, got shape {arr.shape}")
+    return _orient(arr, name)
 
 
 def orient(layer: LayerTensor) -> OrientedMatrix:
-    """Orient a layer tensor; conv tensors flatten to (out, in*kh*kw) first."""
-    return orient_array(layer.values, layer.name)
+    """Orient a layer tensor, which LayerTensor has already checked; conv tensors flatten to (out, in*kh*kw) first."""
+    return _orient(layer.values, layer.name)
 
 
 def roundoff_floor(n: int) -> float:

@@ -18,6 +18,9 @@ File layout (".wsnp", all integers little-endian):
 
 Values are 64-bit IEEE-754 so a write/read cycle is bit-exact. In memory a
 LayerTensor holds its values in their own shape: only the file is flat.
+read_snapshot reads a stream whole. load_snapshot checks a file's whole
+layer table, seeking over the values, then reads each layer when it is
+asked for, so a caller walking the layers holds one at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import BinaryIO
 
@@ -95,19 +99,22 @@ class WeightSnapshot:
     """Ordered collection of layer tensors at one epoch."""
 
     epoch: int
-    layers: tuple[LayerTensor, ...]
+    layers: Sequence[LayerTensor]  # a tuple, or the StoredLayers of a loaded file
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
+        if not isinstance(self.layers, StoredLayers):
+            object.__setattr__(self, "layers", tuple(self.layers))
         if self.epoch < 0:
             raise SnapshotStructureError(f"epoch must be nonnegative, got {self.epoch}")
         if not self.layers:
             raise SnapshotStructureError("snapshot must contain at least one layer")
-        names = [layer.name for layer in self.layers]
+        names = self.layer_names()
         if len(set(names)) != len(names):
             raise SnapshotStructureError("layer names must be unique within a snapshot")
 
     def layer_names(self) -> list[str]:
+        if isinstance(self.layers, StoredLayers):  # from the layer table: no values are read
+            return [name for name, _dims, _offset in self.layers.table]
         return [layer.name for layer in self.layers]
 
 
@@ -141,15 +148,15 @@ class _Reader:
     def __init__(self, source: BinaryIO):
         self.source = source
         self.offset = 0
-        self.size = None  # bytes from the start to the end of a seekable source
+        self.size = None  # where a seekable source ends; offset is then its position in the source
         if source.seekable():
-            start = source.tell()
-            self.size = source.seek(0, io.SEEK_END) - start
-            source.seek(start)
+            self.offset = source.tell()
+            self.size = source.seek(0, io.SEEK_END)
+            source.seek(self.offset)
 
     def read(self, count: int, context: str) -> bytes:
         # a seekable source is asked for no more than it holds, so an over-declared size allocates nothing
-        wanted = count if self.size is None else min(count, self.size - self.offset)
+        wanted = count if self.size is None else max(0, min(count, self.size - self.offset))  # < 0: the file shrank
         try:
             data = self.source.read(wanted)
         except OSError as exc:
@@ -164,16 +171,23 @@ class _Reader:
         self.offset += count
         return data
 
+    def skip(self, count: int, context: str) -> None:
+        """Seek a seekable source over count bytes, which it must hold."""
+        if count > self.size - self.offset:
+            raise SnapshotTruncatedError(f"truncated {context}: {count} bytes declared, {self.size - self.offset} left")
+        self.offset = self.source.seek(count, io.SEEK_CUR)
+
     def u32(self, context: str) -> int:
         return struct.unpack("<I", self.read(4, context))[0]
 
 
-def read_snapshot(source: BinaryIO) -> WeightSnapshot:
-    """Parse a snapshot stream written by write_snapshot (its exact inverse).
+def _read_layer(r: _Reader, idx: int, name: str, dims: tuple[int, ...]) -> LayerTensor:
+    payload = r.read(8 * math.prod(dims), f"at layer {idx} ({name!r})")
+    return LayerTensor(name, np.frombuffer(payload, dtype="<f8").reshape(dims))
 
-    Layer values are read-only views of the bytes read, shaped by the dims (copied only on a big-endian host).
-    """
-    r = _Reader(source)
+
+def _parse(r: _Reader, keep_values: bool) -> tuple[int, list]:
+    """The epoch and, per layer, its LayerTensor (keep_values) or (name, dims, offset of its values), all checked."""
     magic = r.read(4, "reading magic")
     if magic != MAGIC:
         raise SnapshotMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -197,13 +211,41 @@ def read_snapshot(source: BinaryIO) -> WeightSnapshot:
         if ndims not in (2, 4):
             raise SnapshotStructureError(f"layer {idx} ({name!r}): ndims must be 2 or 4, got {ndims}")
         dims = struct.unpack(f"<{ndims}Q", r.read(8 * ndims, ctx))
-        payload = r.read(8 * math.prod(dims), f"at layer {idx} ({name!r})")
-        try:
-            layers.append(LayerTensor(name, np.frombuffer(payload, dtype="<f8").reshape(dims)))
-        except (SnapshotStructureError, ValueError) as exc:  # ValueError: numpy refuses a dim past its index range
-            raise SnapshotStructureError(f"layer {idx}: {exc}") from exc
+        # LayerTensor's checks, made before the values are read; with no zero dim, no file holds one numpy cannot index
+        if not name or 0 in dims:
+            raise SnapshotStructureError(f"layer {idx} ({name!r}): needs a nonempty name and no zero dimension, got {dims}")
+        if keep_values:
+            layers.append(_read_layer(r, idx, name, dims))
+        else:
+            layers.append((name, dims, r.offset))
+            r.skip(8 * math.prod(dims), f"at layer {idx} ({name!r})")
+    return epoch, layers
 
-    return WeightSnapshot(epoch=epoch, layers=tuple(layers))
+
+def read_snapshot(source: BinaryIO) -> WeightSnapshot:
+    """Parse a snapshot stream written by write_snapshot (its exact inverse); it need not be seekable.
+
+    Layer values are read-only views of the bytes read, shaped by the dims (copied only on a big-endian host).
+    """
+    epoch, layers = _parse(_Reader(source), keep_values=True)
+    return WeightSnapshot(epoch=epoch, layers=layers)
+
+
+@dataclass(frozen=True)
+class StoredLayers(Sequence):
+    """The layers of a snapshot file, each read from it when asked for and held by nothing here."""
+
+    path: str
+    table: tuple[tuple[str, tuple[int, ...], int], ...]  # per layer: (name, dims, offset of its values)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, idx: int) -> LayerTensor:
+        name, dims, offset = self.table[idx]
+        with open(self.path, "rb") as fh:  # a file gone since the load raises its OSError here
+            fh.seek(offset)
+            return _read_layer(_Reader(fh), idx, name, dims)
 
 
 def save_snapshot(snapshot: WeightSnapshot, path: str) -> int:
@@ -215,8 +257,15 @@ def save_snapshot(snapshot: WeightSnapshot, path: str) -> int:
 
 
 def load_snapshot(path: str) -> WeightSnapshot:
+    """Check a file's header and whole layer table as read_snapshot does, then read each layer when it is asked for.
+
+    A caller that walks the layers holds one at a time; values are read-only views. A pipe is read whole.
+    """
     try:
         with open(path, "rb") as fh:
-            return read_snapshot(fh)
+            if not fh.seekable():
+                return read_snapshot(fh)
+            epoch, table = _parse(_Reader(fh), keep_values=False)
     except OSError as exc:
         raise SnapshotIOError(f"cannot read {path!r}: {exc}", 0) from exc
+    return WeightSnapshot(epoch=epoch, layers=StoredLayers(path, tuple(table)))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tempbal.cli import CONFIG_KEYS, _parse_grid, main, parse_config
 from tempbal.errors import ConfigError
 from tempbal.rmt_lab import PLSpectrumSpec, synth_pl_matrix
-from tempbal.weight_store import MAGIC, LayerTensor, WeightSnapshot, save_snapshot
+from tempbal.weight_store import MAGIC, LayerTensor, SnapshotError, WeightSnapshot, load_snapshot, save_snapshot
 
 
 @pytest.fixture()
@@ -514,6 +514,40 @@ def test_analyze_over_declared_layer_exit_2(tmp_path, capsys, dims):
     path.write_bytes(header + struct.pack("<2Q", *dims) + b"\x00" * 16)
     err = assert_usage_error(["analyze", str(path), "--out-dir", str(tmp_path)], capsys, code=2)
     assert "layer 0 ('x')" in err
+
+
+def packed_snapshot(*layers) -> bytes:
+    """Hand-packed .wsnp bytes, so a file can break rules the writer keeps: each layer is (name, ndims, dims, payload)."""
+    raw = MAGIC + struct.pack("<III", 1, 0, len(layers))
+    for name, ndims, dims, payload in layers:
+        raw += struct.pack("<I", len(name)) + name + struct.pack(f"<I{len(dims)}Q", ndims, *dims) + payload
+    return raw
+
+
+GOOD_LAYERS = [(b"a", 2, (3, 4), np.arange(12.0).tobytes()), (b"b", 2, (4, 2), np.arange(8.0).tobytes())]
+
+
+@pytest.mark.parametrize(
+    "last",
+    [
+        (b"c", 2, (2, 3), b"\x00" * 40),  # the payload ends 8 bytes short
+        (b"a", 2, (2, 3), b"\x00" * 48),  # a duplicate name
+        (b"c", 3, (2, 2, 2), b"\x00" * 64),  # ndims 3
+        (b"c", 2, (2**20, 2**20), b"\x00" * 16),  # 8 TiB declared
+    ],
+    ids=["truncated-payload", "duplicate-name", "bad-ndims", "over-declared"],
+)
+def test_analyze_of_a_file_bad_in_its_last_layer_writes_nothing(tmp_path, capsys, last):
+    good = tmp_path / "good.wsnp"
+    good.write_bytes(packed_snapshot(*GOOD_LAYERS))
+    assert main(["analyze", str(good), "--out-dir", str(tmp_path / "good")]) == 0
+    path = tmp_path / "bad.wsnp"
+    path.write_bytes(packed_snapshot(*GOOD_LAYERS, last))
+    with pytest.raises(SnapshotError):  # the whole layer table is checked before any layer is read
+        load_snapshot(str(path))
+    out = tmp_path / "out"
+    assert_usage_error(["analyze", str(path), "--out-dir", str(out)], capsys, code=2)
+    assert not out.exists()
 
 
 def test_analyze_long_layer_name_gets_a_bounded_histogram_file(tmp_path):

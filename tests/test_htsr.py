@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from tempbal.htsr import (
     log10_histogram,
     select_k,
 )
+from tempbal import htsr
 from tempbal.train_engine import snr_grad_term
-from tempbal.weight_store import LayerTensor, WeightSnapshot
+from tempbal.weight_store import LayerTensor, WeightSnapshot, load_snapshot, save_snapshot
 
 
 def esd_of(values) -> ESD:
@@ -319,6 +321,28 @@ def test_analyze_snapshot_captures_degenerate_layers():
     assert by_name["dead"].metrics is None
     assert by_name["dead"].error
     assert by_name["c"].n == 4 and by_name["c"].m == 18
+
+
+def test_analyze_snapshot_of_a_loaded_file_holds_one_layer_at_a_time(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    snap = WeightSnapshot(epoch=0, layers=tuple(LayerTensor(f"fc{i}", rng.normal(size=(24, 40))) for i in range(4)))
+    path = tmp_path / "four.wsnp"
+    save_snapshot(snap, str(path))
+    expected = analyze_snapshot(snap, LambdaMinPolicy())
+    seen = []
+    analyze_layer = htsr._analyze_layer
+
+    def spy(layer, policy):
+        # every earlier layer's values are freed before this one is analyzed
+        assert all(ref() is None for ref in seen), [ref() is None for ref in seen]
+        seen.append(weakref.ref(layer.values))
+        return analyze_layer(layer, policy)
+
+    monkeypatch.setattr(htsr, "_analyze_layer", spy)
+    rows = analyze_snapshot(load_snapshot(str(path)), LambdaMinPolicy())
+    assert len(seen) == 4
+    assert [(row.name, row.metrics) for row in rows] == [(row.name, row.metrics) for row in expected]
+    assert all(a.esd.eigenvalues.tobytes() == b.esd.eigenvalues.tobytes() for a, b in zip(rows, expected))
 
 
 # ---------------------------------------------------------------------------

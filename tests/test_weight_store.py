@@ -1,5 +1,7 @@
 import io
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from tempbal.weight_store import (
     SnapshotStructureError,
     SnapshotTruncatedError,
     WeightSnapshot,
+    load_snapshot,
     read_snapshot,
+    save_snapshot,
     write_snapshot,
 )
 
@@ -208,3 +212,66 @@ def test_read_values_are_read_only_views():
     snap = roundtrip(random_snapshot(np.random.default_rng(3)))
     # a copy would be writeable
     assert not any(layer.values.flags.writeable for layer in snap.layers)
+
+
+# ---------------------------------------------------------------------------
+# load_snapshot: the layer table first, each layer read when asked for
+
+
+def saved(tmp_path, snapshot: WeightSnapshot) -> str:
+    path = str(tmp_path / "snap.wsnp")
+    save_snapshot(snapshot, path)
+    return path
+
+
+def test_loaded_layers_are_reiterable_read_only_and_equal_to_a_read(tmp_path):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        path = saved(tmp_path, random_snapshot(rng))
+        with open(path, "rb") as fh:
+            read = read_snapshot(fh)
+        loaded = load_snapshot(path)
+        assert loaded.epoch == read.epoch and len(loaded.layers) == len(read.layers)
+        for _pass in range(2):
+            layers = list(loaded.layers)
+            assert layers == list(read.layers)
+            assert [layer.values.shape for layer in layers] == [layer.values.shape for layer in read.layers]
+            assert not any(layer.values.flags.writeable for layer in layers)
+        assert loaded.layers[-1] == read.layers[-1]
+
+
+def test_loaded_len_and_names_read_no_values(tmp_path):
+    path = saved(tmp_path, random_snapshot(np.random.default_rng(12)))
+    with open(path, "rb") as fh:
+        names = read_snapshot(fh).layer_names()
+    loaded = load_snapshot(path)
+    os.remove(path)  # only a read of the values can notice
+    assert len(loaded.layers) == len(names) and loaded.layer_names() == names
+    with pytest.raises(FileNotFoundError):
+        list(loaded.layers)
+
+
+@pytest.mark.parametrize("keep, first_short", [(0.99, 2), (0.5, 1), (0.0, 0)])
+def test_file_truncated_after_load_is_a_truncation_error(tmp_path, keep, first_short):
+    rng = np.random.default_rng(13)
+    layers = tuple(LayerTensor(f"l{i}", rng.normal(size=(8, 8))) for i in range(3))
+    path = saved(tmp_path, WeightSnapshot(epoch=0, layers=layers))
+    loaded = load_snapshot(path)
+    with open(path, "r+b") as fh:
+        fh.truncate(int(os.path.getsize(path) * keep))
+    for idx in range(first_short):
+        assert loaded.layers[idx] == layers[idx]
+    with pytest.raises(SnapshotTruncatedError, match=f"layer {first_short} \\('l{first_short}'\\)"):
+        list(loaded.layers)
+
+
+def test_load_of_a_pipe_reads_it_whole(tmp_path):
+    snap = random_snapshot(np.random.default_rng(14))
+    fifo = tmp_path / "snap.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(snapshot_bytes(snap)), daemon=True)
+    writer.start()
+    loaded = load_snapshot(str(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert loaded == snap and isinstance(loaded.layers, tuple)

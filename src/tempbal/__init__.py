@@ -9,7 +9,7 @@ machinery on synthetic spectra.
 """
 
 from .errors import ConfigError, DataError, NumericalError, TempbalError
-from .esd import ESD, OrientedMatrix, compute_esd, orient, orient_array
+from .esd import ESD, OrientedMatrix, compute_esd, orient
 from .htsr import (
     LambdaMinPolicy,
     LayerMetrics,
@@ -80,7 +80,6 @@ __all__ = [
     "load_snapshot",
     "make_dataset",
     "orient",
-    "orient_array",
     "read_snapshot",
     "run_training",
     "save_snapshot",

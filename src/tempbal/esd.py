@@ -1,8 +1,9 @@
 """Empirical spectral densities of layer weight matrices.
 
-A layer tensor is first oriented into an n x m matrix with n <= m (conv
-tensors flatten to out-channels x in*kh*kw), then the ESD is the set of
-eigenvalues of the n x n Gram matrix W W^T, from a symmetric eigensolve.
+Every weight array enters as a LayerTensor, the one entry that checks it.
+orient then makes it an n x m matrix with n <= m (conv tensors flatten to
+out-channels x in*kh*kw), and the ESD is the set of eigenvalues of the
+n x n Gram matrix W W^T, from a symmetric eigensolve.
 W W^T is the smaller of the two Gram matrices and has the same nonzero
 spectrum as W^T W; one eigensolve of it costs a fraction of a full SVD of W.
 
@@ -37,19 +38,11 @@ class NonFiniteMatrixError(NumericalError):
 
 @dataclass(frozen=True)
 class OrientedMatrix:
-    """A 2-D weight matrix with rows <= cols; records whether a transpose occurred."""
+    """A layer's 2-D weight matrix with rows <= cols, built by orient; records whether a transpose occurred."""
 
     values: np.ndarray = field(repr=False)
     source_name: str
     transposed: bool
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ValueError(f"{self.source_name!r}: oriented matrix must be 2-D, got {vals.ndim}-D")
-        if vals.shape[0] > vals.shape[1]:
-            raise ValueError(f"{self.source_name!r}: oriented matrix needs rows <= cols, got {vals.shape}")
-        object.__setattr__(self, "values", vals)
 
     @property
     def n(self) -> int:
@@ -86,23 +79,15 @@ class ESD:
         return float(self.eigenvalues[-1])
 
 
-def _orient(arr: np.ndarray, name: str) -> OrientedMatrix:
-    flat = arr.reshape(arr.shape[0], -1)  # a conv (out, in, kh, kw) tensor to (out, in*kh*kw); 2-D stays a view
-    transposed = flat.shape[0] > flat.shape[1]
-    return OrientedMatrix(values=flat.T if transposed else flat, source_name=name, transposed=transposed)
-
-
-def orient_array(values: np.ndarray, name: str) -> OrientedMatrix:
-    """Orient a raw 2-D or 4-D weight array into an n x m matrix, n <= m."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim not in (2, 4) or 0 in arr.shape:
-        raise ValueError(f"{name!r}: weight tensor must be 2-D or 4-D with no zero dimension, got shape {arr.shape}")
-    return _orient(arr, name)
-
-
 def orient(layer: LayerTensor) -> OrientedMatrix:
-    """Orient a layer tensor, which LayerTensor has already checked; conv tensors flatten to (out, in*kh*kw) first."""
-    return _orient(layer.values, layer.name)
+    """Orient a layer tensor, which LayerTensor has already checked, into an n x m view with n <= m.
+
+    A conv (out, in, kh, kw) tensor flattens to (out, in*kh*kw) first; a
+    layer with more rows than columns is transposed.
+    """
+    flat = layer.values.reshape(layer.values.shape[0], -1)  # a view: LayerTensor's values are C-contiguous
+    transposed = flat.shape[0] > flat.shape[1]
+    return OrientedMatrix(values=flat.T if transposed else flat, source_name=layer.name, transposed=transposed)
 
 
 def roundoff_floor(n: int) -> float:

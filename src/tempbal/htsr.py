@@ -47,14 +47,6 @@ class DegenerateThresholdError(NumericalError):
     """The tail threshold lambda_{n-k} is zero; log-ratios are undefined."""
 
 
-class ConvergenceError(NumericalError):
-    """The SNR gradient's top singular pair, from the Gram eigensolve, missed its residual bound."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 @dataclass(frozen=True)
 class LambdaMinPolicy:
     """How to pick the tail count k (equivalently the threshold lambda_min)."""

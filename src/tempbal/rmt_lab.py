@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .esd import ESD, OrientedMatrix, compute_esd, roundoff_floor
+from .esd import ESD, OrientedMatrix, compute_esd, orient, roundoff_floor
 from .htsr import LambdaMinPolicy, layer_metrics
+from .weight_store import LayerTensor
 
 # top/second eigenvalue ratio above which a spike counts as ejected
 SPIKE_SEPARATION = 3.0
@@ -106,11 +107,7 @@ def synth_pl_matrix(spec: PLSpectrumSpec, frame: np.ndarray | None = None) -> Or
     """
     if frame is None:
         frame = random_frame(spec.size, spec.seed)
-    return OrientedMatrix(
-        values=frame * np.sqrt(pl_eigenvalues(spec)),
-        source_name=f"pl_q{spec.size}_s{spec.decay:g}",
-        transposed=False,
-    )
+    return orient(LayerTensor(f"pl_q{spec.size}_s{spec.decay:g}", frame * np.sqrt(pl_eigenvalues(spec))))
 
 
 def max_decay(size: int) -> float:
@@ -191,7 +188,7 @@ def verify_s_alpha(
 
 @dataclass(frozen=True)
 class SpikeResult:
-    """Bulk ESDs before and after the spike, and whether it shows; its scale is the caller's argument."""
+    """Bulk ESDs before and after the spike, and whether it shows."""
 
     esd_before: ESD
     esd_after: ESD
@@ -215,12 +212,7 @@ def spike_experiment(
     b = rng.normal(size=bulk.m)
     b /= np.linalg.norm(b)
     before = compute_esd(bulk)
-    bumped = OrientedMatrix(
-        values=bulk.values + spike_scale * np.outer(a, b),
-        source_name=f"{bulk.source_name}+spike",
-        transposed=bulk.transposed,
-    )
-    after = compute_esd(bumped)
+    after = compute_esd(orient(LayerTensor(f"{bulk.source_name}+spike", bulk.values + spike_scale * np.outer(a, b))))
     lam = after.eigenvalues
     if lam.size < 2:
         detected = False

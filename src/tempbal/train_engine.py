@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .esd import OrientedMatrix, gram, orient_array
-from .htsr import ConvergenceError, LambdaMinPolicy
+from .esd import OrientedMatrix, gram, orient
+from .htsr import LambdaMinPolicy
 from .scheduler import ScheduleConfig, ScheduleDecision, schedule_epoch
 from .weight_store import LayerTensor, WeightSnapshot
 
@@ -35,6 +35,14 @@ class DivergenceError(NumericalError):
     def __init__(self, epoch: int):
         super().__init__(f"training diverged at epoch {epoch} (non-finite loss)")
         self.epoch = epoch
+
+
+class ConvergenceError(NumericalError):
+    """The SNR gradient's top singular pair, from the Gram eigensolve, missed its residual bound."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 class CsvParseError(DataError):
@@ -602,7 +610,7 @@ def run_training(
                 a0 = perf_counter()
                 for name in layer_names:
                     w = params[f"{name}.w"]
-                    oriented = orient_array(w, name)
+                    oriented = orient(LayerTensor(name, w))
                     inc = snr_grad_term(oriented, lambda_sr)
                     grads[f"{name}.w"] = grads[f"{name}.w"] + inc.reshape(w.shape)
                 analysis_sec += perf_counter() - a0

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempbal.errors import NumericalError
-from tempbal.esd import ESD, compute_esd, orient_array
+from tempbal.esd import ESD, compute_esd, orient
 from tempbal.htsr import (
-    ConvergenceError,
     DegenerateSpectrumError,
     DegenerateThresholdError,
     LambdaMinPolicy,
@@ -20,7 +19,7 @@ from tempbal.htsr import (
     select_k,
 )
 from tempbal import htsr
-from tempbal.train_engine import snr_grad_term
+from tempbal.train_engine import ConvergenceError, snr_grad_term
 from tempbal.weight_store import LayerTensor, WeightSnapshot, load_snapshot, save_snapshot
 
 
@@ -165,13 +164,13 @@ def test_layer_metrics_powers_of_two():
 
 
 def test_layer_metrics_zero_matrix_degenerate():
-    esd = compute_esd(orient_array(np.zeros((6, 8)), "zero"))
+    esd = compute_esd(orient(LayerTensor("zero", np.zeros((6, 8)))))
     with pytest.raises(DegenerateSpectrumError):
         layer_metrics(esd, LambdaMinPolicy())
 
 
 def test_spectral_norm_is_top_esd_eigenvalue():
-    esd = compute_esd(orient_array(np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), "diag"))
+    esd = compute_esd(orient(LayerTensor("diag", np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))))
     # need >= 4 eigenvalues for select_k, so check the field directly
     assert esd.lambda_max == pytest.approx(9.0, abs=1e-12)
 
@@ -212,11 +211,11 @@ def top_singular_value(w):
 
 def test_snr_pair_diagonal():
     w = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    check_top_pair(orient_array(w, "diag"), 3.0, rel=1e-12)
+    check_top_pair(orient(LayerTensor("diag", w)), 3.0, rel=1e-12)
 
 
 def test_snr_pair_zero_matrix():
-    inc = snr_grad_term(orient_array(np.zeros((2, 5)), "zero"), 0.1)
+    inc = snr_grad_term(orient(LayerTensor("zero", np.zeros((2, 5)))), 0.1)
     assert inc.shape == (2, 5) and not inc.any()
 
 
@@ -224,18 +223,18 @@ def test_snr_pair_matches_svd():
     rng = np.random.default_rng(100)
     for _ in range(25):
         w = rng.normal(size=(int(rng.integers(2, 50)), int(rng.integers(2, 50))))
-        check_top_pair(orient_array(w, "w"), top_singular_value(w), rel=1e-12)
+        check_top_pair(orient(LayerTensor("w", w)), top_singular_value(w), rel=1e-12)
 
 
 def test_snr_pair_squared_matches_esd():
     rng = np.random.default_rng(101)
-    oriented = orient_array(rng.normal(size=(50, 30)), "w")
+    oriented = orient(LayerTensor("w", rng.normal(size=(50, 30))))
     check_top_pair(oriented, math.sqrt(compute_esd(oriented).lambda_max), rel=1e-12)
 
 
 def test_snr_pair_tol_below_its_residual_raises_convergence_error():
     rng = np.random.default_rng(102)
-    layer = orient_array(rng.normal(size=(12, 20)), "w")
+    layer = orient(LayerTensor("w", rng.normal(size=(12, 20))))
     w = layer.values
     u = np.linalg.eigh(w @ w.T)[1][:, -1]  # the pair snr_grad_term forms, step by step
     sigma = float(np.linalg.norm(w.T @ u))
@@ -248,7 +247,7 @@ def test_snr_pair_tol_below_its_residual_raises_convergence_error():
 
 
 def test_snr_pair_deterministic():
-    layer = orient_array(np.random.default_rng(102).normal(size=(12, 20)), "w")
+    layer = orient(LayerTensor("w", np.random.default_rng(102).normal(size=(12, 20))))
     assert np.array_equal(snr_grad_term(layer, 0.1), snr_grad_term(layer, 0.1))
 
 
@@ -257,11 +256,11 @@ ZERO_COLUMN_SUMS = np.array([[1.0, -1.0, 2.0], [-1.0, 1.0, -2.0]])
 
 
 def test_snr_pair_zero_column_sums():
-    check_top_pair(orient_array(ZERO_COLUMN_SUMS, "w"), math.sqrt(12.0), rel=1e-12)
+    check_top_pair(orient(LayerTensor("w", ZERO_COLUMN_SUMS)), math.sqrt(12.0), rel=1e-12)
 
 
 def test_snr_gradient_zero_column_sums():
-    inc = snr_grad_term(orient_array(ZERO_COLUMN_SUMS, "w"), 0.1)
+    inc = snr_grad_term(orient(LayerTensor("w", ZERO_COLUMN_SUMS)), 0.1)
     # lambda_sr * sigma * u v^T with unit u, v has norm lambda_sr * sigma
     assert np.linalg.norm(inc) == pytest.approx(0.1 * math.sqrt(12.0), rel=1e-9)
 
@@ -269,7 +268,7 @@ def test_snr_gradient_zero_column_sums():
 def test_snr_pair_column_centred_default_budget():
     w = np.random.default_rng(0).normal(size=(8, 16))
     w -= w.mean(axis=0)
-    check_top_pair(orient_array(w, "centred"), top_singular_value(w), rel=1e-12)
+    check_top_pair(orient(LayerTensor("centred", w)), top_singular_value(w), rel=1e-12)
 
 
 @st.composite
@@ -281,14 +280,14 @@ def structured_layers(draw):
     if structure == "conv":
         kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         cin = draw(st.integers(2, 40 // (kh * kw)))
-        return orient_array(rng.normal(size=(n, cin, kh, kw)), structure)
+        return orient(LayerTensor(structure, rng.normal(size=(n, cin, kh, kw))))
     w = rng.normal(size=(n, m))
     if structure == "centred":
         w -= w.mean(axis=0)
     elif structure == "rank":
         r = draw(st.integers(1, min(n, m)))
         w = rng.normal(size=(n, r)) @ rng.normal(size=(r, m))
-    return orient_array(w, structure)
+    return orient(LayerTensor(structure, w))
 
 
 @settings(max_examples=200)
@@ -356,7 +355,7 @@ def rank2_layer():
 
 def test_rank_deficient_median_threshold_is_degenerate():
     # median k = 3 puts lambda_(n-k) in the 4-dimensional null space
-    esd = compute_esd(orient_array(rank2_layer(), "rank2"))
+    esd = compute_esd(orient(LayerTensor("rank2", rank2_layer())))
     with pytest.raises(DegenerateThresholdError):
         layer_metrics(esd, LambdaMinPolicy(variant="median"))
     snapshot = WeightSnapshot(epoch=0, layers=(LayerTensor("rank2", rank2_layer()),))
@@ -375,7 +374,7 @@ def test_rank_deficient_fixfinger_threshold_off_null_space():
     u, _ = np.linalg.qr(rng.normal(size=(16, 6)))
     v, _ = np.linalg.qr(rng.normal(size=(24, 6)))
     w = (u * np.sqrt(RANK6_SPECTRUM)) @ v.T
-    met = layer_metrics(compute_esd(orient_array(w, "rank6")), LambdaMinPolicy(variant="fixfinger"))
+    met = layer_metrics(compute_esd(orient(LayerTensor("rank6", w))), LambdaMinPolicy(variant="fixfinger"))
     assert met.k == 5
     assert met.lambda_min >= RANK6_SPECTRUM.min() * (1 - 1e-12)
 
@@ -387,7 +386,7 @@ def test_rank_deficient_fixfinger_peak_in_first_bin():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(16, 5)) @ rng.normal(size=(5, 24))
-        met = layer_metrics(compute_esd(orient_array(w, "rank5")), LambdaMinPolicy(variant="fixfinger"))
+        met = layer_metrics(compute_esd(orient(LayerTensor("rank5", w))), LambdaMinPolicy(variant="fixfinger"))
         assert met.k == 4, seed
         assert met.lambda_min > 0
 
@@ -405,7 +404,7 @@ def flat_layer(n, m, seed=0):
 @pytest.mark.parametrize("c", [1e-3, 0.1, 1 / 3, 1.0, 7.3, 1e3])
 def test_flat_layer_reads_flat_at_every_scale(c):
     # at c = 1/3 the eigenvalues sit near 1, where their log10 span has room for distinct edges
-    esd = compute_esd(orient_array(c * flat_layer(8, 12), "flat"))
+    esd = compute_esd(orient(LayerTensor("flat", c * flat_layer(8, 12))))
     for variant, k in (("median", 4), ("ks", 7), ("fixfinger", 7)):
         met = layer_metrics(esd, LambdaMinPolicy(variant=variant))
         assert (met.k, met.alpha_hill) == (k, math.inf), variant
@@ -449,7 +448,7 @@ def scalable_spectra(draw):
         w = rng.normal(size=(n, r)) @ rng.normal(size=(r, m))
     else:
         w = flat_layer(n, m, seed)
-    return compute_esd(orient_array(w, kind))
+    return compute_esd(orient(LayerTensor(kind, w)))
 
 
 def outcome(fn, *args):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tempbal import esd, rmt_lab
 from tempbal.cli import RMT_REL_ERR_TOL
-from tempbal.esd import compute_esd, orient_array, roundoff_floor
+from tempbal.esd import compute_esd, orient, roundoff_floor
 from tempbal.htsr import LambdaMinPolicy, layer_metrics
 from tempbal.errors import ConfigError
 from tempbal.esd import ESD
@@ -22,6 +22,7 @@ from tempbal.rmt_lab import (
     synth_pl_matrix,
     verify_s_alpha,
 )
+from tempbal.weight_store import LayerTensor
 
 
 def test_flat_spectrum():
@@ -111,7 +112,7 @@ def test_verify_s_alpha_rejects_bad_grid():
 
 def gaussian_bulk(n=256, seed=0):
     rng = np.random.default_rng(seed)
-    return orient_array(rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, n)), "bulk")
+    return orient(LayerTensor("bulk", rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, n))))
 
 
 def test_spike_zero_scale_is_identity():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tempbal import train_engine
 from tempbal.errors import ConfigError
-from tempbal.esd import orient_array
+from tempbal.esd import orient
 from tempbal.htsr import LambdaMinPolicy
 from tempbal.scheduler import ScheduleConfig, ScheduleDecision, cal_rate, schedule_epoch
 from tempbal.train_engine import (
@@ -33,6 +33,7 @@ from tempbal.train_engine import (
     snr_grad_term,
     write_table,
 )
+from tempbal.weight_store import LayerTensor
 
 # ---------------------------------------------------------------------------
 # SGD
@@ -92,7 +93,7 @@ def test_sgd_missing_lr():
 
 def test_snr_diagonal_gradient():
     w = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    inc = snr_grad_term(orient_array(w, "diag"), 0.01)
+    inc = snr_grad_term(orient(LayerTensor("diag", w)), 0.01)
     expected = np.zeros((2, 3))
     expected[0, 0] = 0.01 * 3.0
     assert np.allclose(inc, expected, atol=1e-9)
@@ -100,7 +101,7 @@ def test_snr_diagonal_gradient():
 
 def test_snr_zero_coefficient():
     w = np.ones((4, 6))
-    inc = snr_grad_term(orient_array(w, "w"), 0.0)
+    inc = snr_grad_term(orient(LayerTensor("w", w)), 0.0)
     assert inc.shape == (4, 6)
     assert not inc.any()
 
@@ -108,7 +109,7 @@ def test_snr_zero_coefficient():
 def test_snr_transposed_layer_gets_transposed_increment():
     rng = np.random.default_rng(1)
     w = rng.normal(size=(10, 4))  # tall: orientation transposes
-    oriented = orient_array(w, "tall")
+    oriented = orient(LayerTensor("tall", w))
     assert oriented.transposed
     inc = snr_grad_term(oriented, 0.5)
     assert inc.shape == (10, 4)
@@ -119,7 +120,7 @@ def test_snr_finite_difference():
     lam_sr = 0.01
     for trial in range(3):
         w = rng.normal(size=(6, 10))
-        inc = snr_grad_term(orient_array(w, "w"), lam_sr, tol=1e-11)
+        inc = snr_grad_term(orient(LayerTensor("w", w)), lam_sr, tol=1e-11)
 
         def penalty(mat):
             return 0.5 * lam_sr * np.linalg.svd(mat, compute_uv=False)[0] ** 2

@@ -177,6 +177,8 @@ def test_unsupported_version_rejected():
 def test_constructor_invariants():
     with pytest.raises(SnapshotStructureError):
         LayerTensor("", np.zeros((2, 2)))
+    with pytest.raises(SnapshotStructureError, match="1-D"):
+        LayerTensor("x", np.zeros(5))
     with pytest.raises(SnapshotStructureError, match="3-D"):
         LayerTensor("x", np.zeros((2, 2, 2)))
     with pytest.raises(SnapshotStructureError, match="zero dimension"):

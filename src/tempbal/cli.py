@@ -262,7 +262,7 @@ def cmd_analyze(args) -> int:
     no_fit = (None,) * len(fields(LayerMetrics))
     table = (
         (row.name, row.n, row.m, *astuple(row.metrics), "ok") if row.metrics
-        else (row.name, row.n, row.m, *no_fit, "degenerate")
+        else (row.name, row.n, row.m, *no_fit, f"degenerate: {row.error}")
         for row in rows
     )
     metrics_path = out_dir / "metrics.csv"

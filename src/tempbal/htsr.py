@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .esd import ESD, compute_esd, orient, roundoff_floor
-from .weight_store import WeightSnapshot
+from .weight_store import StoredLayers, WeightSnapshot
 
 POLICY_VARIANTS = ("median", "ks", "fixfinger")
 MAX_HISTOGRAM_BINS = 10_000  # a histogram allocates O(bins); analyze writes a row per bin and layer
@@ -37,6 +37,7 @@ MAX_HISTOGRAM_BINS = 10_000  # a histogram allocates O(bins); analyze writes a r
 # only, yet a k-value tail's log-sum reaches 2.8 k n eps at n = 4, 1.6 k n eps at
 # n = 8 and under k n eps from n = 16 on (probe: m <= 200, scales 1e-3 to 1e3)
 FLAT_TAIL_ROUNDOFFS = 4
+KS_CANDIDATES = 64  # KS distances computed at once: under the n x n Gram's size for every n
 
 
 class DegenerateSpectrumError(NumericalError):
@@ -72,8 +73,11 @@ class LayerMetrics:
     alpha_weighted: float
 
 
-def _is_flat(log_sum: float, k: int, n: int) -> bool:
-    """Whether the log-sum of a k-value tail of n eigenvalues is roundoff, so the tail reads as flat."""
+def _is_flat(log_sum, k, n: int):
+    """Whether the log-sum of a k-value tail of n eigenvalues is roundoff, so the tail reads as flat.
+
+    log_sum and k may be arrays of candidates, tested elementwise.
+    """
     return log_sum <= FLAT_TAIL_ROUNDOFFS * k * roundoff_floor(n)
 
 
@@ -108,30 +112,37 @@ def _select_k_ks(lam: np.ndarray) -> int:
     the right-continuous step function i/k at the i-th smallest tail value.
     A flat tail (see hill_alpha) reads as k values at the threshold, where
     the degenerate model is 0, so its distance is 1. Ties in the distance
-    break toward larger k. Candidates whose threshold is zero cannot be fit
-    and are skipped.
+    break toward larger k. Candidates whose threshold is zero cannot be fit.
+
+    Every candidate's log-sum comes from one cumulative sum of the
+    log-eigenvalues (Clauset, Shalizi and Newman 2009), taken relative to the
+    largest so that a flat tail's sum stays at roundoff size. The distances
+    are computed KS_CANDIDATES candidates at a time, a block of at most
+    KS_CANDIDATES x n values.
     """
     n = lam.size
-    best_k = None
-    best_d = math.inf
-    log_lam = np.log(lam, out=np.full(n, -math.inf), where=lam > 0)
-    for k in range(2, n):
-        threshold = lam[n - k - 1]
-        if threshold <= 0.0:
-            continue
-        tail_logs = log_lam[n - k:] - math.log(threshold)
-        log_sum = float(tail_logs.sum())
-        if _is_flat(log_sum, k, n):
-            d = 1.0
-        else:
-            alpha = 1.0 + k / log_sum
-            model = 1.0 - np.exp((1.0 - alpha) * tail_logs)
-            d = float(np.max(np.abs(np.arange(1, k + 1) / k - model)))
-        if d <= best_d:
-            best_d = d
-            best_k = k
-    if best_k is None:
+    k_max = min(n, np.count_nonzero(lam)) - 1  # the largest k whose threshold lambda_{n-k} is positive
+    if k_max < 2:
         raise DegenerateSpectrumError("no candidate k admits a power-law fit")
+    # logs[p] = ln(lambda_{n-p} / lambda_n): candidate k's tail is logs[:k] and its threshold logs[k]
+    logs = np.log(lam[n - k_max - 1:][::-1])
+    logs -= logs[0]
+    tail_sums = np.cumsum(logs)
+    best_k, best_d = 0, math.inf
+    for first in range(2, k_max + 1, KS_CANDIDATES):
+        ks = np.arange(first, min(first + KS_CANDIDATES, k_max + 1))
+        log_sums = tail_sums[ks - 1] - ks * logs[ks]
+        flat = _is_flat(log_sums, ks, n)
+        alphas = 1.0 + ks / np.where(flat, 1.0, log_sums)
+        # row k, column p: the tail value of rank k - p above the threshold; both CDFs read 0 at columns p >= k
+        empirical = np.maximum(ks[:, None] - np.arange(ks[-1]), 0) / ks[:, None]
+        model = np.maximum(logs[: ks[-1]] - logs[ks, None], 0.0)
+        model *= (1.0 - alphas)[:, None]
+        model = 1.0 - np.exp(model, out=model)
+        d = np.where(flat, 1.0, np.max(np.abs(empirical - model), axis=1))
+        last = d.size - 1 - int(np.argmin(d[::-1]))  # the largest k of the block's smallest distance
+        if d[last] <= best_d:
+            best_k, best_d = int(ks[last]), d[last]
     return best_k
 
 
@@ -240,4 +251,7 @@ def analyze_snapshot(snapshot: WeightSnapshot, policy: LambdaMinPolicy) -> list[
     Numerical failures on a layer are captured in its row instead of
     aborting the snapshot.
     """
-    return [_analyze_layer(layer, policy) for layer in snapshot.layers]
+    layers = snapshot.layers
+    if isinstance(layers, StoredLayers):  # let orient read each one whole or in blocks of rows
+        layers = layers.table
+    return [_analyze_layer(layer, policy) for layer in layers]

@@ -20,7 +20,10 @@ Values are 64-bit IEEE-754 so a write/read cycle is bit-exact. In memory a
 LayerTensor holds its values in their own shape: only the file is flat.
 read_snapshot reads a stream whole. load_snapshot checks a file's whole
 layer table, seeking over the values, then reads each layer when it is
-asked for, so a caller walking the layers holds one at a time.
+asked for, so a caller walking the layers holds one at a time. Each entry
+of that table, a StoredLayer, can also read its layer's flattened rows a
+block at a time into one reused buffer, so a tall layer's Gram matrix can
+be summed without the layer ever in memory.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import BinaryIO
 
@@ -114,7 +117,7 @@ class WeightSnapshot:
 
     def layer_names(self) -> list[str]:
         if isinstance(self.layers, StoredLayers):  # from the layer table: no values are read
-            return [name for name, _dims, _offset in self.layers.table]
+            return [layer.name for layer in self.layers.table]
         return [layer.name for layer in self.layers]
 
 
@@ -163,13 +166,23 @@ class _Reader:
             raise SnapshotIOError(f"read failed: {exc}", self.offset) from exc
         except (OverflowError, MemoryError) as exc:  # a source that cannot seek, or a layer beyond memory
             raise SnapshotError(f"{context}: cannot buffer {count} bytes ({type(exc).__name__})") from exc
-        if data is None or len(data) < count:
+        self._advance(count, 0 if data is None else len(data), context)
+        return data
+
+    def readinto(self, buffer: np.ndarray, context: str) -> None:
+        """Fill buffer from the source, which must hold that many bytes."""
+        try:
+            got = self.source.readinto(buffer)
+        except OSError as exc:
+            raise SnapshotIOError(f"read failed: {exc}", self.offset) from exc
+        self._advance(buffer.nbytes, got or 0, context)
+
+    def _advance(self, count: int, got: int, context: str) -> None:
+        if got < count:
             raise SnapshotTruncatedError(
-                f"truncated {context}: wanted {count} bytes at offset {self.offset}, "
-                f"got {0 if data is None else len(data)}"
+                f"truncated {context}: wanted {count} bytes at offset {self.offset}, got {got}"
             )
         self.offset += count
-        return data
 
     def skip(self, count: int, context: str) -> None:
         """Seek a seekable source over count bytes, which it must hold."""
@@ -232,20 +245,53 @@ def read_snapshot(source: BinaryIO) -> WeightSnapshot:
 
 
 @dataclass(frozen=True)
+class StoredLayer:
+    """Layer idx of a snapshot file, found by load_snapshot's check of the layer table and read only when asked for."""
+
+    path: str
+    idx: int
+    name: str
+    dims: tuple[int, ...]
+    offset: int  # of its values
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of its flattened rows: a conv (out, in, kh, kw) tensor has out rows of in*kh*kw values."""
+        return self.dims[0], math.prod(self.dims[1:])
+
+    def read(self) -> LayerTensor:
+        """The whole layer."""
+        with open(self.path, "rb") as fh:  # a file gone since the load raises its OSError here
+            fh.seek(self.offset)
+            return _read_layer(_Reader(fh), self.idx, self.name, self.dims)
+
+    def row_blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """Its flattened rows, `rows` at a time (the last block may hold fewer), each read into one reused buffer.
+
+        A block is overwritten by the next, so use each before asking for the next.
+        """
+        total, cols = self.shape
+        buffer = np.empty(min(rows, total) * cols, dtype="<f8")
+        with open(self.path, "rb") as fh:
+            fh.seek(self.offset)
+            r = _Reader(fh)
+            for start in range(0, total, rows):
+                block = buffer[: min(rows, total - start) * cols]
+                r.readinto(block, f"at layer {self.idx} ({self.name!r})")
+                yield block.reshape(-1, cols)
+
+
+@dataclass(frozen=True)
 class StoredLayers(Sequence):
     """The layers of a snapshot file, each read from it when asked for and held by nothing here."""
 
-    path: str
-    table: tuple[tuple[str, tuple[int, ...], int], ...]  # per layer: (name, dims, offset of its values)
+    table: tuple[StoredLayer, ...]
 
     def __len__(self) -> int:
         return len(self.table)
 
     def __getitem__(self, idx: int) -> LayerTensor:
-        name, dims, offset = self.table[idx]
-        with open(self.path, "rb") as fh:  # a file gone since the load raises its OSError here
-            fh.seek(offset)
-            return _read_layer(_Reader(fh), idx, name, dims)
+        return self.table[idx].read()
 
 
 def save_snapshot(snapshot: WeightSnapshot, path: str) -> int:
@@ -268,4 +314,5 @@ def load_snapshot(path: str) -> WeightSnapshot:
             epoch, table = _parse(_Reader(fh), keep_values=False)
     except OSError as exc:
         raise SnapshotIOError(f"cannot read {path!r}: {exc}", 0) from exc
-    return WeightSnapshot(epoch=epoch, layers=StoredLayers(path, tuple(table)))
+    stored = tuple(StoredLayer(path, idx, *entry) for idx, entry in enumerate(table))
+    return WeightSnapshot(epoch=epoch, layers=StoredLayers(stored))

@@ -10,7 +10,7 @@ import numpy as np
 
 from tempbal.cli import main
 from tempbal.htsr import LambdaMinPolicy, analyze_snapshot
-from tempbal.weight_store import LayerTensor, WeightSnapshot, save_snapshot
+from tempbal.weight_store import LayerTensor, WeightSnapshot, load_snapshot, save_snapshot
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -98,7 +98,17 @@ def test_zoo_references_hold():
     """analyze_zoo's output checks, run in-process so that tier-1 fails on what would fail the bench."""
     workloads = load_perfbench("workloads")
     layers = tuple(LayerTensor(name, values.reshape(dims)) for name, dims, values in workloads.zoo_layers(201))
-    snapshot = WeightSnapshot(epoch=0, layers=layers)
+    check_zoo_references(workloads, WeightSnapshot(epoch=0, layers=layers))
+
+
+def test_zoo_references_hold_for_the_zoo_file(tmp_path):
+    """As the bench reads it: from a file, where the tall layer's Gram is summed over blocks of its rows."""
+    workloads = load_perfbench("workloads")
+    workloads.write_zoo(tmp_path / "zoo.wsnp", 201)
+    check_zoo_references(workloads, load_snapshot(str(tmp_path / "zoo.wsnp")))
+
+
+def check_zoo_references(workloads, snapshot):
     for variant in workloads.POLICIES:
         for row in analyze_snapshot(snapshot, LambdaMinPolicy(variant=variant)):
             if row.name == workloads.LOW_RANK and variant == "median":

@@ -59,7 +59,7 @@ def test_analyze_writes_metrics_and_histograms(snapshot_path, tmp_path):
     assert lines[0].startswith("layer,n,m,k,lambda_min,alpha_hill")
     rows = {line.split(",")[0]: line for line in lines[1:]}
     assert rows["pl64"].endswith("ok")
-    assert rows["dead"].endswith("degenerate")
+    assert rows["dead"].endswith("degenerate: 'dead': all eigenvalues are zero")
     # pl64 has decay 1.0, so the fitted exponent sits near 2
     alpha = float(rows["pl64"].split(",")[5])
     assert alpha == pytest.approx(2.0, rel=0.1)

@@ -7,7 +7,7 @@ from tempbal.errors import NumericalError
 from tempbal.esd import ESD, NonFiniteMatrixError, compute_esd, orient, roundoff_floor
 from tempbal.htsr import POLICY_VARIANTS, LambdaMinPolicy, layer_metrics
 from tempbal.rmt_lab import PLSpectrumSpec, synth_pl_matrix
-from tempbal.weight_store import LayerTensor
+from tempbal.weight_store import LayerTensor, WeightSnapshot, load_snapshot, save_snapshot
 
 EPS = np.finfo(np.float64).eps
 
@@ -23,6 +23,18 @@ def test_orient_transposes_tall():
     mat = orient(layer)
     assert (mat.n, mat.m, mat.transposed) == (10, 72, True)
     assert np.array_equal(mat.values, np.arange(720.0).reshape(72, 10).T)
+
+
+def test_orient_leaves_a_tall_stored_layer_in_its_file_and_reads_a_wide_one(tmp_path):
+    tall, wide = np.arange(720.0).reshape(72, 10), np.arange(720.0).reshape(10, 72)
+    path = str(tmp_path / "two.wsnp")
+    save_snapshot(WeightSnapshot(epoch=0, layers=(LayerTensor("tall", tall), LayerTensor("wide", wide))), path)
+    stored = load_snapshot(path).layers.table
+    mat = orient(stored[0])
+    assert mat.rows is stored[0] and (mat.n, mat.m, mat.transposed) == (10, 72, True)
+    assert np.array_equal(mat.values, tall.T)  # read whole only when asked for
+    mat = orient(stored[1])
+    assert isinstance(mat.rows, np.ndarray) and np.array_equal(mat.values, wide) and not mat.transposed
 
 
 def test_orient_conv_reshape_matches_index_oracle():

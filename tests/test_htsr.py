@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempbal.errors import NumericalError
-from tempbal.esd import ESD, compute_esd, orient
+from tempbal.esd import ESD, compute_esd, orient, roundoff_floor
 from tempbal.htsr import (
     DegenerateSpectrumError,
     DegenerateThresholdError,
@@ -20,7 +21,7 @@ from tempbal.htsr import (
 )
 from tempbal import htsr
 from tempbal.train_engine import ConvergenceError, snr_grad_term
-from tempbal.weight_store import LayerTensor, WeightSnapshot, load_snapshot, save_snapshot
+from tempbal.weight_store import LayerTensor, WeightSnapshot, load_snapshot, read_snapshot, save_snapshot
 
 
 def esd_of(values) -> ESD:
@@ -329,19 +330,75 @@ def test_analyze_snapshot_of_a_loaded_file_holds_one_layer_at_a_time(tmp_path, m
     save_snapshot(snap, str(path))
     expected = analyze_snapshot(snap, LambdaMinPolicy())
     seen = []
-    analyze_layer = htsr._analyze_layer
+    orient = htsr.orient
 
-    def spy(layer, policy):
-        # every earlier layer's values are freed before this one is analyzed
+    def spy(layer):
+        # orient reads a wide stored layer whole; every earlier layer's values are freed before this one is read
         assert all(ref() is None for ref in seen), [ref() is None for ref in seen]
-        seen.append(weakref.ref(layer.values))
-        return analyze_layer(layer, policy)
+        mat = orient(layer)
+        seen.append(weakref.ref(mat.rows))
+        return mat
 
-    monkeypatch.setattr(htsr, "_analyze_layer", spy)
+    monkeypatch.setattr(htsr, "orient", spy)
     rows = analyze_snapshot(load_snapshot(str(path)), LambdaMinPolicy())
     assert len(seen) == 4
     assert [(row.name, row.metrics) for row in rows] == [(row.name, row.metrics) for row in expected]
     assert all(a.esd.eigenvalues.tobytes() == b.esd.eigenvalues.tobytes() for a, b in zip(rows, expected))
+
+
+def eager_and_streamed(tmp_path, snap, variant):
+    """analyze_snapshot of snap read whole (read_snapshot) and loaded from a file (load_snapshot)."""
+    path = tmp_path / "snap.wsnp"
+    save_snapshot(snap, str(path))
+    policy = LambdaMinPolicy(variant=variant)
+    with open(path, "rb") as fh:
+        eager = analyze_snapshot(read_snapshot(fh), policy)
+    return eager, analyze_snapshot(load_snapshot(str(path)), policy)
+
+
+@pytest.mark.parametrize("variant", ["median", "ks", "fixfinger"])
+def test_a_tall_stored_layer_streams_to_the_eager_spectrum(tmp_path, variant):
+    rng = np.random.default_rng(21)
+    n = 24
+    # 3n + 5 rows: three full blocks and a short one; the conv has 80 > 4*3*3 rows
+    tall = rng.standard_t(3.0, size=(3 * n + 5, n))
+    conv = rng.standard_t(3.0, size=(80, 4, 3, 3))
+    snap = WeightSnapshot(epoch=0, layers=(LayerTensor("tall", tall), LayerTensor("conv", conv)))
+    eager, streamed = eager_and_streamed(tmp_path, snap, variant)
+    assert [(row.name, row.n, row.m) for row in streamed] == [("tall", n, 3 * n + 5), ("conv", 36, 80)]
+    for want, got in zip(eager, streamed):
+        lam = want.esd.eigenvalues
+        tol = 4 * roundoff_floor(want.n) * lam[-1]
+        assert np.max(np.abs(got.esd.eigenvalues - lam)) <= tol, want.name
+        assert got.metrics.k == want.metrics.k, want.name
+        assert got.metrics.alpha_hill == pytest.approx(want.metrics.alpha_hill, rel=1e-12), want.name
+
+
+def test_a_tall_stored_layer_with_a_nonfinite_last_block_is_degenerate_as_in_memory(tmp_path):
+    tall = np.random.default_rng(22).normal(size=(3 * 8 + 5, 8))
+    tall[-1, 3] = np.nan
+    snap = WeightSnapshot(epoch=0, layers=(LayerTensor("tall", tall),))
+    eager, streamed = eager_and_streamed(tmp_path, snap, "median")
+    assert streamed == eager
+    assert streamed[0].metrics is None and "non-finite entries" in streamed[0].error
+
+
+def test_analyze_memory_follows_the_gram_of_a_tall_stored_layer(tmp_path):
+    n = 128
+    layer = LayerTensor("tall", np.random.default_rng(23).normal(size=(16 * n, n)))
+    path = tmp_path / "tall.wsnp"
+    save_snapshot(WeightSnapshot(epoch=0, layers=(layer,)), str(path))
+    expected = analyze_snapshot(WeightSnapshot(epoch=0, layers=(layer,)), LambdaMinPolicy(variant="ks"))
+    del layer
+    tracemalloc.start()
+    try:
+        rows = analyze_snapshot(load_snapshot(str(path)), LambdaMinPolicy(variant="ks"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the layer is 16 n^2 doubles; the Gram, a block of n rows and one block's product are n^2 each
+    assert peak < 4 * n * n * 8, peak
+    assert rows[0].metrics.k == expected[0].metrics.k
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +514,46 @@ def outcome(fn, *args):
         return fn(*args)
     except NumericalError as exc:
         return type(exc)
+
+
+def ks_by_loop(lam):
+    """The KS selection as one loop over k, each log-sum taken on its own: the reference for htsr's blocks."""
+    n = lam.size
+    best_k, best_d = None, math.inf
+    log_lam = np.log(lam, out=np.full(n, -math.inf), where=lam > 0)
+    for k in range(2, n):
+        threshold = lam[n - k - 1]
+        if threshold <= 0.0:
+            continue
+        tail_logs = log_lam[n - k:] - math.log(threshold)
+        log_sum = float(tail_logs.sum())
+        if log_sum <= htsr.FLAT_TAIL_ROUNDOFFS * k * roundoff_floor(n):
+            d = 1.0
+        else:
+            alpha = 1.0 + k / log_sum
+            model = 1.0 - np.exp((1.0 - alpha) * tail_logs)
+            d = float(np.max(np.abs(np.arange(1, k + 1) / k - model)))
+        if d <= best_d:
+            best_k, best_d = k, d
+    if best_k is None:
+        raise DegenerateSpectrumError("no candidate")
+    return best_k
+
+
+@settings(max_examples=300)
+@given(scalable_spectra(), st.floats(1e-3, 1e3))
+def test_ks_selection_matches_the_per_k_loop(esd, c):
+    # the log-sums differ from the loop's in the last bits, which must not flip a k
+    for lam in (esd.eigenvalues, c * esd.eigenvalues):
+        assert outcome(htsr._select_k_ks, lam) == outcome(ks_by_loop, lam)
+
+
+def test_ks_selection_matches_the_per_k_loop_across_candidate_blocks():
+    # n = 300 spans five blocks of KS_CANDIDATES
+    rng = np.random.default_rng(31)
+    for w in (rng.standard_t(2.5, size=(300, 420)), rng.normal(size=(300, 40)) @ rng.normal(size=(40, 420))):
+        lam = compute_esd(orient(LayerTensor("w", w))).eigenvalues
+        assert htsr._select_k_ks(lam) == ks_by_loop(lam)
 
 
 @settings(max_examples=300)

@@ -263,8 +263,24 @@ def test_file_truncated_after_load_is_a_truncation_error(tmp_path, keep, first_s
         fh.truncate(int(os.path.getsize(path) * keep))
     for idx in range(first_short):
         assert loaded.layers[idx] == layers[idx]
+        assert len(list(loaded.layers.table[idx].row_blocks(3))) == 3
     with pytest.raises(SnapshotTruncatedError, match=f"layer {first_short} \\('l{first_short}'\\)"):
         list(loaded.layers)
+    # the same file cut short during a block read: at keep 0.99 only the last block of layer 2 is short
+    with pytest.raises(SnapshotTruncatedError, match=f"layer {first_short} \\('l{first_short}'\\)"):
+        for _block in loaded.layers.table[first_short].row_blocks(3):
+            pass
+
+
+def test_row_blocks_read_the_flattened_rows_into_one_buffer(tmp_path):
+    values = np.random.default_rng(15).normal(size=(11, 2, 2, 1))
+    path = saved(tmp_path, WeightSnapshot(epoch=0, layers=(LayerTensor("conv", values),)))
+    stored = load_snapshot(path).layers.table[0]
+    assert stored.shape == (11, 4)
+    blocks = [(block.copy(), block.base) for block in stored.row_blocks(4)]
+    assert [block.shape for block, _base in blocks] == [(4, 4), (4, 4), (3, 4)]
+    assert np.array_equal(np.vstack([block for block, _base in blocks]), values.reshape(11, 4))
+    assert len({id(base) for _block, base in blocks}) == 1
 
 
 def test_load_of_a_pipe_reads_it_whole(tmp_path):

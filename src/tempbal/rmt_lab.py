@@ -15,9 +15,10 @@ any exactly orthogonal frame will do; a dense one spreads each eigenvalue
 over the rows as a random rotation would, and a sign-flipped DCT is the
 usual cheap stand-in for one (Ailon & Chazelle, 2009). Only a left frame
 is built: the Gram spectrum never sees a right one. sweep_specs checks
-the cells of a sweep, verify_s_alpha sweeps the relation on a grid of s
-with one frame per size, and spike_experiment demonstrates how a rank-1
-update ejects an eigenvalue from a random bulk ("bulk+spike").
+the cells of a sweep, verify_s_alpha sweeps the relation on a grid of s,
+each cell scaling a frame of its own in place, and spike_experiment
+demonstrates how a rank-1 update ejects an eigenvalue from a random bulk
+("bulk+spike").
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ from .weight_store import LayerTensor
 
 # top/second eigenvalue ratio above which a spike counts as ejected
 SPIKE_SEPARATION = 3.0
-# a Q x Q float64 matrix is then 512 MiB. The numpy arrays of a sweep of one size peak
-# in a cell, at about three of them (frame, W and W W^T): 3.13 at Q = 512 under
-# tracemalloc; building the frame holds one. With the eigensolver's copy and LAPACK's
-# work space its resident memory rises by about four and a half (4.3 at Q = 2048)
+# a Q x Q float64 matrix is then 512 MiB. A sweep of one size peaks in a cell's
+# eigensolve, at three of them: W, W W^T and the eigensolver's copy (the numpy arrays
+# alone: 2.13 at Q = 512 under tracemalloc; building W holds little more than W). With
+# LAPACK's work space its resident memory rises by about three and a half (3.35 at Q = 2048)
 MAX_SIZE = 8192
+# rows of the frame gathered at a time, and the width of the column split in random_frame
+FRAME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -71,11 +74,14 @@ def random_frame(size: int, seed: int) -> np.ndarray:
     The orthonormal DCT-II basis C[j, k] = sqrt(2/Q) c_k cos(pi (2j+1) k / (2Q)),
     with c_0 = 1/sqrt(2) and c_k = 1 otherwise, is orthogonal, and so is any
     reordering or sign flip of its rows: row i of the frame is +-C[p_i], the
-    order p and the signs drawn from default_rng(seed). Row j's phases
-    (2j+1)k are reduced mod 4Q in integers and looked up in a table of the
-    4Q values cos(pi t / (2Q)), each computed from an angle within pi/4, so
-    every entry is within about two ulps at any size. Rows are filled in
-    place: the build holds one size x size array.
+    order p and the signs drawn from default_rng(seed). The phases (2j+1)k
+    are reduced mod 4Q in integers and looked up in a table of the 4Q values
+    cos(pi t / (2Q)), each computed from an angle within pi/4, so every entry
+    is within about two ulps at any size. A phase is the sum of the reduced
+    phases of k's multiple of FRAME_BLOCK and of its remainder, so it lies
+    below 8Q and is looked up in the table repeated twice: one division per
+    FRAME_BLOCK entries. Rows are gathered FRAME_BLOCK at a time straight
+    into the frame, so the build holds the frame and one block of phases.
     """
     rng = np.random.default_rng(seed)
     order = rng.permutation(size)
@@ -85,29 +91,33 @@ def random_frame(size: int, seed: int) -> np.ndarray:
     quarter = np.where(2 * t <= size, np.cos(t * step), np.sin((size - t) * step))  # t in [0, Q]
     half = np.concatenate([quarter, -quarter[-2::-1]])  # t in [0, 2Q]: cos(pi - x) = -cos(x)
     table = np.concatenate([half, half[-2:0:-1]]) * math.sqrt(2.0 / size)  # cos(2 pi - x) = cos(x)
-    signed = np.stack([table, -table])
-    cols = np.arange(size)
+    table = np.tile(table, 2)  # t in [0, 8Q)
+    high = np.arange(0, size, FRAME_BLOCK)
+    low = np.arange(FRAME_BLOCK)
     frame = np.empty((size, size))
-    for row, j, flip in zip(frame, order, flips):
-        np.take(signed[flip], (2 * j + 1) * cols % (4 * size), out=row)
+    for start in range(0, size, FRAME_BLOCK):
+        mult = 2 * order[start : start + FRAME_BLOCK] + 1  # these rows' phases are mult * k
+        high_phases = np.multiply.outer(mult, high) % (4 * size)
+        low_phases = np.multiply.outer(mult, low) % (4 * size)
+        phases = (high_phases[:, :, None] + low_phases[:, None]).reshape(mult.size, -1)[:, :size]
+        np.take(table, phases, out=frame[start : start + FRAME_BLOCK])
+    frame *= np.where(flips, -1.0, 1.0)[:, None]
     frame[:, 0] *= math.sqrt(0.5)
     return frame
 
 
-def synth_pl_matrix(spec: PLSpectrumSpec, frame: np.ndarray | None = None) -> OrientedMatrix:
+def synth_pl_matrix(spec: PLSpectrumSpec) -> OrientedMatrix:
     """Square matrix whose Gram eigenvalues equal the prescribed spectrum.
 
-    W = U diag(sqrt(lambda_k)) with U = frame, by default
-    random_frame(spec.size, spec.seed), the seeded shuffled and sign-flipped
-    DCT-II basis, so compute_esd(W), the spectrum of W W^T = U diag(lambda)
-    U^T, reproduces the prescription up to roundoff. No right singular frame
-    is drawn: W W^T is blind to it. Passing that frame saves recomputing it
-    and gives the same bytes; any orthogonal size x size frame gives the
-    same spectrum.
+    W = U diag(sqrt(lambda_k)) with U = random_frame(spec.size, spec.seed),
+    the seeded shuffled and sign-flipped DCT-II basis, scaled in place, so
+    building W holds no second size x size array. compute_esd(W), the
+    spectrum of W W^T = U diag(lambda) U^T, reproduces the prescription up
+    to roundoff. No right singular frame is drawn: W W^T is blind to it.
     """
-    if frame is None:
-        frame = random_frame(spec.size, spec.seed)
-    return orient(LayerTensor(f"pl_q{spec.size}_s{spec.decay:g}", frame * np.sqrt(pl_eigenvalues(spec))))
+    w = random_frame(spec.size, spec.seed)
+    w *= np.sqrt(pl_eigenvalues(spec))
+    return orient(LayerTensor(f"pl_q{spec.size}_s{spec.decay:g}", w))
 
 
 def max_decay(size: int) -> float:
@@ -160,19 +170,17 @@ def verify_s_alpha(
 ) -> list[SAlphaRow]:
     """Tabulate the fitted Hill exponent against the prediction 1 + 1/s.
 
-    The cells of sweep_specs(size, s_grid, seed) share one seed, so one
-    random_frame is drawn for the size and each cell scales it into a matrix
-    with spectrum k^(-s): the bytes synth_pl_matrix(spec) gives alone, for
-    one frame per size in place of one per cell. Each is fit with the median
-    threshold policy (k = n/2), whose threshold is the prescribed eigenvalue
-    (n//2 + 1)^(-s).
+    The cells of sweep_specs(size, s_grid, seed) share one seed, so each
+    cell's synth_pl_matrix(spec) scales the same frame into a matrix with
+    spectrum k^(-s). Each cell builds that frame itself, in place, and drops
+    it with its matrix, so no frame outlives its cell. Each is fit with the
+    median threshold policy (k = n/2), whose threshold is the prescribed
+    eigenvalue (n//2 + 1)^(-s).
     """
     policy = LambdaMinPolicy(variant="median")
-    specs = sweep_specs(size, s_grid, seed)
-    frame = random_frame(size, specs[0].seed)
     rows = []
-    for spec in specs:
-        metrics = layer_metrics(compute_esd(synth_pl_matrix(spec, frame)), policy)
+    for spec in sweep_specs(size, s_grid, seed):
+        metrics = layer_metrics(compute_esd(synth_pl_matrix(spec)), policy)
         pred = 1.0 + 1.0 / spec.decay
         rows.append(
             SAlphaRow(

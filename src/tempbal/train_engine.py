@@ -551,6 +551,8 @@ def _param_lr_map(decision: ScheduleDecision, params: dict[str, np.ndarray]) -> 
     return {name: rates.get(name[:-2], eta_t) if name.endswith(".w") else eta_t for name in params}
 
 
+# a diverging run overflows in its passes, SGD steps and eval: the loss guard stops it, so numpy need not warn
+@np.errstate(over="ignore", invalid="ignore")
 def run_training(
     model: ModelSpec,
     data: GaussianMixtureSpec | CsvDataSpec | Dataset,

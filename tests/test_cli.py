@@ -1,7 +1,10 @@
 import contextlib
 import csv
 import io
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -94,6 +97,15 @@ def test_analyze_truncated_file_exit_2(snapshot_path, tmp_path):
     cut = tmp_path / "cut.wsnp"
     cut.write_bytes(raw[: len(raw) // 2])
     assert main(["analyze", str(cut)]) == 2
+
+
+def test_unwritable_output_exit_2(tmp_path, snapshot_path, capsys):
+    # an output that cannot be written is an I/O error, like an input that cannot be read
+    missing = tmp_path / "missing" / "t.csv"
+    assert_usage_error(["rmt", "--q", "64", "--s", "1.0", "--out", str(missing)], capsys, code=2)
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    assert_usage_error(["analyze", str(snapshot_path), "--out-dir", str(regular)], capsys, code=2)
 
 
 def test_analyze_zero_layer_snapshot_exit_2(tmp_path):
@@ -242,10 +254,34 @@ def test_train_malformed_line_exit_1(tmp_path):
 
 def test_train_divergence_exit_3(tmp_path, capsys):
     cfg = train_config(tmp_path, eta0="1e9", assignment="global_only")
-    with np.errstate(all="ignore"):
-        rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "d")])
+    rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "d")])
     assert rc == 3
     assert "epoch" in capsys.readouterr().err
+
+
+def run_cli(argv):
+    """python -m tempbal.cli in a fresh interpreter, under numpy's default error state and warning filters."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "tempbal.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+# the bench's train_refresh config, whose lars run diverges at eta0 = 0.1
+TRAIN_REFRESH_LARS = dict(
+    dim=128, hidden="256,256,128", classes=10, samples=2560, update_interval_iters=5, seed=7, assignment="lars"
+)
+
+
+@pytest.mark.parametrize(
+    "overrides", [dict(eta0="1e9", assignment="global_only"), TRAIN_REFRESH_LARS], ids=["global_only", "lars"]
+)
+def test_diverging_train_writes_only_its_error_line(tmp_path, overrides):
+    # numpy's overflow warnings on the way to the non-finite loss stay silent
+    cfg = train_config(tmp_path, **overrides)
+    proc = run_cli(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "d")])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: training diverged") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_train_missing_config_exit_1(tmp_path):

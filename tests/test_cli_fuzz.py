@@ -6,6 +6,7 @@ no example allocates more than a few MB.
 
 import contextlib
 import io
+import struct
 import tempfile
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempbal.cli import CONFIG_KEYS, main
-from tempbal.weight_store import LayerTensor, WeightSnapshot, save_snapshot
+from tempbal.weight_store import LayerTensor, WeightSnapshot, save_snapshot, write_snapshot
 
 FUZZ = settings(max_examples=100)
 
@@ -88,3 +89,65 @@ def test_analyze_argv_fuzz(policy, bins, exists):
 def test_rmt_argv_fuzz(q, s, seed):
     with tempfile.TemporaryDirectory() as tmp:
         run_main(["rmt", "--q", q, "--s", s, "--seed", str(seed), "--out", str(Path(tmp) / "t.csv")])
+
+
+# ---------------------------------------------------------------------------
+# damaged .wsnp bytes
+
+
+def _damage_target() -> tuple[bytes, list[int], list[int]]:
+    """A 2.6 KB three-layer file (tall, conv, wide) with the offsets of its header bytes and of its values."""
+    rng = np.random.default_rng(3)
+    layers = (
+        LayerTensor("tall", rng.normal(size=(30, 6))),  # streamed in row blocks
+        LayerTensor("conv", rng.normal(size=(4, 2, 3, 3))),
+        LayerTensor("wide", rng.normal(size=(5, 12))),
+    )
+    buf = io.BytesIO()
+    write_snapshot(WeightSnapshot(epoch=1, layers=layers), buf)
+    header, values = list(range(16)), []
+    pos = 16
+    for layer in layers:
+        size = 4 + len(layer.name.encode()) + 4 + 8 * layer.values.ndim
+        header += range(pos, pos + size)
+        values += range(pos + size, pos + size + 8 * layer.values.size, 8)
+        pos += size + 8 * layer.values.size
+    raw = buf.getvalue()
+    assert pos == len(raw)
+    return raw, header, values
+
+
+RAW, HEADER_BYTES, VALUE_OFFSETS = _damage_target()
+
+
+def _overwrite(edits) -> bytes:
+    raw = bytearray(RAW)
+    for offset, value in edits:
+        raw[offset : offset + len(value)] = value
+    return bytes(raw)
+
+
+DAMAGE = st.one_of(
+    st.integers(0, len(RAW) - 1).map(lambda cut: RAW[:cut]),
+    st.lists(st.tuples(st.sampled_from(HEADER_BYTES), st.binary(min_size=1, max_size=1)), min_size=1, max_size=3).map(
+        _overwrite
+    ),
+    st.tuples(
+        st.sampled_from(VALUE_OFFSETS), st.sampled_from((np.nan, np.inf, 1e200, -0.0)).map(lambda v: struct.pack("<d", v))
+    ).map(lambda edit: _overwrite([edit])),
+)
+
+
+@settings(max_examples=200)
+@given(DAMAGE, st.sampled_from(("median", "ks", "fixfinger")))
+def test_analyze_of_damaged_bytes_exits_0_or_2(raw, policy):
+    # no errstate here: a numpy warning fails the run, as a traceback would
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.wsnp"
+        path.write_bytes(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(path), "--policy", policy, "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 2)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()

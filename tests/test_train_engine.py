@@ -441,7 +441,6 @@ def test_range_invariant_over_run():
         assert 0.5 * eta_t - 1e-15 <= row.lr <= 1.5 * eta_t + 1e-15
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_guard():
     model = ModelSpec(widths=(12, 16, 12, 8, 2), seed=0)
     data = GaussianMixtureSpec(classes=2, dim=12, samples=300, separation=6.0)

@@ -70,7 +70,7 @@ class OrientedMatrix:
         """W as one array; a stored layer is read whole for it, which gram never does."""
         rows = self.rows
         if isinstance(rows, StoredLayer):
-            rows = rows.read().values.reshape(rows.shape)
+            rows = rows.values.reshape(rows.shape)
         return rows.T if self.transposed else rows
 
     def row_blocks(self) -> Iterable[np.ndarray]:
@@ -114,11 +114,10 @@ def orient(layer: LayerTensor | StoredLayer) -> OrientedMatrix:
     stays in its file, for gram to read in blocks of rows; any other stored
     layer is read whole, since each entry of W W^T needs two whole rows.
     """
-    if isinstance(layer, StoredLayer):
-        if layer.shape[0] > layer.shape[1]:
-            return OrientedMatrix(rows=layer, source_name=layer.name, transposed=True)
-        layer = layer.read()
-    flat = layer.values.reshape(layer.values.shape[0], -1)  # a view: LayerTensor's values are C-contiguous
+    if isinstance(layer, StoredLayer) and layer.shape[0] > layer.shape[1]:
+        return OrientedMatrix(rows=layer, source_name=layer.name, transposed=True)
+    values = layer.values  # read once: a stored layer reads its file at each access
+    flat = values.reshape(values.shape[0], -1)  # a view: LayerTensor's values are C-contiguous
     return OrientedMatrix(rows=flat, source_name=layer.name, transposed=flat.shape[0] > flat.shape[1])
 
 

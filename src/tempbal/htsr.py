@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .esd import ESD, compute_esd, orient, roundoff_floor
-from .weight_store import StoredLayers, WeightSnapshot
+from .weight_store import WeightSnapshot
 
 POLICY_VARIANTS = ("median", "ks", "fixfinger")
 MAX_HISTOGRAM_BINS = 10_000  # a histogram allocates O(bins); analyze writes a row per bin and layer
@@ -251,7 +251,4 @@ def analyze_snapshot(snapshot: WeightSnapshot, policy: LambdaMinPolicy) -> list[
     Numerical failures on a layer are captured in its row instead of
     aborting the snapshot.
     """
-    layers = snapshot.layers
-    if isinstance(layers, StoredLayers):  # let orient read each one whole or in blocks of rows
-        layers = layers.table
-    return [_analyze_layer(layer, policy) for layer in layers]
+    return [_analyze_layer(layer, policy) for layer in snapshot.layers]

@@ -187,17 +187,14 @@ def assign_lars(
     eta_t: float,
     weight_norms: Mapping[str, float],
     grad_norms: Mapping[str, float],
-    eps: float = LARS_EPS,
 ) -> dict[str, float]:
-    """Trust-ratio rates eta_t * ||w|| / (||g|| + eps); zero-norm layers ride eta_t."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    """Trust-ratio rates eta_t * ||w|| / (||g|| + LARS_EPS); zero-norm layers ride eta_t."""
     out = {}
     for name, w_norm in weight_norms.items():
         if w_norm == 0.0:
             out[name] = eta_t
         else:
-            out[name] = eta_t * w_norm / (grad_norms.get(name, 0.0) + eps)
+            out[name] = eta_t * w_norm / (grad_norms.get(name, 0.0) + LARS_EPS)
     return out
 
 

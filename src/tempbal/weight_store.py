@@ -19,11 +19,12 @@ File layout (".wsnp", all integers little-endian):
 Values are 64-bit IEEE-754 so a write/read cycle is bit-exact. In memory a
 LayerTensor holds its values in their own shape: only the file is flat.
 read_snapshot reads a stream whole. load_snapshot checks a file's whole
-layer table, seeking over the values, then reads each layer when it is
-asked for, so a caller walking the layers holds one at a time. Each entry
-of that table, a StoredLayer, can also read its layer's flattened rows a
-block at a time into one reused buffer, so a tall layer's Gram matrix can
-be summed without the layer ever in memory.
+layer table, seeking over the values, and gives a snapshot whose layers are
+the entries of that table: each StoredLayer reads its values from the file
+at each access and keeps none, so a caller walking the layers holds one at
+a time. A StoredLayer can also read its flattened rows a block at a time
+into one reused buffer, so a tall layer's Gram matrix can be summed without
+the layer ever in memory.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import BinaryIO
 
@@ -99,14 +100,13 @@ class LayerTensor:
 
 @dataclass(frozen=True)
 class WeightSnapshot:
-    """Ordered collection of layer tensors at one epoch."""
+    """Ordered collection of layer tensors at one epoch; a loaded file's are its StoredLayer entries."""
 
     epoch: int
-    layers: Sequence[LayerTensor]  # a tuple, or the StoredLayers of a loaded file
+    layers: tuple[LayerTensor | StoredLayer, ...]  # any iterable is stored as a tuple
 
     def __post_init__(self):
-        if not isinstance(self.layers, StoredLayers):
-            object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "layers", tuple(self.layers))
         if self.epoch < 0:
             raise SnapshotStructureError(f"epoch must be nonnegative, got {self.epoch}")
         if not self.layers:
@@ -116,8 +116,6 @@ class WeightSnapshot:
             raise SnapshotStructureError("layer names must be unique within a snapshot")
 
     def layer_names(self) -> list[str]:
-        if isinstance(self.layers, StoredLayers):  # from the layer table: no values are read
-            return [layer.name for layer in self.layers.table]
         return [layer.name for layer in self.layers]
 
 
@@ -132,9 +130,10 @@ def write_snapshot(snapshot: WeightSnapshot, dest: BinaryIO) -> int:
         name_bytes = layer.name.encode("utf-8")
         chunks.append(struct.pack("<I", len(name_bytes)))
         chunks.append(name_bytes)
-        chunks.append(struct.pack("<I", layer.values.ndim))
-        chunks.append(struct.pack(f"<{layer.values.ndim}Q", *layer.values.shape))
-        chunks.append(layer.values.astype("<f8", copy=False).tobytes())
+        values = layer.values  # a stored layer reads its file at each access
+        chunks.append(struct.pack("<I", values.ndim))
+        chunks.append(struct.pack(f"<{values.ndim}Q", *values.shape))
+        chunks.append(values.astype("<f8", copy=False).tobytes())
     written = 0
     for chunk in chunks:
         try:
@@ -246,7 +245,7 @@ def read_snapshot(source: BinaryIO) -> WeightSnapshot:
 
 @dataclass(frozen=True)
 class StoredLayer:
-    """Layer idx of a snapshot file, found by load_snapshot's check of the layer table and read only when asked for."""
+    """Layer idx of a snapshot file, found by load_snapshot's check of the layer table; values reads it at each access."""
 
     path: str
     idx: int
@@ -259,11 +258,12 @@ class StoredLayer:
         """The shape of its flattened rows: a conv (out, in, kh, kw) tensor has out rows of in*kh*kw values."""
         return self.dims[0], math.prod(self.dims[1:])
 
-    def read(self) -> LayerTensor:
-        """The whole layer."""
+    @property
+    def values(self) -> np.ndarray:
+        """The whole layer in its own shape, read from the file at each access as a read-only view."""
         with open(self.path, "rb") as fh:  # a file gone since the load raises its OSError here
             fh.seek(self.offset)
-            return _read_layer(_Reader(fh), self.idx, self.name, self.dims)
+            return _read_layer(_Reader(fh), self.idx, self.name, self.dims).values
 
     def row_blocks(self, rows: int) -> Iterator[np.ndarray]:
         """Its flattened rows, `rows` at a time (the last block may hold fewer), each read into one reused buffer.
@@ -281,19 +281,6 @@ class StoredLayer:
                 yield block.reshape(-1, cols)
 
 
-@dataclass(frozen=True)
-class StoredLayers(Sequence):
-    """The layers of a snapshot file, each read from it when asked for and held by nothing here."""
-
-    table: tuple[StoredLayer, ...]
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __getitem__(self, idx: int) -> LayerTensor:
-        return self.table[idx].read()
-
-
 def save_snapshot(snapshot: WeightSnapshot, path: str) -> int:
     try:
         with open(path, "wb") as fh:
@@ -303,9 +290,9 @@ def save_snapshot(snapshot: WeightSnapshot, path: str) -> int:
 
 
 def load_snapshot(path: str) -> WeightSnapshot:
-    """Check a file's header and whole layer table as read_snapshot does, then read each layer when it is asked for.
+    """Check a file's header and whole layer table as read_snapshot does; each layer is a StoredLayer of that table.
 
-    A caller that walks the layers holds one at a time; values are read-only views. A pipe is read whole.
+    A caller that walks the layers holds one layer's values at a time; values are read-only views. A pipe is read whole.
     """
     try:
         with open(path, "rb") as fh:
@@ -314,5 +301,4 @@ def load_snapshot(path: str) -> WeightSnapshot:
             epoch, table = _parse(_Reader(fh), keep_values=False)
     except OSError as exc:
         raise SnapshotIOError(f"cannot read {path!r}: {exc}", 0) from exc
-    stored = tuple(StoredLayer(path, idx, *entry) for idx, entry in enumerate(table))
-    return WeightSnapshot(epoch=epoch, layers=StoredLayers(stored))
+    return WeightSnapshot(epoch=epoch, layers=(StoredLayer(path, idx, *entry) for idx, entry in enumerate(table)))

@@ -29,7 +29,7 @@ def test_orient_leaves_a_tall_stored_layer_in_its_file_and_reads_a_wide_one(tmp_
     tall, wide = np.arange(720.0).reshape(72, 10), np.arange(720.0).reshape(10, 72)
     path = str(tmp_path / "two.wsnp")
     save_snapshot(WeightSnapshot(epoch=0, layers=(LayerTensor("tall", tall), LayerTensor("wide", wide))), path)
-    stored = load_snapshot(path).layers.table
+    stored = load_snapshot(path).layers
     mat = orient(stored[0])
     assert mat.rows is stored[0] and (mat.n, mat.m, mat.transposed) == (10, 72, True)
     assert np.array_equal(mat.values, tall.T)  # read whole only when asked for

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tempbal.errors import ConfigError
 from tempbal.htsr import LambdaMinPolicy
 from tempbal.scheduler import (
+    LARS_EPS,
     AssignmentError,
     ScheduleConfig,
     assign_lars,
@@ -195,8 +196,8 @@ def test_variant_monotonicity():
 
 
 def test_lars_ratio():
-    out = assign_lars(0.1, {"A": 2.0}, {"A": 1.0}, eps=1e-15)
-    assert out["A"] == pytest.approx(0.2, rel=1e-12)
+    out = assign_lars(0.1, {"A": 2.0}, {"A": 1.0})
+    assert out["A"] == pytest.approx(0.1 * 2 / (1 + LARS_EPS), rel=1e-12)
 
 
 def test_lars_zero_weight_rides_global():
@@ -205,8 +206,8 @@ def test_lars_zero_weight_rides_global():
 
 
 def test_lars_eps_floor():
-    out = assign_lars(0.1, {"A": 1.0}, {"A": 0.0}, eps=1e-8)
-    assert out["A"] == pytest.approx(0.1 * 1e8, rel=1e-12)
+    out = assign_lars(0.1, {"A": 1.0}, {"A": 0.0})
+    assert out["A"] == pytest.approx(0.1 / LARS_EPS, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

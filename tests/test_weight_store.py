@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_snapshot
+from tempbal import weight_store
 from tempbal.weight_store import (
     MAGIC,
     LayerTensor,
@@ -226,6 +227,11 @@ def saved(tmp_path, snapshot: WeightSnapshot) -> str:
     return path
 
 
+def tensor(layer) -> LayerTensor:
+    """A stored layer's name and values as a LayerTensor, which == compares by name, shape and bytes."""
+    return LayerTensor(layer.name, layer.values)
+
+
 def test_loaded_layers_are_reiterable_read_only_and_equal_to_a_read(tmp_path):
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -235,11 +241,11 @@ def test_loaded_layers_are_reiterable_read_only_and_equal_to_a_read(tmp_path):
         loaded = load_snapshot(path)
         assert loaded.epoch == read.epoch and len(loaded.layers) == len(read.layers)
         for _pass in range(2):
-            layers = list(loaded.layers)
+            layers = [tensor(layer) for layer in loaded.layers]
             assert layers == list(read.layers)
             assert [layer.values.shape for layer in layers] == [layer.values.shape for layer in read.layers]
             assert not any(layer.values.flags.writeable for layer in layers)
-        assert loaded.layers[-1] == read.layers[-1]
+        assert tensor(loaded.layers[-1]) == read.layers[-1]
 
 
 def test_loaded_len_and_names_read_no_values(tmp_path):
@@ -249,8 +255,9 @@ def test_loaded_len_and_names_read_no_values(tmp_path):
     loaded = load_snapshot(path)
     os.remove(path)  # only a read of the values can notice
     assert len(loaded.layers) == len(names) and loaded.layer_names() == names
+    assert [layer.name for layer in list(loaded.layers)] == names
     with pytest.raises(FileNotFoundError):
-        list(loaded.layers)
+        [layer.values for layer in loaded.layers]
 
 
 @pytest.mark.parametrize("keep, first_short", [(0.99, 2), (0.5, 1), (0.0, 0)])
@@ -262,25 +269,42 @@ def test_file_truncated_after_load_is_a_truncation_error(tmp_path, keep, first_s
     with open(path, "r+b") as fh:
         fh.truncate(int(os.path.getsize(path) * keep))
     for idx in range(first_short):
-        assert loaded.layers[idx] == layers[idx]
-        assert len(list(loaded.layers.table[idx].row_blocks(3))) == 3
+        assert tensor(loaded.layers[idx]) == layers[idx]
+        assert len(list(loaded.layers[idx].row_blocks(3))) == 3
     with pytest.raises(SnapshotTruncatedError, match=f"layer {first_short} \\('l{first_short}'\\)"):
-        list(loaded.layers)
+        [layer.values for layer in loaded.layers]
     # the same file cut short during a block read: at keep 0.99 only the last block of layer 2 is short
     with pytest.raises(SnapshotTruncatedError, match=f"layer {first_short} \\('l{first_short}'\\)"):
-        for _block in loaded.layers.table[first_short].row_blocks(3):
+        for _block in loaded.layers[first_short].row_blocks(3):
             pass
 
 
 def test_row_blocks_read_the_flattened_rows_into_one_buffer(tmp_path):
     values = np.random.default_rng(15).normal(size=(11, 2, 2, 1))
     path = saved(tmp_path, WeightSnapshot(epoch=0, layers=(LayerTensor("conv", values),)))
-    stored = load_snapshot(path).layers.table[0]
+    stored = load_snapshot(path).layers[0]
     assert stored.shape == (11, 4)
     blocks = [(block.copy(), block.base) for block in stored.row_blocks(4)]
     assert [block.shape for block, _base in blocks] == [(4, 4), (4, 4), (3, 4)]
     assert np.array_equal(np.vstack([block for block, _base in blocks]), values.reshape(11, 4))
     assert len({id(base) for _block, base in blocks}) == 1
+
+
+def test_writing_a_loaded_snapshot_reads_each_layer_once_and_gives_the_same_bytes(tmp_path, monkeypatch):
+    snap = random_snapshot(np.random.default_rng(16), max_layers=6)
+    path = saved(tmp_path, snap)
+    read_layer, reads = weight_store._read_layer, []
+
+    def spy(r, idx, name, dims):
+        reads.append(idx)
+        return read_layer(r, idx, name, dims)
+
+    monkeypatch.setattr(weight_store, "_read_layer", spy)
+    copy = str(tmp_path / "copy.wsnp")
+    save_snapshot(load_snapshot(path), copy)
+    assert reads == list(range(len(snap.layers)))
+    with open(path, "rb") as want, open(copy, "rb") as got:
+        assert got.read() == want.read()
 
 
 def test_load_of_a_pipe_reads_it_whole(tmp_path):

@@ -104,7 +104,7 @@ def hill_alpha(esd: ESD, k: int) -> float:
     return 1.0 + k / log_sum
 
 
-def _select_k_ks(lam: np.ndarray) -> int:
+def _select_k_ks(lam: np.ndarray, source_name: str = "") -> int:
     """k minimizing the KS distance of the fitted truncated power law.
 
     For each candidate k the model CDF on the tail is
@@ -112,7 +112,8 @@ def _select_k_ks(lam: np.ndarray) -> int:
     the right-continuous step function i/k at the i-th smallest tail value.
     A flat tail (see hill_alpha) reads as k values at the threshold, where
     the degenerate model is 0, so its distance is 1. Ties in the distance
-    break toward larger k. Candidates whose threshold is zero cannot be fit.
+    break toward larger k. Candidates whose threshold is zero cannot be fit;
+    with fewer than two left, DegenerateSpectrumError names source_name.
 
     Every candidate's log-sum comes from one cumulative sum of the
     log-eigenvalues (Clauset, Shalizi and Newman 2009), taken relative to the
@@ -123,7 +124,7 @@ def _select_k_ks(lam: np.ndarray) -> int:
     n = lam.size
     k_max = min(n, np.count_nonzero(lam)) - 1  # the largest k whose threshold lambda_{n-k} is positive
     if k_max < 2:
-        raise DegenerateSpectrumError("no candidate k admits a power-law fit")
+        raise DegenerateSpectrumError(f"{source_name!r}: no candidate k admits a power-law fit")
     # logs[p] = ln(lambda_{n-p} / lambda_n): candidate k's tail is logs[:k] and its threshold logs[k]
     logs = np.log(lam[n - k_max - 1:][::-1])
     logs -= logs[0]
@@ -196,7 +197,7 @@ def select_k(esd: ESD, policy: LambdaMinPolicy) -> int:
     if policy.variant == "median":
         return n // 2
     if policy.variant == "ks":
-        return _select_k_ks(lam)
+        return _select_k_ks(lam, esd.source_name)
     return _select_k_fixfinger(lam, policy.histogram_bins)
 
 

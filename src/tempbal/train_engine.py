@@ -30,10 +30,10 @@ INIT_SCHEMES = ("he", "xavier")
 
 
 class DivergenceError(NumericalError):
-    """Training loss became non-finite."""
+    """Training loss or an eval logit became non-finite."""
 
     def __init__(self, epoch: int):
-        super().__init__(f"training diverged at epoch {epoch} (non-finite loss)")
+        super().__init__(f"training diverged at epoch {epoch} (non-finite loss or eval logit)")
         self.epoch = epoch
 
 
@@ -137,11 +137,8 @@ def weight_layer_names(spec: ModelSpec) -> list[str]:
 
 
 def snapshot_params(params: dict[str, np.ndarray], spec: ModelSpec, epoch: int) -> WeightSnapshot:
-    """Snapshot of the 2-D/4-D weight tensors (biases are not analyzed)."""
-    layers = []
-    for name in weight_layer_names(spec):
-        layers.append(LayerTensor(name, params[f"{name}.w"].copy()))
-    return WeightSnapshot(epoch=epoch, layers=tuple(layers))
+    """Snapshot of the 2-D/4-D weight tensors (biases are not analyzed); it views the arrays in params, copying none."""
+    return WeightSnapshot(epoch, (LayerTensor(name, params[f"{name}.w"]) for name in weight_layer_names(spec)))
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -247,11 +244,14 @@ def predict(params, spec: ModelSpec, x: np.ndarray, batch_size: int) -> np.ndarr
     """Predicted class of each row, from forward passes over chunks of batch_size rows.
 
     Only one chunk's activations are alive at a time, so memory tracks
-    batch_size and not len(x).
+    batch_size and not len(x). A non-finite logit, which has no argmax to
+    trust, raises NumericalError.
     """
     labels = np.empty(len(x), dtype=np.intp)
     for start in range(0, len(x), batch_size):
         logits, _ = _forward(params, spec, x[start:start + batch_size])
+        if not np.isfinite(logits).all():
+            raise NumericalError(f"non-finite logit in rows {start} to {start + len(logits) - 1}")
         labels[start:start + batch_size] = np.argmax(logits, axis=1)
     return labels
 
@@ -399,9 +399,6 @@ class Dataset:
         for start in range(0, len(order), batch_size):
             sel = order[start:start + batch_size]
             yield self.x_train[sel], self.y_train[sel]
-
-    def iters_per_epoch(self, batch_size: int) -> int:
-        return (len(self.x_train) + batch_size - 1) // batch_size
 
 
 def _load_csv(spec: CsvDataSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -551,7 +548,7 @@ def _param_lr_map(decision: ScheduleDecision, params: dict[str, np.ndarray]) -> 
     return {name: rates.get(name[:-2], eta_t) if name.endswith(".w") else eta_t for name in params}
 
 
-# a diverging run overflows in its passes, SGD steps and eval: the loss guard stops it, so numpy need not warn
+# a diverging run overflows in its passes, SGD steps and eval: the loss and eval guards stop it, so numpy need not warn
 @np.errstate(over="ignore", invalid="ignore")
 def run_training(
     model: ModelSpec,
@@ -568,7 +565,7 @@ def run_training(
     data is a dataset spec, materialized here with make_dataset(data, seed),
     or a Dataset already built. Returns the telemetry table and the final
     weight snapshot. Aborts with DivergenceError as soon as a batch loss is
-    non-finite.
+    non-finite, or an epoch's eval pass meets a non-finite logit.
     """
     if epochs is None:
         epochs = sched.total_epochs
@@ -589,16 +586,13 @@ def run_training(
     telemetry = TrainTelemetry()
     last_grad_norms: dict[str, float] | None = None
 
-    # the schedule refreshes at least once per epoch: eta_t changes with t
-    interval = min(sched.update_interval_iters, dataset.iters_per_epoch(optim.batch_size))
-
     for t in range(epochs):
         epoch_start = perf_counter()
         analysis_sec = 0.0
         decision = None
         batch_losses = []
         for it, (xb, yb) in enumerate(dataset.batches(t, optim.batch_size)):
-            if it % interval == 0:
+            if it % sched.update_interval_iters == 0:  # it restarts at 0, so each epoch refreshes first
                 a0 = perf_counter()
                 snap = snapshot_params(params, model, epoch=t)
                 decision = schedule_epoch(sched, t, snap, policy, grad_norms=last_grad_norms)
@@ -620,7 +614,10 @@ def run_training(
                 name: float(np.linalg.norm(grads[f"{name}.w"])) for name in layer_names
             }
             sgd_step(params, grads, optim, lr_map)
-        eval_acc = accuracy(params, model, dataset.x_eval, dataset.y_eval, optim.batch_size)
+        try:
+            eval_acc = accuracy(params, model, dataset.x_eval, dataset.y_eval, optim.batch_size)
+        except NumericalError as exc:
+            raise DivergenceError(t) from exc
         train_loss = float(np.mean(batch_losses))
         epoch_sec = perf_counter() - epoch_start
         fits = {row.name: row.metrics for row in decision.analyses}

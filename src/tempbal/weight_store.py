@@ -120,27 +120,29 @@ class WeightSnapshot:
 
 
 def write_snapshot(snapshot: WeightSnapshot, dest: BinaryIO) -> int:
-    """Serialize a snapshot to a byte sink. Returns the number of bytes written.
+    """Serialize a snapshot to a byte sink, each piece as it is encoded. Returns the number of bytes written.
 
-    Writing is a pure function of the snapshot: the same snapshot always
-    produces the same bytes.
+    Writing is a pure function of the snapshot: the same snapshot always produces the same bytes. A layer's
+    values are written from its own array, and a loaded snapshot's layers are read one at a time.
     """
-    chunks = [MAGIC, struct.pack("<III", VERSION, snapshot.epoch, len(snapshot.layers))]
-    for layer in snapshot.layers:
-        name_bytes = layer.name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(name_bytes)))
-        chunks.append(name_bytes)
-        values = layer.values  # a stored layer reads its file at each access
-        chunks.append(struct.pack("<I", values.ndim))
-        chunks.append(struct.pack(f"<{values.ndim}Q", *values.shape))
-        chunks.append(values.astype("<f8", copy=False).tobytes())
     written = 0
-    for chunk in chunks:
+
+    def write(piece: bytes | np.ndarray) -> None:
+        nonlocal written
         try:
-            dest.write(chunk)
+            dest.write(piece)
         except OSError as exc:
             raise SnapshotIOError(f"write failed: {exc}", written) from exc
-        written += len(chunk)
+        written += memoryview(piece).nbytes
+
+    write(MAGIC + struct.pack("<III", VERSION, snapshot.epoch, len(snapshot.layers)))
+    for layer in snapshot.layers:
+        name_bytes = layer.name.encode("utf-8")
+        write(struct.pack("<I", len(name_bytes)) + name_bytes)
+        values = layer.values  # a stored layer reads its file at each access
+        write(struct.pack(f"<I{values.ndim}Q", values.ndim, *values.shape))
+        write(values.astype("<f8", copy=False))
+        del values  # before the next layer is read
     return written
 
 

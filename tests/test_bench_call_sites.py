@@ -1,6 +1,7 @@
 """The benchmark's hooks into tempbal: traced call sites must exist and fire, and its zoo references must hold."""
 
 import contextlib
+import filecmp
 import importlib
 import importlib.util
 import io
@@ -106,6 +107,15 @@ def test_zoo_references_hold_for_the_zoo_file(tmp_path):
     workloads = load_perfbench("workloads")
     workloads.write_zoo(tmp_path / "zoo.wsnp", 201)
     check_zoo_references(workloads, load_snapshot(str(tmp_path / "zoo.wsnp")))
+
+
+def test_saving_the_loaded_zoo_gives_the_bench_writers_bytes(tmp_path):
+    """write_zoo is an independent .wsnp writer: tempbal's must give its bytes, with no piece dropped or reordered."""
+    workloads = load_perfbench("workloads")
+    zoo, copy = tmp_path / "zoo.wsnp", tmp_path / "copy.wsnp"
+    workloads.write_zoo(zoo, 201)
+    assert save_snapshot(load_snapshot(str(zoo)), str(copy)) == zoo.stat().st_size
+    assert filecmp.cmp(zoo, copy, shallow=False)
 
 
 def check_zoo_references(workloads, snapshot):

@@ -74,6 +74,17 @@ def test_analyze_writes_metrics_and_histograms(snapshot_path, tmp_path):
     assert counts == 64
 
 
+def test_analyze_ks_names_a_layer_with_no_candidate_k(tmp_path):
+    # rank 2 leaves ks two nonzero eigenvalues and so no candidate k; the reason names the layer, as every other does
+    rng = np.random.default_rng(2)
+    path = tmp_path / "rank2.wsnp"
+    layers = (LayerTensor("rank2", rng.normal(size=(8, 2)) @ rng.normal(size=(2, 12))),)
+    save_snapshot(WeightSnapshot(epoch=0, layers=layers), str(path))
+    assert main(["analyze", str(path), "--policy", "ks", "--out-dir", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+    assert rows[1] == "rank2,8,12,,,,,,degenerate: 'rank2': no candidate k admits a power-law fit"
+
+
 def test_analyze_deterministic_bytes(snapshot_path, tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     main(["analyze", str(snapshot_path), "--out-dir", str(out1)])
@@ -274,10 +285,13 @@ TRAIN_REFRESH_LARS = dict(
 
 
 @pytest.mark.parametrize(
-    "overrides", [dict(eta0="1e9", assignment="global_only"), TRAIN_REFRESH_LARS], ids=["global_only", "lars"]
+    "overrides",
+    [dict(eta0="1e9", assignment="global_only"), TRAIN_REFRESH_LARS, dict(eta0="100", assignment="lars")],
+    ids=["global_only", "lars", "lars_finite_loss"],
 )
 def test_diverging_train_writes_only_its_error_line(tmp_path, overrides):
-    # numpy's overflow warnings on the way to the non-finite loss stay silent
+    # numpy's overflow warnings on the way to the non-finite loss stay silent; at eta0 = 100 the
+    # loss stays finite, but the weights reach 1e183 and the eval pass overflows its logits
     cfg = train_config(tmp_path, **overrides)
     proc = run_cli(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "d")])
     assert proc.returncode == 3

@@ -512,7 +512,7 @@ def spy_on_refreshes(monkeypatch):
 def test_schedule_refreshes_every_interval_and_each_step_uses_the_latest(monkeypatch):
     # sqrt over all four layers: each refresh's rates follow the weights continuously
     model, data, sched = quick_setup(assignment="sqrt", exclude_first_last=False, update_interval_iters=3)
-    iters = make_dataset(data, 7).iters_per_epoch(32)
+    iters = len(range(0, len(make_dataset(data, 7).x_train), 32))  # batches of 32 per epoch
     assert iters % 3 != 0 and iters > 3
     refreshes, steps = spy_on_refreshes(monkeypatch)
     run_training(model, data, sched, LambdaMinPolicy(), epochs=2, seed=7, optim=OptimState(batch_size=32))
@@ -524,6 +524,28 @@ def test_schedule_refreshes_every_interval_and_each_step_uses_the_latest(monkeyp
         assert lr_map == train_engine._param_lr_map(latest, lr_map), i
     rates = [decision.per_layer for *_, decision in refreshes]
     assert all(a != b for a, b in zip(rates, rates[1:]))  # so a stale map cannot pass for the latest
+
+
+def test_refresh_and_final_snapshots_view_the_live_weights(monkeypatch):
+    snapshots, live = [], []
+
+    def spy_schedule(config, t, snapshot, policy, grad_norms=None):
+        snapshots.append(snapshot)
+        return schedule_epoch(config, t, snapshot, policy, grad_norms=grad_norms)
+
+    def spy_sgd(params, grads, optim, lr_map):
+        live.append(params)
+        sgd_step(params, grads, optim, lr_map)
+
+    monkeypatch.setattr(train_engine, "schedule_epoch", spy_schedule)
+    monkeypatch.setattr(train_engine, "sgd_step", spy_sgd)
+    model, data, sched = quick_setup(update_interval_iters=3)
+    _, final = run_training(model, data, sched, LambdaMinPolicy(), epochs=2, seed=7, optim=OptimState(batch_size=32))
+    params = live[0]
+    assert len(snapshots) > 2 and all(p is params for p in live)
+    for snap in [*snapshots, final]:
+        for layer in snap.layers:
+            assert np.shares_memory(layer.values, params[f"{layer.name}.w"]), (snap.epoch, layer.name)
 
 
 def test_lars_refresh_reads_the_gradient_norms_of_the_step_before(monkeypatch):

@@ -2,6 +2,7 @@ import io
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tempbal.weight_store import (
     MAGIC,
     LayerTensor,
     SnapshotError,
+    SnapshotIOError,
     SnapshotMagicError,
     SnapshotStructureError,
     SnapshotTruncatedError,
@@ -305,6 +307,55 @@ def test_writing_a_loaded_snapshot_reads_each_layer_once_and_gives_the_same_byte
     assert reads == list(range(len(snap.layers)))
     with open(path, "rb") as want, open(copy, "rb") as got:
         assert got.read() == want.read()
+
+
+class _FailingSink(io.BytesIO):
+    """Raises OSError on its write number fail_at (counted from 0), after keeping the bytes of the writes before it."""
+
+    def __init__(self, fail_at: int):
+        super().__init__()
+        self.fail_at, self.writes = fail_at, 0
+
+    def write(self, piece) -> int:
+        if self.writes == self.fail_at:
+            raise OSError("no space left")
+        self.writes += 1
+        return super().write(piece)
+
+
+def test_a_failed_write_gives_the_offset_of_the_bytes_written_before_it():
+    rng = np.random.default_rng(17)
+    layers = (LayerTensor("fc", rng.normal(size=(3, 5))), LayerTensor("conv", rng.normal(size=(2, 3, 2, 2))))
+    snap = WeightSnapshot(epoch=4, layers=layers)
+    whole = snapshot_bytes(snap)
+    complete = _FailingSink(fail_at=-1)
+    assert write_snapshot(snap, complete) == len(whole)
+    assert complete.writes >= 2 * len(snap.layers) + 1  # each layer's values are a write of their own
+    for k in range(complete.writes):
+        sink = _FailingSink(fail_at=k)
+        with pytest.raises(SnapshotIOError, match="no space left") as info:
+            write_snapshot(snap, sink)
+        written = sink.getvalue()
+        assert info.value.offset == len(written), k
+        assert whole.startswith(written), k
+
+
+def test_saving_a_loaded_snapshot_holds_one_layer_at_a_time(tmp_path):
+    rng = np.random.default_rng(18)
+    layer_bytes = 512 * 1024 * 8
+    layers = [LayerTensor(f"fc{i}", rng.normal(size=(512, 1024))) for i in range(3)]  # three equal 4 MiB layers
+    path = saved(tmp_path, WeightSnapshot(epoch=2, layers=layers))
+    del layers
+    loaded, copy = load_snapshot(path), tmp_path / "copy.wsnp"
+    tracemalloc.start()
+    try:
+        save_snapshot(loaded, str(copy))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * layer_bytes, peak / layer_bytes
+    with open(path, "rb") as want:
+        assert copy.read_bytes() == want.read()
 
 
 def test_load_of_a_pipe_reads_it_whole(tmp_path):

@@ -7,10 +7,11 @@ n x n Gram matrix W W^T, from a symmetric eigensolve.
 W W^T is the smaller of the two Gram matrices and has the same nonzero
 spectrum as W^T W; one eigensolve of it costs a fraction of a full SVD of W.
 
-gram sums W W^T over blocks of the layer's stored rows. An array in memory
-is one block. A tall layer of a snapshot file (transposed by orient, so its
-stored rows are the columns of W) is read n rows at a time, a block as
-large as the n x n Gram, and never held whole; its sum runs in another
+orient reads nothing: an OrientedMatrix holds its layer, and gram, the one
+reader of its rows, sums W W^T over the blocks of n rows the layer gives.
+An array in memory is one block, as is a wide layer of a snapshot file,
+freed when gram returns, before its eigensolve. A tall one (transposed, so
+its rows are the columns of W) is never held whole; its sum runs in another
 order than the one-block product, so its eigenvalues may differ in the last
 bits from those of the same layer in memory.
 
@@ -48,36 +49,33 @@ class NonFiniteMatrixError(NumericalError):
 class OrientedMatrix:
     """A layer's 2-D weight matrix W with rows <= cols, built by orient; records whether a transpose occurred.
 
-    rows holds the layer's flattened rows as they are stored, W or, when
-    transposed, W^T: an array, or the StoredLayer of a tall layer of a
-    snapshot file, which gram reads a block at a time.
+    It holds the layer, not its values: W is the layer's flattened rows or their transpose.
     """
 
-    rows: np.ndarray | StoredLayer = field(repr=False)
-    source_name: str
+    layer: LayerTensor | StoredLayer = field(repr=False)
     transposed: bool
 
     @property
+    def source_name(self) -> str:
+        return self.layer.name
+
+    @property
     def n(self) -> int:
-        return self.rows.shape[1 if self.transposed else 0]
+        return self.layer.shape[1 if self.transposed else 0]
 
     @property
     def m(self) -> int:
-        return self.rows.shape[0 if self.transposed else 1]
+        return self.layer.shape[0 if self.transposed else 1]
 
     @property
     def values(self) -> np.ndarray:
-        """W as one array; a stored layer is read whole for it, which gram never does."""
-        rows = self.rows
-        if isinstance(rows, StoredLayer):
-            rows = rows.values.reshape(rows.shape)
+        """W as one array; a stored layer is read whole for it at each access."""
+        rows = self.layer.values.reshape(self.layer.shape)
         return rows.T if self.transposed else rows
 
     def row_blocks(self) -> Iterable[np.ndarray]:
-        """The stored rows in blocks: an array is one; a stored layer gives n rows a block, as many values as its Gram."""
-        if isinstance(self.rows, StoredLayer):
-            return self.rows.row_blocks(self.n)
-        return (self.rows,)
+        """The layer's flattened rows, n a block: every row at once when they are W; an array is always one block."""
+        return self.layer.row_blocks(self.n)
 
 
 @dataclass(frozen=True)
@@ -107,18 +105,13 @@ class ESD:
 
 
 def orient(layer: LayerTensor | StoredLayer) -> OrientedMatrix:
-    """Orient a layer tensor, which LayerTensor has already checked, into an n x m view with n <= m.
+    """Orient a checked layer, in memory or in a snapshot file, into an n x m matrix with n <= m; reads nothing.
 
     A conv (out, in, kh, kw) tensor flattens to (out, in*kh*kw) first; a
-    layer with more rows than columns is transposed. A tall stored layer
-    stays in its file, for gram to read in blocks of rows; any other stored
-    layer is read whole, since each entry of W W^T needs two whole rows.
+    layer with more rows than columns is transposed.
     """
-    if isinstance(layer, StoredLayer) and layer.shape[0] > layer.shape[1]:
-        return OrientedMatrix(rows=layer, source_name=layer.name, transposed=True)
-    values = layer.values  # read once: a stored layer reads its file at each access
-    flat = values.reshape(values.shape[0], -1)  # a view: LayerTensor's values are C-contiguous
-    return OrientedMatrix(rows=flat, source_name=layer.name, transposed=flat.shape[0] > flat.shape[1])
+    rows, cols = layer.shape
+    return OrientedMatrix(layer, rows > cols)
 
 
 def roundoff_floor(n: int) -> float:
@@ -129,7 +122,7 @@ def roundoff_floor(n: int) -> float:
 def gram(mat: OrientedMatrix) -> np.ndarray:
     """The n x n Gram matrix W W^T of an oriented layer, checked finite.
 
-    Summed over the blocks B of its stored rows: B B^T when they are W
+    Summed over the blocks B of its flattened rows: B B^T when they are W
     (one block), B^T B when they are W^T.
     """
     product = None

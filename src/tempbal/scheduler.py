@@ -152,7 +152,11 @@ def assign_variant(
     s1: float,
     s2: float,
 ) -> dict[str, float]:
-    """Alternative assignment functions: sqrt, log2, or rank-based step."""
+    """Alternative assignment functions: sqrt, log2, or rank-based step.
+
+    Only step keeps rates inside [s1, s2] x eta_t. sqrt needs metric values above 0 and log2 above 1,
+    where every log is positive, else AssignmentError; +inf sentinels alone read as 1.
+    """
     if not metrics:
         raise AssignmentError("metric map is empty")
     values = _substitute_sentinels(metrics)
@@ -163,12 +167,10 @@ def assign_variant(
         mean = sum(roots.values()) / len(roots)
         return {name: eta_t * r / mean for name, r in roots.items()}
     if variant == "log2":
-        if any(v <= 0 for v in values.values()):
-            raise AssignmentError("log assignment requires positive metric values")
+        if any(v <= 1 for v in values.values()):  # a log <= 0 would give a rate <= 0 or a mean of opposite signs
+            raise AssignmentError("log2 assignment requires metric values above 1")
         logs = {name: math.log(v) for name, v in values.items()}
         mean = sum(logs.values()) / len(logs)
-        if mean == 0.0:
-            raise AssignmentError("log assignment denominator is zero (mean log metric is 0)")
         return {name: eta_t * lg / mean for name, lg in logs.items()}
     if variant == "step":
         names = list(values)

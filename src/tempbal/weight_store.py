@@ -22,9 +22,10 @@ read_snapshot reads a stream whole. load_snapshot checks a file's whole
 layer table, seeking over the values, and gives a snapshot whose layers are
 the entries of that table: each StoredLayer reads its values from the file
 at each access and keeps none, so a caller walking the layers holds one at
-a time. A StoredLayer can also read its flattened rows a block at a time
-into one reused buffer, so a tall layer's Gram matrix can be summed without
-the layer ever in memory.
+a time. Each layer gives its flattened rows in blocks (row_blocks): an
+array is one block, and a stored layer reads its blocks into one reused
+buffer, its one route from file to array, so a tall layer's Gram matrix
+can be summed without the layer ever in memory.
 """
 
 from __future__ import annotations
@@ -96,6 +97,15 @@ class LayerTensor:
 
     def __hash__(self):
         return hash((self.name, self.values.shape))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of its flattened rows: a conv (out, in, kh, kw) tensor has out rows of in*kh*kw values."""
+        return self.values.shape[0], math.prod(self.values.shape[1:])
+
+    def row_blocks(self, rows: int) -> tuple[np.ndarray]:
+        """Its flattened rows as one block, a view, whatever rows asks: an array in memory is summed whole."""
+        return (self.values.reshape(self.shape),)
 
 
 @dataclass(frozen=True)
@@ -195,11 +205,6 @@ class _Reader:
         return struct.unpack("<I", self.read(4, context))[0]
 
 
-def _read_layer(r: _Reader, idx: int, name: str, dims: tuple[int, ...]) -> LayerTensor:
-    payload = r.read(8 * math.prod(dims), f"at layer {idx} ({name!r})")
-    return LayerTensor(name, np.frombuffer(payload, dtype="<f8").reshape(dims))
-
-
 def _parse(r: _Reader, keep_values: bool) -> tuple[int, list]:
     """The epoch and, per layer, its LayerTensor (keep_values) or (name, dims, offset of its values), all checked."""
     magic = r.read(4, "reading magic")
@@ -229,7 +234,8 @@ def _parse(r: _Reader, keep_values: bool) -> tuple[int, list]:
         if not name or 0 in dims:
             raise SnapshotStructureError(f"layer {idx} ({name!r}): needs a nonempty name and no zero dimension, got {dims}")
         if keep_values:
-            layers.append(_read_layer(r, idx, name, dims))
+            payload = r.read(8 * math.prod(dims), f"at layer {idx} ({name!r})")
+            layers.append(LayerTensor(name, np.frombuffer(payload, dtype="<f8").reshape(dims)))
         else:
             layers.append((name, dims, r.offset))
             r.skip(8 * math.prod(dims), f"at layer {idx} ({name!r})")
@@ -262,10 +268,10 @@ class StoredLayer:
 
     @property
     def values(self) -> np.ndarray:
-        """The whole layer in its own shape, read from the file at each access as a read-only view."""
-        with open(self.path, "rb") as fh:  # a file gone since the load raises its OSError here
-            fh.seek(self.offset)
-            return _read_layer(_Reader(fh), self.idx, self.name, self.dims).values
+        """The whole layer in its own shape, read-only: row_blocks' one block of every row, read at each access."""
+        (block,) = self.row_blocks(self.dims[0])
+        block.flags.writeable = False
+        return block.reshape(self.dims)
 
     def row_blocks(self, rows: int) -> Iterator[np.ndarray]:
         """Its flattened rows, `rows` at a time (the last block may hold fewer), each read into one reused buffer.
@@ -274,7 +280,7 @@ class StoredLayer:
         """
         total, cols = self.shape
         buffer = np.empty(min(rows, total) * cols, dtype="<f8")
-        with open(self.path, "rb") as fh:
+        with open(self.path, "rb") as fh:  # a file gone since the load raises its OSError here
             fh.seek(self.offset)
             r = _Reader(fh)
             for start in range(0, total, rows):

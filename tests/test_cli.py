@@ -298,6 +298,18 @@ def test_diverging_train_writes_only_its_error_line(tmp_path, overrides):
     assert proc.stderr.startswith("error: training diverged") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_train_log2_with_a_metric_value_below_one_writes_only_its_error_line(tmp_path):
+    # in epoch 1, alpha_weighted reads 1.052 for dense1 and 0.944 for dense2: logs of opposite sign,
+    # which would give dense1 a negative rate
+    cfg = train_config(
+        tmp_path, dim=20, hidden="128,64,32", classes=4, samples=400, separation=4.0, total_epochs=2,
+        update_interval_iters=3, init="xavier", policy="fixfinger", assignment="log2", metric="alpha_weighted", seed=1,
+    )
+    proc = run_cli(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "d")])
+    assert proc.returncode == 3
+    assert proc.stderr == "error: log2 assignment requires metric values above 1\n", proc.stderr
+
+
 def test_train_missing_config_exit_1(tmp_path):
     assert main(["train", "--config", str(tmp_path / "none.cfg")]) == 1
 

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tempbal import cli
 from tempbal.errors import NumericalError
 from tempbal.esd import ESD, NonFiniteMatrixError, compute_esd, orient, roundoff_floor
 from tempbal.htsr import POLICY_VARIANTS, LambdaMinPolicy, layer_metrics
@@ -25,16 +28,34 @@ def test_orient_transposes_tall():
     assert np.array_equal(mat.values, np.arange(720.0).reshape(72, 10).T)
 
 
-def test_orient_leaves_a_tall_stored_layer_in_its_file_and_reads_a_wide_one(tmp_path):
-    tall, wide = np.arange(720.0).reshape(72, 10), np.arange(720.0).reshape(10, 72)
-    path = str(tmp_path / "two.wsnp")
-    save_snapshot(WeightSnapshot(epoch=0, layers=(LayerTensor("tall", tall), LayerTensor("wide", wide))), path)
+def test_orient_opens_nothing_and_compute_esd_reads_the_file(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(4)
+    layers = tuple(
+        LayerTensor(name, rng.normal(size=shape))
+        for name, shape in (("tall", (72, 10)), ("wide", (10, 72)), ("conv", (4, 2, 3, 3)))
+    )
+    path = str(tmp_path / "three.wsnp")
+    save_snapshot(WeightSnapshot(epoch=0, layers=layers), path)
     stored = load_snapshot(path).layers
-    mat = orient(stored[0])
-    assert mat.rows is stored[0] and (mat.n, mat.m, mat.transposed) == (10, 72, True)
-    assert np.array_equal(mat.values, tall.T)  # read whole only when asked for
-    mat = orient(stored[1])
-    assert isinstance(mat.rows, np.ndarray) and np.array_equal(mat.values, wide) and not mat.transposed
+    os.remove(path)  # only a read of the values can notice
+    for layer, in_memory in zip(stored, layers):
+        want = orient(in_memory)
+        mat = orient(layer)
+        assert (mat.n, mat.m, mat.transposed) == (want.n, want.m, want.transposed)
+    assert [orient(layer).transposed for layer in layers] == [True, False, False]
+    with pytest.raises(FileNotFoundError):
+        compute_esd(orient(stored[1]))
+
+    def load_then_remove(name):
+        snap = load_snapshot(name)
+        os.remove(name)
+        return snap
+
+    save_snapshot(WeightSnapshot(epoch=0, layers=layers), path)
+    monkeypatch.setattr(cli, "load_snapshot", load_then_remove)
+    assert cli.main(["analyze", path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_orient_conv_reshape_matches_index_oracle():

@@ -21,7 +21,14 @@ from tempbal.htsr import (
 )
 from tempbal import htsr
 from tempbal.train_engine import ConvergenceError, snr_grad_term
-from tempbal.weight_store import LayerTensor, WeightSnapshot, load_snapshot, read_snapshot, save_snapshot
+from tempbal.weight_store import (
+    LayerTensor,
+    StoredLayer,
+    WeightSnapshot,
+    load_snapshot,
+    read_snapshot,
+    save_snapshot,
+)
 
 
 def esd_of(values) -> ESD:
@@ -325,25 +332,36 @@ def test_analyze_snapshot_captures_degenerate_layers():
 
 def test_analyze_snapshot_of_a_loaded_file_holds_one_layer_at_a_time(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
-    snap = WeightSnapshot(epoch=0, layers=tuple(LayerTensor(f"fc{i}", rng.normal(size=(24, 40))) for i in range(4)))
+    shapes = {"fc0": (24, 40), "tall": (40, 24), "conv": (6, 2, 3, 3), "fc3": (24, 40)}
+    snap = WeightSnapshot(epoch=0, layers=tuple(LayerTensor(name, rng.normal(size=dims)) for name, dims in shapes.items()))
     path = tmp_path / "four.wsnp"
     save_snapshot(snap, str(path))
     expected = analyze_snapshot(snap, LambdaMinPolicy())
-    seen = []
-    orient = htsr.orient
+    buffers, solves = {}, []
+    row_blocks, eigvalsh = StoredLayer.row_blocks, np.linalg.eigvalsh
 
-    def spy(layer):
-        # orient reads a wide stored layer whole; every earlier layer's values are freed before this one is read
-        assert all(ref() is None for ref in seen), [ref() is None for ref in seen]
-        mat = orient(layer)
-        seen.append(weakref.ref(mat.rows))
-        return mat
+    def read(layer, rows):
+        for block in row_blocks(layer, rows):
+            buffers.setdefault(layer.name, weakref.ref(block.base))
+            yield block
 
-    monkeypatch.setattr(htsr, "orient", spy)
+    def solve(gram):
+        # every layer so far, this one too, was read through row_blocks and freed before this eigensolve
+        assert len(buffers) == len(solves) + 1 and all(ref() is None for ref in buffers.values())
+        solves.append(gram.shape)
+        return eigvalsh(gram)
+
+    monkeypatch.setattr(StoredLayer, "row_blocks", read)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
     rows = analyze_snapshot(load_snapshot(str(path)), LambdaMinPolicy())
-    assert len(seen) == 4
-    assert [(row.name, row.metrics) for row in rows] == [(row.name, row.metrics) for row in expected]
-    assert all(a.esd.eigenvalues.tobytes() == b.esd.eigenvalues.tobytes() for a, b in zip(rows, expected))
+    assert solves == [(24, 24), (24, 24), (6, 6), (24, 24)]
+    assert [(row.name, row.n, row.m) for row in rows] == [(row.name, row.n, row.m) for row in expected]
+    for got, want in zip(rows, expected):
+        lam = want.esd.eigenvalues
+        assert got.metrics.k == want.metrics.k
+        # a wide layer is one block, as in memory; the tall one's sum runs in blocks
+        assert got.esd.eigenvalues.tobytes() == lam.tobytes() or got.name == "tall"
+        assert np.max(np.abs(got.esd.eigenvalues - lam)) <= 4 * roundoff_floor(want.n) * lam[-1]
 
 
 def eager_and_streamed(tmp_path, snap, variant):

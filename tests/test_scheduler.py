@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempbal.errors import ConfigError
@@ -137,9 +137,12 @@ def test_log2_base_invariance():
 
 
 def test_log2_degenerate_denominator():
-    # logs of 2 and 1/2 cancel exactly
+    # logs of 2 and 1/2 cancel exactly; 1/2 is below 1, so it is rejected before any log is taken
     with pytest.raises(AssignmentError):
         assign_variant(0.1, {"A": 2.0, "B": 0.5}, "log2", 0.5, 1.5)
+    # +inf sentinels alone read as 1, whose log is 0
+    with pytest.raises(AssignmentError, match="above 1"):
+        assign_variant(0.1, {"A": math.inf, "B": math.inf}, "log2", 0.5, 1.5)
 
 
 def test_sqrt_log_require_positive():
@@ -181,14 +184,31 @@ def test_step_single_layer_midpoint():
     assert out["only"] == pytest.approx(0.1, abs=1e-15)
 
 
-def test_variant_monotonicity():
-    rng = np.random.default_rng(2)
+@st.composite
+def metric_maps_above_one(draw):
+    """Metric maps with every value above 1, at least one of them finite, and up to two +inf sentinels."""
+    finite = draw(st.lists(st.floats(min_value=1.0, max_value=1e300, exclude_min=True), min_size=1, max_size=8))
+    values = draw(st.permutations(finite + [math.inf] * draw(st.integers(0, 2))))
+    return {f"l{i}": v for i, v in enumerate(values)}
+
+
+@settings(max_examples=200)
+@given(metric_maps_above_one(), st.floats(min_value=1e-6, max_value=10.0))
+@example({f"l{i}": float(v) for i, v in enumerate(np.random.default_rng(2).uniform(1.5, 9.0, 6))}, 0.1)
+def test_variant_rates_are_positive_and_ordered_like_their_metrics(metrics, eta_t):
+    ranked = sorted(metrics, key=lambda name: metrics[name])
     for variant in ("sqrt", "log2", "step"):
-        metrics = {f"l{i}": float(v) for i, v in enumerate(rng.uniform(1.5, 9.0, 6))}
-        out = assign_variant(0.1, metrics, variant, 0.5, 1.5)
-        ranked = sorted(metrics, key=lambda n: metrics[n])
-        lrs = [out[n] for n in ranked]
-        assert all(a <= b for a, b in zip(lrs, lrs[1:]))
+        out = assign_variant(eta_t, metrics, variant, 0.5, 1.5)
+        lrs = [out[name] for name in ranked]
+        assert lrs[0] > 0 and all(a <= b for a, b in zip(lrs, lrs[1:])), (variant, lrs)
+
+
+@settings(max_examples=100)
+@given(metric_maps_above_one(), st.floats(max_value=1.0, allow_nan=False, allow_infinity=False))
+@example({"b": 4.0}, 0.5)  # log 0.5 < 0 < log 4 would give "low" a rate of -0.2
+def test_log2_rejects_any_metric_value_at_or_below_one(metrics, low):
+    with pytest.raises(AssignmentError, match="above 1"):
+        assign_variant(0.1, {**metrics, "low": low}, "log2", 0.5, 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -295,13 +295,13 @@ def test_row_blocks_read_the_flattened_rows_into_one_buffer(tmp_path):
 def test_writing_a_loaded_snapshot_reads_each_layer_once_and_gives_the_same_bytes(tmp_path, monkeypatch):
     snap = random_snapshot(np.random.default_rng(16), max_layers=6)
     path = saved(tmp_path, snap)
-    read_layer, reads = weight_store._read_layer, []
+    row_blocks, reads = weight_store.StoredLayer.row_blocks, []
 
-    def spy(r, idx, name, dims):
-        reads.append(idx)
-        return read_layer(r, idx, name, dims)
+    def spy(layer, rows):
+        reads.append(layer.idx)
+        return row_blocks(layer, rows)
 
-    monkeypatch.setattr(weight_store, "_read_layer", spy)
+    monkeypatch.setattr(weight_store.StoredLayer, "row_blocks", spy)
     copy = str(tmp_path / "copy.wsnp")
     save_snapshot(load_snapshot(path), copy)
     assert reads == list(range(len(snap.layers)))

@@ -23,8 +23,7 @@ from .scheduler import (
     ScheduleConfig,
     ScheduleDecision,
     assign_lars,
-    assign_tempbalance,
-    assign_variant,
+    assign_rates,
     cal_rate,
     schedule_epoch,
 )
@@ -71,8 +70,7 @@ __all__ = [
     "WeightSnapshot",
     "analyze_snapshot",
     "assign_lars",
-    "assign_tempbalance",
-    "assign_variant",
+    "assign_rates",
     "cal_rate",
     "compute_esd",
     "hill_alpha",

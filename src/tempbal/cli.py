@@ -212,8 +212,8 @@ def _config_help() -> str:
 def parse_config(path: str) -> dict[str, Any]:
     """Typed values of a flat key=value config; unknown keys rejected, missing keys defaulted."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     values = {key: spec.default for key, spec in CONFIG_KEYS.items()}
     for line_no, line in enumerate(text.splitlines(), start=1):

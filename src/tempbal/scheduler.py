@@ -2,7 +2,7 @@
 
 The global base rate follows cosine annealing,
 eta_t = (eta0/2) * (1 + cos(t*pi/T)). On top of it, per-layer rates are
-assigned from per-layer tail metrics by one of:
+assigned by one of:
 
     tempbalance  linear map of the metric onto [s1*eta_t, s2*eta_t]:
                  f(i) = eta_t * [(a_i - a_min)/(a_max - a_min)*(s2-s1) + s1]
@@ -11,6 +11,9 @@ assigned from per-layer tail metrics by one of:
     step         rank r among L layers gets eta_t*(s1 + (r-1)(s2-s1)/(L-1))
     lars         trust ratio eta_t * ||w_i|| / (||g_i|| + eps)
     global_only  every layer rides eta_t
+
+assign_rates gives the first four from per-layer tail metrics and
+assign_lars the trust ratios; schedule_epoch makes one call of either.
 
 The tempbalance map is scale-free: replacing every metric value a_i by
 c*a_i (c > 0) leaves the assignment unchanged, so the absolute calibration
@@ -33,6 +36,8 @@ ASSIGNMENTS = ("tempbalance", "sqrt", "log2", "step", "lars", "global_only")
 METRICS = ("alpha_hill", "spectral_norm", "alpha_weighted")
 
 LARS_EPS = 1e-9
+# the mean-ratio assignments eta_t * g(a_i) / mean_j g(a_j): g, the bound each value must exceed, its wording
+_MEAN_RATIO = {"sqrt": (math.sqrt, 0.0, "positive metric values"), "log2": (math.log, 1.0, "metric values above 1")}
 
 
 class AssignmentError(NumericalError):
@@ -120,69 +125,47 @@ def _substitute_sentinels(metrics: Mapping[str, float]) -> dict[str, float]:
     return {name: (stand_in if math.isinf(v) else v) for name, v in metrics.items()}
 
 
-def assign_tempbalance(
-    eta_t: float, metrics: Mapping[str, float], s1: float, s2: float
-) -> dict[str, float]:
-    """Linear map of metric values onto [s1*eta_t, s2*eta_t].
-
-    When all values coincide the map is 0/0; every layer then gets the
-    midpoint eta_t*(s1+s2)/2 (equal to eta_t at the default ratios).
-    """
-    if not metrics:
-        raise AssignmentError("metric map is empty")
-    values = _substitute_sentinels(metrics)
-    a_min = min(values.values())
-    a_max = max(values.values())
-    if a_max == a_min:
-        mid = eta_t * (s1 + s2) / 2.0
-        return {name: mid for name in values}
-    span = a_max - a_min
-    lo, hi = s1 * eta_t, s2 * eta_t
-    out = {}
-    for name, v in values.items():
-        lr = eta_t * ((v - a_min) / span * (s2 - s1) + s1)
-        out[name] = min(max(lr, lo), hi)
-    return out
-
-
-def assign_variant(
+def assign_rates(
     eta_t: float,
     metrics: Mapping[str, float],
-    variant: str,
+    assignment: str,
     s1: float,
     s2: float,
 ) -> dict[str, float]:
-    """Alternative assignment functions: sqrt, log2, or rank-based step.
+    """Per-layer rates from metric values under tempbalance, sqrt, log2 or step.
 
-    Only step keeps rates inside [s1, s2] x eta_t. sqrt needs metric values above 0 and log2 above 1,
-    where every log is positive, else AssignmentError; +inf sentinels alone read as 1.
+    +inf sentinels stand in as the largest finite value (1 when none is finite).
+    tempbalance and step keep rates inside [s1, s2] x eta_t; every layer gets
+    the midpoint eta_t*(s1+s2)/2 when tempbalance's values all coincide (its
+    map is then 0/0) or step ranks one layer. sqrt needs metric values above 0
+    and log2 above 1, where every log is positive, else AssignmentError.
     """
+    if assignment not in ("tempbalance", "step", *_MEAN_RATIO):
+        raise ConfigError(f"unknown assignment {assignment!r} for assign_rates")
     if not metrics:
         raise AssignmentError("metric map is empty")
     values = _substitute_sentinels(metrics)
-    if variant == "sqrt":
-        if any(v <= 0 for v in values.values()):
-            raise AssignmentError("sqrt assignment requires positive metric values")
-        roots = {name: math.sqrt(v) for name, v in values.items()}
-        mean = sum(roots.values()) / len(roots)
-        return {name: eta_t * r / mean for name, r in roots.items()}
-    if variant == "log2":
-        if any(v <= 1 for v in values.values()):  # a log <= 0 would give a rate <= 0 or a mean of opposite signs
-            raise AssignmentError("log2 assignment requires metric values above 1")
-        logs = {name: math.log(v) for name, v in values.items()}
-        mean = sum(logs.values()) / len(logs)
-        return {name: eta_t * lg / mean for name, lg in logs.items()}
-    if variant == "step":
-        names = list(values)
-        if len(names) == 1:
-            return {names[0]: eta_t * (s1 + s2) / 2.0}
-        # stable sort on the metric itself, so a +inf sentinel ranks above the
-        # finite value standing in for it; ties keep layer order
-        ranked = sorted(names, key=lambda name: metrics[name])
-        width = (s2 - s1) / (len(names) - 1)
-        hi = s2 * eta_t  # rounding can carry the top rank an ulp past it
-        return {name: min(eta_t * (s1 + rank * width), hi) for rank, name in enumerate(ranked)}
-    raise ConfigError(f"unknown variant {variant!r}")
+    if assignment in _MEAN_RATIO:
+        score, floor, domain = _MEAN_RATIO[assignment]
+        if any(v <= floor for v in values.values()):  # a log <= 0 would give a rate <= 0 or a mean of opposite signs
+            raise AssignmentError(f"{assignment} assignment requires {domain}")
+        scores = {name: score(v) for name, v in values.items()}
+        mean = sum(scores.values()) / len(scores)
+        return {name: eta_t * x / mean for name, x in scores.items()}
+    a_min = min(values.values())
+    a_max = max(values.values())
+    if len(values) == 1 or (assignment == "tempbalance" and a_max == a_min):
+        return dict.fromkeys(values, eta_t * (s1 + s2) / 2.0)
+    hi = s2 * eta_t  # step's top rank can round an ulp past it
+    if assignment == "tempbalance":
+        span = a_max - a_min
+        lo = s1 * eta_t
+        return {name: min(max(eta_t * ((v - a_min) / span * (s2 - s1) + s1), lo), hi) for name, v in values.items()}
+    # step: a stable sort on the metric itself, so a +inf sentinel ranks above
+    # the finite value standing in for it; ties keep layer order
+    ranked = sorted(values, key=lambda name: metrics[name])
+    width = (s2 - s1) / (len(ranked) - 1)
+    return {name: min(eta_t * (s1 + rank * width), hi) for rank, name in enumerate(ranked)}
 
 
 def assign_lars(
@@ -238,10 +221,8 @@ def schedule_epoch(
             for row in analyses
             if row.metrics is not None and row.name not in excluded
         }
-        if metric_map and config.assignment == "tempbalance":
-            per_layer.update(assign_tempbalance(eta_t, metric_map, config.s1, config.s2))
-        elif metric_map:
-            per_layer.update(assign_variant(eta_t, metric_map, config.assignment, config.s1, config.s2))
+        if metric_map:
+            per_layer.update(assign_rates(eta_t, metric_map, config.assignment, config.s1, config.s2))
 
     return ScheduleDecision(
         epoch=t, eta_t=eta_t, per_layer=per_layer, alphas_used=metric_map, analyses=analyses

@@ -115,10 +115,13 @@ def init_params(spec: ModelSpec) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {}
 
     def draw(shape, fan_in, fan_out):
-        if spec.init == "he":
-            return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=shape)
+        try:
+            if spec.init == "he":
+                return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-bound, bound, size=shape)
+        except ValueError as exc:  # a size beyond numpy's index range
+            raise ConfigError(f"cannot allocate a layer of shape {shape}: {exc}") from None
 
     for idx, (out, cin, kh, kw) in enumerate(spec.conv_stem):
         params[f"conv{idx}.w"] = draw((out, cin, kh, kw), cin * kh * kw, out * kh * kw)
@@ -401,13 +404,28 @@ class Dataset:
             yield self.x_train[sel], self.y_train[sel]
 
 
+def _csv_rows(fh: TextIO, path: str) -> Iterator[list[str]]:
+    """The csv module's rows of fh; text that is not UTF-8 or that csv rejects is a CsvParseError."""
+    reader = csv.reader(fh)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except UnicodeDecodeError as exc:  # decoded a chunk ahead of the reader, so no line is known
+            raise CsvParseError(f"{path!r}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise CsvParseError(f"{path!r}: line {reader.line_num}: {exc}") from None
+        yield row
+
+
 def _load_csv(spec: CsvDataSpec) -> tuple[np.ndarray, np.ndarray]:
     try:
-        fh = open(spec.path, newline="")
+        fh = open(spec.path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open dataset {spec.path!r}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, spec.path)
         try:
             header = next(reader)
         except StopIteration:
@@ -448,12 +466,16 @@ def make_dataset(spec: GaussianMixtureSpec | CsvDataSpec, seed: int) -> Dataset:
     """Materialize a dataset with a deterministic shuffle and train/eval split."""
     rng = np.random.default_rng([seed, 11])
     if isinstance(spec, GaussianMixtureSpec):
-        means = rng.normal(size=(spec.classes, spec.dim))
+        try:
+            means = rng.normal(size=(spec.classes, spec.dim))
+            x = np.empty((spec.samples, spec.dim))
+        except ValueError as exc:  # a size beyond numpy's index range
+            sizes = f"samples = {spec.samples}, classes = {spec.classes}, dim = {spec.dim}"
+            raise ConfigError(f"cannot allocate the dataset ({sizes}): {exc}") from None
         means *= spec.separation / np.linalg.norm(means, axis=1, keepdims=True)
         counts = np.full(spec.classes, spec.samples // spec.classes)
         counts[: spec.samples % spec.classes] += 1
         # one array, filled class block by class block in draw order: z*spread + mean
-        x = np.empty((spec.samples, spec.dim))
         for block, mean in zip(np.split(x, np.cumsum(counts)[:-1]), means):
             rng.standard_normal(out=block)
             block *= spec.spread

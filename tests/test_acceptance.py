@@ -17,7 +17,7 @@ from tempbal.cli import main
 from tempbal.esd import ESD, compute_esd, orient
 from tempbal.htsr import LambdaMinPolicy, hill_alpha
 from tempbal.rmt_lab import spike_experiment, verify_s_alpha
-from tempbal.scheduler import ScheduleConfig, assign_tempbalance, cal_rate
+from tempbal.scheduler import ScheduleConfig, assign_rates, cal_rate
 from tempbal.train_engine import (
     GaussianMixtureSpec,
     ModelSpec,
@@ -86,18 +86,18 @@ def test_criterion_2_scale_freeness():
     for _ in range(1000):
         names = [f"l{i}" for i in range(int(rng.integers(2, 12)))]
         metrics = {n: float(rng.uniform(1.0, 30.0)) for n in names}
-        base = assign_tempbalance(eta, metrics, s1, s2)
+        base = assign_rates(eta, metrics, "tempbalance", s1, s2)
 
         # exactly representable scale factors spanning (1e-6, 1e6): the
         # assignment must be bit-identical
         c_exact = 2.0 ** int(rng.integers(-19, 20))
-        scaled = assign_tempbalance(eta, {n: c_exact * v for n, v in metrics.items()}, s1, s2)
+        scaled = assign_rates(eta, {n: c_exact * v for n, v in metrics.items()}, "tempbalance", s1, s2)
         assert scaled == base
 
         # arbitrary scale factors round the inputs themselves; the map stays
         # equal to within a couple of ulps
         c_any = float(10.0 ** rng.uniform(-6, 6))
-        scaled_any = assign_tempbalance(eta, {n: c_any * v for n, v in metrics.items()}, s1, s2)
+        scaled_any = assign_rates(eta, {n: c_any * v for n, v in metrics.items()}, "tempbalance", s1, s2)
         for n in names:
             rel = abs(scaled_any[n] - base[n]) / max(abs(base[n]), 1e-300)
             worst_rel = max(worst_rel, rel)

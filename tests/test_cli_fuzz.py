@@ -1,7 +1,8 @@
 """Fuzz the CLI: every argv and config value ends in an exit code, never an exception.
 
 Values stay small (integers in [-3, 64], a fixed set of matrix sizes) so
-no example allocates more than a few MB.
+no example allocates more than a few MB; the only large sizes lie past
+numpy's index range, where no array is allocated at all.
 """
 
 import contextlib
@@ -11,6 +12,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,3 +153,66 @@ def test_analyze_of_damaged_bytes_exits_0_or_2(raw, policy):
     assert code in (0, 2)
     if code:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# bytes that are not UTF-8, fields past the csv module's limit, sizes past numpy's index range
+
+# each is invalid UTF-8 wherever it lands in ASCII text
+NOT_UTF8 = st.sampled_from((b"\xff", b"\xe9", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"))
+
+
+def _insert(raw: bytes, at: int, inserted: bytes) -> bytes:
+    at %= len(raw) + 1
+    return raw[:at] + inserted + raw[at:]
+
+
+def _train_exit(tmp: str, config: bytes, csv_text: bytes | None = None) -> int:
+    if csv_text is not None:
+        (Path(tmp) / "data.csv").write_bytes(csv_text)
+        config += f"dataset = csv\ncsv_path = {Path(tmp) / 'data.csv'}\n".encode()
+    cfg = Path(tmp) / "run.cfg"
+    cfg.write_bytes(config)
+    return run_main(["train", "--config", str(cfg), "--out-dir", tmp])
+
+
+BASE_CONFIG_BYTES = "".join(f"{k} = {v}\n" for k, v in BASE_CONFIG.items()).encode()
+SMALL_CSV = ("x0,x1,label\n" + "".join(f"{i % 7}.5,{i % 3},{'ab'[i % 2]}\n" for i in range(20))).encode()
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 10_000), NOT_UTF8)
+def test_config_that_is_not_utf8_exits_1(at, inserted):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _train_exit(tmp, _insert(BASE_CONFIG_BYTES, at, inserted)) == 1
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 10_000), NOT_UTF8)
+def test_csv_that_is_not_utf8_exits_2(at, inserted):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _train_exit(tmp, BASE_CONFIG_BYTES, _insert(SMALL_CSV, at, inserted)) == 2
+
+
+@pytest.mark.parametrize("row", [0, 1, 20], ids=["header", "first_row", "last_row"])
+def test_csv_field_past_the_csv_module_limit_exits_2(row):
+    lines = SMALL_CSV.split(b"\n")
+    lines[row] = b"1" * 131_073 + lines[row]  # the csv module reads at most 131 072 characters a field
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _train_exit(tmp, BASE_CONFIG_BYTES, b"\n".join(lines)) == 2
+
+
+# above numpy's index range, so no array of them is ever allocated, lazily or not
+PAST_INDEX_RANGE = st.sampled_from((2**62, 10**23, 10**30)).map(str)
+
+
+@settings(max_examples=30)
+@given(
+    st.dictionaries(
+        st.sampled_from(("samples", "dim", "classes", "hidden")), PAST_INDEX_RANGE, min_size=1, max_size=3
+    )
+)
+def test_sizes_past_numpys_index_range_exit_1(sizes):
+    config = BASE_CONFIG_BYTES + "".join(f"{k} = {v}\n" for k, v in sizes.items()).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _train_exit(tmp, config) == 1

@@ -12,8 +12,7 @@ from tempbal.scheduler import (
     AssignmentError,
     ScheduleConfig,
     assign_lars,
-    assign_tempbalance,
-    assign_variant,
+    assign_rates,
     cal_rate,
     schedule_epoch,
 )
@@ -46,7 +45,7 @@ def test_cal_validation():
 
 
 def test_tempbalance_endpoints_and_midpoint():
-    out = assign_tempbalance(0.1, {"A": 2.0, "B": 3.0, "C": 4.0}, 0.5, 1.5)
+    out = assign_rates(0.1, {"A": 2.0, "B": 3.0, "C": 4.0}, "tempbalance", 0.5, 1.5)
     assert out["A"] == pytest.approx(0.05, abs=1e-15)
     assert out["B"] == pytest.approx(0.10, abs=1e-15)
     assert out["C"] == pytest.approx(0.15, abs=1e-15)
@@ -54,9 +53,9 @@ def test_tempbalance_endpoints_and_midpoint():
 
 def test_tempbalance_scale_free_exact():
     metrics = {"A": 2.0, "B": 3.0, "C": 4.0}
-    base = assign_tempbalance(0.1, metrics, 0.5, 1.5)
+    base = assign_rates(0.1, metrics, "tempbalance", 0.5, 1.5)
     for c in (10.0, 0.001, 2.0**17, 2.0**-13):
-        scaled = assign_tempbalance(0.1, {k: c * v for k, v in metrics.items()}, 0.5, 1.5)
+        scaled = assign_rates(0.1, {k: c * v for k, v in metrics.items()}, "tempbalance", 0.5, 1.5)
         # powers of two scale exactly; decimal factors cancel here because the
         # example values are exact anchors of the map
         for name in metrics:
@@ -64,7 +63,7 @@ def test_tempbalance_scale_free_exact():
 
 
 def test_tempbalance_all_equal_midpoint():
-    out = assign_tempbalance(0.1, {"A": 3.0, "B": 3.0}, 0.5, 1.5)
+    out = assign_rates(0.1, {"A": 3.0, "B": 3.0}, "tempbalance", 0.5, 1.5)
     assert out == {"A": 0.1, "B": 0.1}
 
 
@@ -74,7 +73,7 @@ def test_tempbalance_range_and_rank_order():
         names = [f"l{i}" for i in range(int(rng.integers(2, 10)))]
         metrics = {n: float(rng.uniform(1.0, 9.0)) for n in names}
         eta = float(rng.uniform(0.01, 1.0))
-        out = assign_tempbalance(eta, metrics, 0.5, 1.5)
+        out = assign_rates(eta, metrics, "tempbalance", 0.5, 1.5)
         assert all(0.5 * eta <= lr <= 1.5 * eta for lr in out.values())
         ranked = sorted(names, key=lambda n: metrics[n])
         lrs = [out[n] for n in ranked]
@@ -82,21 +81,21 @@ def test_tempbalance_range_and_rank_order():
 
 
 def test_tempbalance_inf_sentinel_maps_to_max():
-    out = assign_tempbalance(0.1, {"A": 2.0, "B": math.inf, "C": 4.0}, 0.5, 1.5)
+    out = assign_rates(0.1, {"A": 2.0, "B": math.inf, "C": 4.0}, "tempbalance", 0.5, 1.5)
     assert out["B"] == out["C"] == pytest.approx(0.15, abs=1e-15)
     assert out["A"] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_tempbalance_all_inf_treated_equal():
-    out = assign_tempbalance(0.2, {"A": math.inf, "B": math.inf}, 0.5, 1.5)
+    out = assign_rates(0.2, {"A": math.inf, "B": math.inf}, "tempbalance", 0.5, 1.5)
     assert out == {"A": 0.2, "B": 0.2}
 
 
 def test_tempbalance_rejects_empty_and_nan():
     with pytest.raises(AssignmentError):
-        assign_tempbalance(0.1, {}, 0.5, 1.5)
+        assign_rates(0.1, {}, "tempbalance", 0.5, 1.5)
     with pytest.raises(AssignmentError):
-        assign_tempbalance(0.1, {"A": math.nan, "B": 1.0}, 0.5, 1.5)
+        assign_rates(0.1, {"A": math.nan, "B": 1.0}, "tempbalance", 0.5, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +103,14 @@ def test_tempbalance_rejects_empty_and_nan():
 
 
 def test_sqrt_variant():
-    out = assign_variant(0.1, {"A": 1.0, "B": 4.0}, "sqrt", 0.5, 1.5)
+    out = assign_rates(0.1, {"A": 1.0, "B": 4.0}, "sqrt", 0.5, 1.5)
     # roots 1 and 2, mean 1.5
     assert out["A"] == pytest.approx(0.1 / 1.5, abs=1e-12)
     assert out["B"] == pytest.approx(0.2 / 1.5, abs=1e-12)
 
 
 def test_log2_variant():
-    out = assign_variant(0.1, {"A": 2.0, "B": 4.0}, "log2", 0.5, 1.5)
+    out = assign_rates(0.1, {"A": 2.0, "B": 4.0}, "log2", 0.5, 1.5)
     # logs proportional to 1 and 2, mean 1.5
     assert out["A"] == pytest.approx(0.1 / 1.5, abs=1e-12)
     assert out["B"] == pytest.approx(0.2 / 1.5, abs=1e-12)
@@ -119,7 +118,7 @@ def test_log2_variant():
 
 def test_log2_base_invariance():
     metrics = {"A": 2.0, "B": 5.0, "C": 11.0}
-    ours = assign_variant(0.1, metrics, "log2", 0.5, 1.5)
+    ours = assign_rates(0.1, metrics, "log2", 0.5, 1.5)
 
     def with_log(fn):
         logs = {k: fn(v) for k, v in metrics.items()}
@@ -139,48 +138,55 @@ def test_log2_base_invariance():
 def test_log2_degenerate_denominator():
     # logs of 2 and 1/2 cancel exactly; 1/2 is below 1, so it is rejected before any log is taken
     with pytest.raises(AssignmentError):
-        assign_variant(0.1, {"A": 2.0, "B": 0.5}, "log2", 0.5, 1.5)
+        assign_rates(0.1, {"A": 2.0, "B": 0.5}, "log2", 0.5, 1.5)
     # +inf sentinels alone read as 1, whose log is 0
     with pytest.raises(AssignmentError, match="above 1"):
-        assign_variant(0.1, {"A": math.inf, "B": math.inf}, "log2", 0.5, 1.5)
+        assign_rates(0.1, {"A": math.inf, "B": math.inf}, "log2", 0.5, 1.5)
 
 
 def test_sqrt_log_require_positive():
     with pytest.raises(AssignmentError):
-        assign_variant(0.1, {"A": -1.0}, "sqrt", 0.5, 1.5)
+        assign_rates(0.1, {"A": -1.0}, "sqrt", 0.5, 1.5)
     with pytest.raises(AssignmentError):
-        assign_variant(0.1, {"A": 0.0}, "log2", 0.5, 1.5)
+        assign_rates(0.1, {"A": 0.0}, "log2", 0.5, 1.5)
+
+
+@pytest.mark.parametrize("assignment", ["lars", "global_only", "linear"])
+def test_assign_rates_rejects_an_assignment_it_does_not_compute(assignment):
+    # even for one layer, which every metric-driven assignment would give the midpoint
+    with pytest.raises(ConfigError, match="unknown assignment"):
+        assign_rates(0.1, {"A": 2.0}, assignment, 0.5, 1.5)
 
 
 def test_step_variant_ranks():
-    out = assign_variant(0.1, {"A": 3.0, "B": 1.0, "C": 2.0}, "step", 0.5, 1.5)
+    out = assign_rates(0.1, {"A": 3.0, "B": 1.0, "C": 2.0}, "step", 0.5, 1.5)
     assert out["B"] == pytest.approx(0.05, abs=1e-15)
     assert out["C"] == pytest.approx(0.10, abs=1e-15)
     assert out["A"] == pytest.approx(0.15, abs=1e-15)
 
 
 def test_step_ties_break_by_layer_order():
-    out = assign_variant(0.1, {"first": 2.0, "second": 2.0}, "step", 0.5, 1.5)
+    out = assign_rates(0.1, {"first": 2.0, "second": 2.0}, "step", 0.5, 1.5)
     assert out["first"] == pytest.approx(0.05, abs=1e-15)
     assert out["second"] == pytest.approx(0.15, abs=1e-15)
 
 
 def test_step_ranks_inf_sentinel_above_its_stand_in():
     # the flat layer's +inf stands in as 3.0 and comes first, yet ranks last
-    out = assign_variant(0.1, {"flat": math.inf, "A": 1.0, "B": 3.0}, "step", 0.5, 1.5)
+    out = assign_rates(0.1, {"flat": math.inf, "A": 1.0, "B": 3.0}, "step", 0.5, 1.5)
     assert out == {"A": 0.05, "B": 0.1, "flat": pytest.approx(0.15, abs=1e-15)}
 
 
 def test_step_top_rank_stays_inside_the_range():
     # eta_t * (s1 + 3 * ((s2 - s1) / 3)) rounds to one ulp above s2 * eta_t here
     s1, s2, eta_t = 0.5604763915302339, 1.576842428862421, 0.4129550530466246
-    out = assign_variant(eta_t, {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}, "step", s1, s2)
+    out = assign_rates(eta_t, {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}, "step", s1, s2)
     assert out["d"] == s2 * eta_t
     assert all(s1 * eta_t <= lr <= s2 * eta_t for lr in out.values())
 
 
 def test_step_single_layer_midpoint():
-    out = assign_variant(0.1, {"only": 7.0}, "step", 0.5, 1.5)
+    out = assign_rates(0.1, {"only": 7.0}, "step", 0.5, 1.5)
     assert out["only"] == pytest.approx(0.1, abs=1e-15)
 
 
@@ -198,7 +204,7 @@ def metric_maps_above_one(draw):
 def test_variant_rates_are_positive_and_ordered_like_their_metrics(metrics, eta_t):
     ranked = sorted(metrics, key=lambda name: metrics[name])
     for variant in ("sqrt", "log2", "step"):
-        out = assign_variant(eta_t, metrics, variant, 0.5, 1.5)
+        out = assign_rates(eta_t, metrics, variant, 0.5, 1.5)
         lrs = [out[name] for name in ranked]
         assert lrs[0] > 0 and all(a <= b for a, b in zip(lrs, lrs[1:])), (variant, lrs)
 
@@ -208,7 +214,7 @@ def test_variant_rates_are_positive_and_ordered_like_their_metrics(metrics, eta_
 @example({"b": 4.0}, 0.5)  # log 0.5 < 0 < log 4 would give "low" a rate of -0.2
 def test_log2_rejects_any_metric_value_at_or_below_one(metrics, low):
     with pytest.raises(AssignmentError, match="above 1"):
-        assign_variant(0.1, {**metrics, "low": low}, "log2", 0.5, 1.5)
+        assign_rates(0.1, {**metrics, "low": low}, "log2", 0.5, 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
-"""Golden outputs of a tiny `tempbal train` run under each assignment, and their one writer.
+"""Golden outputs of tiny `tempbal train`, `analyze` and `rmt` runs, and their one writer.
 
     PYTHONPATH=src python tests/goldens.py
 
-reruns every golden config, prints each cell that moved from the committed
-files under tests/golden/, and writes the new outputs in their place. A change
-that moves a golden names the cells and the reason in CHANGES.md.
+reruns every golden case, prints each cell that moved from the committed
+files under tests/golden/<case>/, and writes the new outputs in their place.
+A change that moves a golden names the cells and the reason in CHANGES.md.
+
+The cases: `train` of one tiny config under each assignment, with the SNR
+penalty, and with a conv stem under fixfinger and the SNR penalty;
+`analyze` under each policy of one seeded snapshot file holding a tall
+layer (read from the file in blocks), a conv layer, a rank-deficient layer,
+a flat layer and a zero layer; and one small `rmt` grid.
 
 Outputs are compared as parsed cells, not bytes, because BLAS thread counts
 move the last bits of a float. Integer and text cells must match exactly;
-float cells and each snapshot layer match to REL_TOL relative.
+float cells and each snapshot layer match to REL_TOL relative, rmt cells to
+RMT_TOL.
 """
 
 from __future__ import annotations
@@ -22,19 +29,23 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from tempbal.cli import main
+from tempbal.htsr import POLICY_VARIANTS
 from tempbal.scheduler import ASSIGNMENTS
-from tempbal.weight_store import read_snapshot
+from tempbal.weight_store import LayerTensor, WeightSnapshot, read_snapshot, save_snapshot
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-OUTPUTS = ("telemetry.csv", "final.wsnp")
 REL_TOL = 1e-13
+# relative and absolute: rmt alphas move by up to 1.9e-11 across BLAS thread counts, and rel_err, below 1,
+# by as much in absolute terms
+RMT_TOL = 1e-10
 INTEGER = re.compile(r"[+-]?\d+")
 
-# five dense layers, three of them in the metric map; 3 iterations per epoch, refreshed every 2
+# five dense layers, three of them in the metric map, dense0 tall (10 x 6); 3 iterations per epoch, refreshed every 2
 CONFIG = {
     "eta0": "0.1",
     "total_epochs": "3",
@@ -48,28 +59,80 @@ CONFIG = {
     "seed": "5",
     "timing": "off",
 }
-# lars diverges at the default eta0
-OVERRIDES = {"lars": {"eta0": "0.0005"}}
+TRAIN_CASES = {
+    # lars diverges at the default eta0
+    **{a: {**CONFIG, "assignment": a, **({"eta0": "0.0005"} if a == "lars" else {})} for a in ASSIGNMENTS},
+    "snr": {**CONFIG, "lambda_sr": "0.001"},
+    # SNR on conv layers too: conv0 flattens to 4 x 9 and conv1 to 8 x 36; dense0 is 10 x 128, dense1 3 x 10
+    "conv_fixfinger": {
+        **CONFIG,
+        "dim": "64",
+        "conv_stem": "4x1x3x3,8x4x3x3",
+        "conv_input": "1x8x8",
+        "hidden": "10",
+        "policy": "fixfinger",
+        "metric": "alpha_weighted",
+        "exclude_first_last": "false",
+        "lambda_sr": "0.001",
+    },
+}
 
 
-def config_text(assignment: str) -> str:
-    values = {**CONFIG, "assignment": assignment, **OVERRIDES.get(assignment, {})}
-    return "".join(f"{key} = {value}\n" for key, value in values.items())
+def analyze_input() -> WeightSnapshot:
+    """The analyze cases' snapshot: tall, conv, rank-deficient, flat and zero layers from one seed."""
+    rng = np.random.default_rng(2024)
+    return WeightSnapshot(
+        epoch=3,
+        layers=(
+            LayerTensor("tall", rng.standard_t(3.0, size=(48, 16))),  # 16 x 48 after orientation, 3 blocks of 16 rows
+            LayerTensor("conv", rng.normal(size=(8, 4, 3, 3))),
+            LayerTensor("rank3", rng.normal(size=(12, 3)) @ rng.normal(size=(3, 20))),
+            LayerTensor("flat", 3.0 * np.linalg.qr(rng.normal(size=(12, 8)))[0].T),
+            LayerTensor("zero", np.zeros((6, 6))),
+        ),
+    )
 
 
-def run(assignment: str, out_dir: Path) -> None:
-    """Train the golden config under one assignment, writing its outputs to out_dir."""
+def _train(config: dict[str, str]) -> Callable[[Path, Path], list[str]]:
+    def argv(out_dir: Path, work: Path) -> list[str]:
+        cfg = work / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in config.items()), encoding="utf-8")
+        return ["train", "--config", str(cfg), "--out-dir", str(out_dir)]
+
+    return argv
+
+
+def _analyze(policy: str) -> Callable[[Path, Path], list[str]]:
+    def argv(out_dir: Path, work: Path) -> list[str]:
+        path = work / "layers.wsnp"
+        save_snapshot(analyze_input(), str(path))
+        return ["analyze", str(path), "--policy", policy, "--out-dir", str(out_dir)]
+
+    return argv
+
+
+def _rmt(out_dir: Path, work: Path) -> list[str]:
+    return ["rmt", "--q", "32,64", "--s", "0.5:2.5:0.5", "--out", str(out_dir / "table.csv")]
+
+
+# case -> the argv of its run, given its output directory and a scratch directory for its inputs
+CASES: dict[str, Callable[[Path, Path], list[str]]] = {
+    **{name: _train(config) for name, config in TRAIN_CASES.items()},
+    **{f"analyze_{policy}": _analyze(policy) for policy in POLICY_VARIANTS},
+    "rmt": _rmt,
+}
+
+
+def run(case: str, out_dir: Path) -> None:
+    """Run one golden case, writing its outputs, and nothing else, to out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = out_dir / "run.cfg"
-    cfg.write_text(config_text(assignment), encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["train", "--config", str(cfg), "--out-dir", str(out_dir)])
-    cfg.unlink()
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+        code = main(CASES[case](out_dir, Path(work)))
     if code:
-        raise RuntimeError(f"golden run {assignment} exited {code}")
+        raise RuntimeError(f"golden run {case} exited {code}")
 
 
-def _same_cell(expected: str, actual: str) -> bool:
+def _same_cell(expected: str, actual: str, tol: float, abs_tol: float) -> bool:
     if expected == actual:
         return True
     if INTEGER.fullmatch(expected) or INTEGER.fullmatch(actual):
@@ -78,26 +141,26 @@ def _same_cell(expected: str, actual: str) -> bool:
         a, b = float(expected), float(actual)
     except ValueError:
         return False  # text matches exactly
-    return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=REL_TOL, abs_tol=0.0)
+    return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=tol, abs_tol=abs_tol)
 
 
-def _telemetry_moves(expected: Path, actual: Path, label: str) -> list[str]:
-    with open(expected, newline="") as fh:
+def _table_moves(expected: Path, actual: Path, label: str, tol: float, abs_tol: float) -> list[str]:
+    with open(expected, newline="", encoding="utf-8") as fh:
         old = list(csv.reader(fh))
-    with open(actual, newline="") as fh:
+    with open(actual, newline="", encoding="utf-8") as fh:
         new = list(csv.reader(fh))
-    if old[0] != new[0] or len(old) != len(new) or any(len(a) != len(b) for a, b in zip(old, new)):
+    if old[:1] != new[:1] or len(old) != len(new) or any(len(a) != len(b) for a, b in zip(old, new)):
         return [f"{label}: table shape or header changed"]
     header = old[0]
     return [
-        f"{label} row {row_no} ({a[0]},{a[1]}) {column}: {x} -> {y}"
+        f"{label} row {row_no} ({','.join(a[:2])}) {column}: {x} -> {y}"
         for row_no, (a, b) in enumerate(zip(old[1:], new[1:]), start=1)
         for column, x, y in zip(header, a, b)
-        if not _same_cell(x, y)
+        if not _same_cell(x, y, tol, abs_tol)
     ]
 
 
-def _snapshot_moves(expected: Path, actual: Path, label: str) -> list[str]:
+def _snapshot_moves(expected: Path, actual: Path, label: str, tol: float) -> list[str]:
     with open(expected, "rb") as fh:
         old = read_snapshot(fh)
     with open(actual, "rb") as fh:
@@ -110,33 +173,43 @@ def _snapshot_moves(expected: Path, actual: Path, label: str) -> list[str]:
     for a, b in zip(old.layers, new.layers):
         err = float(np.max(np.abs(a.values - b.values), initial=0.0))
         scale = float(np.max(np.abs(a.values), initial=0.0))
-        if not err <= REL_TOL * scale:
+        if not err <= tol * scale:
             moves.append(f"{label} {a.name}: max |change| {err:.3g} of max |value| {scale:.3g}")
     return moves
 
 
-def moved_cells(assignment: str, out_dir: Path) -> list[str]:
-    """Cells of out_dir's outputs that differ from the committed golden of assignment."""
-    golden = GOLDEN_DIR / assignment
-    return _telemetry_moves(golden / "telemetry.csv", out_dir / "telemetry.csv", f"{assignment}/telemetry.csv") + (
-        _snapshot_moves(golden / "final.wsnp", out_dir / "final.wsnp", f"{assignment}/final.wsnp")
-    )
+def _outputs(directory: Path) -> list[str]:
+    """The files of a case's outputs, tables before snapshots."""
+    return sorted((p.name for p in directory.iterdir()), key=lambda name: (name.endswith(".wsnp"), name))
+
+
+def moved_cells(case: str, out_dir: Path) -> list[str]:
+    """Cells of out_dir's outputs that differ from the committed golden of case."""
+    golden = GOLDEN_DIR / case
+    names = _outputs(golden)
+    if _outputs(out_dir) != names:
+        return [f"{case}: output files {_outputs(out_dir)}, golden {names}"]
+    tol, abs_tol = (RMT_TOL, RMT_TOL) if case == "rmt" else (REL_TOL, 0.0)
+    moves = []
+    for name in names:
+        files = (golden / name, out_dir / name, f"{case}/{name}")
+        moves += _table_moves(*files, tol, abs_tol) if name.endswith(".csv") else _snapshot_moves(*files, tol)
+    return moves
 
 
 def regenerate() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for assignment in ASSIGNMENTS:
-            out_dir = Path(tmp) / assignment
-            run(assignment, out_dir)
-            golden = GOLDEN_DIR / assignment
-            if all((golden / name).exists() for name in OUTPUTS):
-                moves = moved_cells(assignment, out_dir)
-                print("\n".join(moves) if moves else f"{assignment}: no cell moved")
+        for case in CASES:
+            out_dir = Path(tmp) / case
+            run(case, out_dir)
+            golden = GOLDEN_DIR / case
+            if golden.is_dir():
+                moves = moved_cells(case, out_dir)
+                print("\n".join(moves) if moves else f"{case}: no cell moved")
+                shutil.rmtree(golden)
             else:
-                print(f"{assignment}: new golden")
-            golden.mkdir(parents=True, exist_ok=True)
-            for name in OUTPUTS:
-                shutil.copyfile(out_dir / name, golden / name)
+                print(f"{case}: new golden")
+            shutil.copytree(out_dir, golden)
     return 0
 
 

@@ -1,17 +1,29 @@
-"""Every assignment's `train` outputs match the committed goldens cell by cell (see goldens.py)."""
+"""Every golden case's outputs match the committed goldens cell by cell (see goldens.py)."""
 
 import pytest
 
-from goldens import OUTPUTS, moved_cells, run
-from tempbal.scheduler import ASSIGNMENTS
+from goldens import TRAIN_CASES, moved_cells, run
+from tempbal.htsr import POLICY_VARIANTS
 from tempbal.weight_store import LayerTensor, WeightSnapshot, read_snapshot, save_snapshot
 
 
-@pytest.mark.parametrize("assignment", ASSIGNMENTS)
-def test_train_outputs_match_the_golden(tmp_path, assignment):
-    run(assignment, tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(OUTPUTS)
-    assert moved_cells(assignment, tmp_path) == []
+@pytest.mark.parametrize("case", TRAIN_CASES)
+def test_train_outputs_match_the_golden(tmp_path, case):
+    run(case, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["final.wsnp", "telemetry.csv"]
+    assert moved_cells(case, tmp_path) == []
+
+
+@pytest.mark.parametrize("policy", POLICY_VARIANTS)
+def test_analyze_outputs_match_the_golden(tmp_path, policy):
+    run(f"analyze_{policy}", tmp_path)
+    assert len(list(tmp_path.iterdir())) == 6  # metrics.csv and one esd_*.csv a layer
+    assert moved_cells(f"analyze_{policy}", tmp_path) == []
+
+
+def test_rmt_outputs_match_the_golden(tmp_path):
+    run("rmt", tmp_path)
+    assert moved_cells("rmt", tmp_path) == []
 
 
 @pytest.mark.parametrize("factor, moved", [(1 + 1e-15, False), (1 + 1e-12, True)])
@@ -34,3 +46,16 @@ def test_a_cell_or_layer_moved_past_the_tolerance_is_named(tmp_path, factor, mov
         assert [m.split(":")[0] for m in moves[1:]] == [f"step/final.wsnp {layer.name}" for layer in snap.layers]
     else:
         assert moves == []
+
+
+@pytest.mark.parametrize("factor, moved", [(1 + 1e-11, False), (1 + 1e-9, True)])
+def test_an_rmt_alpha_moved_past_its_tolerance_is_named(tmp_path, factor, moved):
+    run("rmt", tmp_path)
+    table = tmp_path / "table.csv"
+    rows = table.read_text().splitlines()
+    cells = rows[3].split(",")  # Q = 32, s = 1.5
+    cells[2] = repr(float(cells[2]) * factor)  # its alpha_hill
+    rows[3] = ",".join(cells)
+    table.write_text("\n".join(rows) + "\n")
+    moves = moved_cells("rmt", tmp_path)
+    assert [m.split(":")[0] for m in moves] == (["rmt/table.csv row 3 (32,1.5) alpha_hill"] if moved else [])

@@ -139,6 +139,18 @@ def test_spike_top_eigenvalue_monotone():
     assert all(a <= b for a, b in zip(tops, tops[1:]))
 
 
+def test_spike_of_a_tall_bulk_matches_its_transpose():
+    # a tall bulk is oriented to its transpose, so a draws n = 48 entries and b m = 80 either way
+    w = np.random.default_rng(4).normal(0.0, 1.0 / np.sqrt(80), size=(80, 48))
+    for scale in (0.0, 0.5, 10.0):
+        tall = spike_experiment(orient(LayerTensor("tall", w)), scale, seed=9)
+        wide = spike_experiment(orient(LayerTensor("wide", w.T)), scale, seed=9)
+        assert tall.esd_before.n == 48
+        assert np.array_equal(tall.esd_before.eigenvalues, wide.esd_before.eigenvalues)
+        assert np.array_equal(tall.esd_after.eigenvalues, wide.esd_after.eigenvalues)
+        assert tall.spike_detected == wide.spike_detected == (scale == 10.0)
+
+
 def test_spike_rejects_negative_scale():
     with pytest.raises(ValueError):
         spike_experiment(gaussian_bulk(), -1.0)

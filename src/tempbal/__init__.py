@@ -1,7 +1,8 @@
 """Spectral diagnostics and layer-wise learning-rate scheduling.
 
-The pipeline: snapshot layer weights (weight_store), turn each layer into
-the eigenvalue spectrum of its Gram matrix (esd), fit the heavy tail and
+The pipeline: snapshot layer weights (weight_store), turn each layer, its
+own matrix once flattened and oriented, into the eigenvalue spectrum of its
+Gram matrix (esd), fit the heavy tail and
 extract per-layer metrics (htsr), map metrics to per-layer learning rates
 (scheduler), and drive everything end to end with a small deterministic
 training loop (train_engine). rmt_lab validates the tail-exponent
@@ -9,7 +10,7 @@ machinery on synthetic spectra.
 """
 
 from .errors import ConfigError, DataError, NumericalError, TempbalError
-from .esd import ESD, OrientedMatrix, compute_esd, orient
+from .esd import ESD, compute_esd
 from .htsr import (
     LambdaMinPolicy,
     LayerMetrics,
@@ -61,7 +62,6 @@ __all__ = [
     "ModelSpec",
     "NumericalError",
     "OptimState",
-    "OrientedMatrix",
     "PLSpectrumSpec",
     "ScheduleConfig",
     "ScheduleDecision",
@@ -77,7 +77,6 @@ __all__ = [
     "layer_metrics",
     "load_snapshot",
     "make_dataset",
-    "orient",
     "read_snapshot",
     "run_training",
     "save_snapshot",

@@ -266,7 +266,7 @@ def cmd_analyze(args) -> int:
         for row in rows
     )
     metrics_path = out_dir / "metrics.csv"
-    with open(metrics_path, "w", newline="") as fh:
+    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         write_table(fh, METRICS_HEADER, table)
 
     for row in rows:
@@ -274,7 +274,7 @@ def cmd_analyze(args) -> int:
         if row.esd is not None and row.esd.lambda_max > 0:
             counts, edges = log10_histogram(row.esd.eigenvalues, args.bins)
             bins = zip(edges[:-1], edges[1:], counts)
-        with open(out_dir / _histogram_file_name(row.name), "w", newline="") as fh:
+        with open(out_dir / _histogram_file_name(row.name), "w", newline="", encoding="utf-8") as fh:
             write_table(fh, "log10_lambda_left,log10_lambda_right,count", bins)
 
     print(f"analyzed {len(rows)} layers -> {metrics_path}")
@@ -311,7 +311,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     telemetry_path = out_dir / "telemetry.csv"
-    with open(telemetry_path, "w") as fh:
+    with open(telemetry_path, "w", encoding="utf-8") as fh:
         telemetry.write_csv(fh, timing=cfg["timing"] == "wall")
     save_snapshot(final, str(out_dir / "final.wsnp"))
 
@@ -373,7 +373,7 @@ def cmd_rmt(args) -> int:
                 violations.append(row)
     header = "Q,s,alpha_hill,alpha_pred,rel_err"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             write_table(fh, header, table)
         print(f"wrote {len(table)} cells -> {args.out}")
     else:

@@ -1,19 +1,22 @@
 """Empirical spectral densities of layer weight matrices.
 
-Every weight array enters as a LayerTensor, the one entry that checks it.
-orient then makes it an n x m matrix with n <= m (conv tensors flatten to
-out-channels x in*kh*kw), and the ESD is the set of eigenvalues of the
-n x n Gram matrix W W^T, from a symmetric eigensolve.
-W W^T is the smaller of the two Gram matrices and has the same nonzero
-spectrum as W^T W; one eigensolve of it costs a fraction of a full SVD of W.
+Every weight array enters as a LayerTensor, the one entry that checks it,
+and is its own matrix: W is its flattened rows (conv tensors flatten to
+out-channels x in*kh*kw), transposed when they outnumber their columns, so
+W is n x m with n <= m. That transpose rule lives here only: orient gives
+a layer's (n, m), gram sums W W^T, and matrix gives an in-memory layer's W
+as a view. The ESD is the set of eigenvalues of the n x n Gram matrix
+W W^T, from a symmetric eigensolve. W W^T is the smaller of the two Gram
+matrices and has the same nonzero spectrum as W^T W; one eigensolve of it
+costs a fraction of a full SVD of W.
 
-orient reads nothing: an OrientedMatrix holds its layer, and gram, the one
-reader of its rows, sums W W^T over the blocks of n rows the layer gives.
-An array in memory is one block, as is a wide layer of a snapshot file,
-freed when gram returns, before its eigensolve. A tall one (transposed, so
-its rows are the columns of W) is never held whole; its sum runs in another
-order than the one-block product, so its eigenvalues may differ in the last
-bits from those of the same layer in memory.
+gram, the one reader of a layer's rows, sums W W^T over the blocks of n
+rows the layer gives. An array in memory is one block, as is a wide layer
+of a snapshot file, freed when gram returns, before its eigensolve. A tall
+one (transposed, so its rows are the columns of W) is never held whole;
+its sum runs in another order than the one-block product, so its
+eigenvalues may differ in the last bits from those of the same layer in
+memory.
 
 Forming W W^T and its eigensolve leave each eigenvalue with an absolute
 error of a few eps * lambda_max, so W W^T cannot resolve eigenvalues below
@@ -32,7 +35,6 @@ and compute_esd raises a NumericalError naming that.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,39 +45,6 @@ from .weight_store import LayerTensor, StoredLayer
 
 class NonFiniteMatrixError(NumericalError):
     """Weight matrix contains NaN or infinity."""
-
-
-@dataclass(frozen=True)
-class OrientedMatrix:
-    """A layer's 2-D weight matrix W with rows <= cols, built by orient; records whether a transpose occurred.
-
-    It holds the layer, not its values: W is the layer's flattened rows or their transpose.
-    """
-
-    layer: LayerTensor | StoredLayer = field(repr=False)
-    transposed: bool
-
-    @property
-    def source_name(self) -> str:
-        return self.layer.name
-
-    @property
-    def n(self) -> int:
-        return self.layer.shape[1 if self.transposed else 0]
-
-    @property
-    def m(self) -> int:
-        return self.layer.shape[0 if self.transposed else 1]
-
-    @property
-    def values(self) -> np.ndarray:
-        """W as one array; a stored layer is read whole for it at each access."""
-        rows = self.layer.values.reshape(self.layer.shape)
-        return rows.T if self.transposed else rows
-
-    def row_blocks(self) -> Iterable[np.ndarray]:
-        """The layer's flattened rows, n a block: every row at once when they are W; an array is always one block."""
-        return self.layer.row_blocks(self.n)
 
 
 @dataclass(frozen=True)
@@ -104,14 +73,22 @@ class ESD:
         return float(self.eigenvalues[-1])
 
 
-def orient(layer: LayerTensor | StoredLayer) -> OrientedMatrix:
-    """Orient a checked layer, in memory or in a snapshot file, into an n x m matrix with n <= m; reads nothing.
+def _tall(shape: tuple[int, int]) -> bool:
+    """Whether a layer of this (rows, cols) shape has more rows than columns, so that its W is their transpose."""
+    rows, cols = shape
+    return rows > cols
 
-    A conv (out, in, kh, kw) tensor flattens to (out, in*kh*kw) first; a
-    layer with more rows than columns is transposed.
-    """
+
+def orient(layer: LayerTensor | StoredLayer) -> tuple[int, int]:
+    """The (n, m) of a layer's matrix W, in memory or in a snapshot file, n <= m; reads nothing."""
     rows, cols = layer.shape
-    return OrientedMatrix(layer, rows > cols)
+    return (cols, rows) if _tall(layer.shape) else (rows, cols)
+
+
+def matrix(values: np.ndarray) -> np.ndarray:
+    """W of a layer's values in memory: a view, so writing to it writes the values in their own shape."""
+    rows = values.reshape(values.shape[0], -1)
+    return rows.T if _tall(rows.shape) else rows
 
 
 def roundoff_floor(n: int) -> float:
@@ -119,31 +96,32 @@ def roundoff_floor(n: int) -> float:
     return n * np.finfo(np.float64).eps
 
 
-def gram(mat: OrientedMatrix) -> np.ndarray:
-    """The n x n Gram matrix W W^T of an oriented layer, checked finite.
+def gram(layer: LayerTensor | StoredLayer) -> np.ndarray:
+    """The n x n Gram matrix W W^T of a layer, checked finite.
 
-    Summed over the blocks B of its flattened rows: B B^T when they are W
-    (one block), B^T B when they are W^T.
+    Summed over the blocks B of n of its flattened rows: B B^T when they are
+    W (one block), B^T B when they are W^T.
     """
+    tall = _tall(layer.shape)
     product = None
-    for block in mat.row_blocks():
+    for block in layer.row_blocks(min(layer.shape)):
         if not np.all(np.isfinite(block)):
-            raise NonFiniteMatrixError(f"{mat.source_name!r}: non-finite entries in weight matrix")
+            raise NonFiniteMatrixError(f"{layer.name!r}: non-finite entries in weight matrix")
         with np.errstate(over="ignore", invalid="ignore"):  # checked after the sum
-            part = block.T @ block if mat.transposed else block @ block.T
+            part = block.T @ block if tall else block @ block.T
             product = part if product is None else np.add(product, part, out=product)
         del part  # before the next block's product: a Gram, a block and one product at most
     if not np.all(np.isfinite(product)):
-        raise NumericalError(f"{mat.source_name!r}: W W^T overflows float64, so its eigenvalues would too")
+        raise NumericalError(f"{layer.name!r}: W W^T overflows float64, so its eigenvalues would too")
     return product
 
 
-def compute_esd(mat: OrientedMatrix) -> ESD:
-    """Eigenvalues of the Gram matrix W W^T of an oriented layer, ascending as eigvalsh returns them.
+def compute_esd(layer: LayerTensor | StoredLayer) -> ESD:
+    """Eigenvalues of the Gram matrix W W^T of a layer, ascending as eigvalsh returns them.
 
     Those at or below roundoff_floor(n) * lambda_max, negative ones included,
     are set to zero; the zero matrix gives all zeros.
     """
-    lam = np.linalg.eigvalsh(gram(mat))
-    lam[lam <= roundoff_floor(mat.n) * lam[-1]] = 0.0
-    return ESD(eigenvalues=lam, source_name=mat.source_name)
+    lam = np.linalg.eigvalsh(gram(layer))
+    lam[lam <= roundoff_floor(lam.size) * lam[-1]] = 0.0
+    return ESD(eigenvalues=lam, source_name=layer.name)

@@ -236,14 +236,14 @@ class LayerAnalysis:
 
 
 def _analyze_layer(layer, policy: LambdaMinPolicy) -> LayerAnalysis:
-    oriented = orient(layer)
+    n, m = orient(layer)
     spectrum = None
     try:
-        spectrum = compute_esd(oriented)
+        spectrum = compute_esd(layer)
         metrics = layer_metrics(spectrum, policy)
     except (NumericalError, ValueError) as exc:
-        return LayerAnalysis(layer.name, oriented.n, oriented.m, spectrum, None, str(exc))
-    return LayerAnalysis(layer.name, oriented.n, oriented.m, spectrum, metrics, None)
+        return LayerAnalysis(layer.name, n, m, spectrum, None, str(exc))
+    return LayerAnalysis(layer.name, n, m, spectrum, metrics, None)
 
 
 def analyze_snapshot(snapshot: WeightSnapshot, policy: LambdaMinPolicy) -> list[LayerAnalysis]:

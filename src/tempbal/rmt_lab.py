@@ -7,18 +7,19 @@ lambda^(-(1/s + 1)), so the Hill exponent of the ESD satisfies
 
     alpha = 1 + 1/s        equivalently  s = 1/(alpha - 1)
 
-synth_pl_matrix builds matrices with exactly prescribed decaying spectra by
-scaling the columns of an orthogonal frame from random_frame: the DCT-II
-basis with its rows in a seeded order and with seeded signs. W W^T =
-U diag(lambda) U^T has the prescribed spectrum for every orthogonal U, so
-any exactly orthogonal frame will do; a dense one spreads each eigenvalue
-over the rows as a random rotation would, and a sign-flipped DCT is the
-usual cheap stand-in for one (Ailon & Chazelle, 2009). Only a left frame
-is built: the Gram spectrum never sees a right one. sweep_specs checks
-the cells of a sweep, verify_s_alpha sweeps the relation on a grid of s,
-each cell scaling a frame of its own in place, and spike_experiment
-demonstrates how a rank-1 update ejects an eigenvalue from a random bulk
-("bulk+spike").
+synth_pl_matrix builds square layers whose matrices have exactly
+prescribed decaying spectra by scaling the columns of an orthogonal frame
+from random_frame: the DCT-II basis with its rows in a seeded order and
+with seeded signs. W W^T = U diag(lambda) U^T has the prescribed spectrum
+for every orthogonal U, so any exactly orthogonal frame will do; a dense
+one spreads each eigenvalue over the rows as a random rotation would, and
+a sign-flipped DCT is the usual cheap stand-in for one (Ailon & Chazelle,
+2009). Only a left frame is built: the Gram spectrum never sees a right
+one. sweep_specs checks the cells of a sweep, verify_s_alpha sweeps the
+relation on a grid of s, each cell scaling a frame of its own in place,
+and spike_experiment demonstrates how a rank-1 update ejects an eigenvalue
+from a random bulk ("bulk+spike"). Every matrix here is a LayerTensor, and
+its W comes from esd, as any layer's does.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .esd import ESD, OrientedMatrix, compute_esd, orient, roundoff_floor
+from .esd import ESD, compute_esd, matrix, roundoff_floor
 from .htsr import LambdaMinPolicy, layer_metrics
 from .weight_store import LayerTensor
 
@@ -106,8 +107,8 @@ def random_frame(size: int, seed: int) -> np.ndarray:
     return frame
 
 
-def synth_pl_matrix(spec: PLSpectrumSpec) -> OrientedMatrix:
-    """Square matrix whose Gram eigenvalues equal the prescribed spectrum.
+def synth_pl_matrix(spec: PLSpectrumSpec) -> LayerTensor:
+    """Square layer whose Gram eigenvalues equal the prescribed spectrum.
 
     W = U diag(sqrt(lambda_k)) with U = random_frame(spec.size, spec.seed),
     the seeded shuffled and sign-flipped DCT-II basis, scaled in place, so
@@ -117,7 +118,7 @@ def synth_pl_matrix(spec: PLSpectrumSpec) -> OrientedMatrix:
     """
     w = random_frame(spec.size, spec.seed)
     w *= np.sqrt(pl_eigenvalues(spec))
-    return orient(LayerTensor(f"pl_q{spec.size}_s{spec.decay:g}", w))
+    return LayerTensor(f"pl_q{spec.size}_s{spec.decay:g}", w)
 
 
 def max_decay(size: int) -> float:
@@ -203,24 +204,23 @@ class SpikeResult:
     spike_detected: bool
 
 
-def spike_experiment(
-    bulk: OrientedMatrix, spike_scale: float, seed: int = 0
-) -> SpikeResult:
-    """Add a rank-1 update spike_scale * a b^T to a bulk matrix.
+def spike_experiment(bulk: LayerTensor, spike_scale: float, seed: int = 0) -> SpikeResult:
+    """Add a rank-1 update spike_scale * a b^T to a bulk layer's n x m matrix W.
 
-    a and b are seeded unit vectors. The spike counts as detected when the
-    top eigenvalue after the update exceeds SPIKE_SEPARATION times the
-    second one.
+    a and b are seeded unit vectors of n and m entries. The spike counts as
+    detected when the top eigenvalue after the update exceeds
+    SPIKE_SEPARATION times the second one.
     """
     if spike_scale < 0:
         raise ValueError(f"spike_scale must be nonnegative, got {spike_scale}")
+    w = matrix(bulk.values)
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=bulk.n)
+    a = rng.normal(size=w.shape[0])
     a /= np.linalg.norm(a)
-    b = rng.normal(size=bulk.m)
+    b = rng.normal(size=w.shape[1])
     b /= np.linalg.norm(b)
     before = compute_esd(bulk)
-    after = compute_esd(orient(LayerTensor(f"{bulk.source_name}+spike", bulk.values + spike_scale * np.outer(a, b))))
+    after = compute_esd(LayerTensor(f"{bulk.name}+spike", w + spike_scale * np.outer(a, b)))
     lam = after.eigenvalues
     if lam.size < 2:
         detected = False

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .esd import OrientedMatrix, gram, orient
+from .esd import gram, matrix
 from .htsr import LambdaMinPolicy
 from .scheduler import ScheduleConfig, ScheduleDecision, schedule_epoch
 from .weight_store import LayerTensor, WeightSnapshot
@@ -311,15 +311,14 @@ def sgd_step(
 
 
 def snr_grad_term(
-    layer: OrientedMatrix,
+    layer: LayerTensor,
     lambda_sr: float,
     tol: float = 1e-9,
 ) -> np.ndarray:
     """Gradient of the penalty (lambda_sr/2) * sigma(W)^2 at a simple top singular value.
 
-    Returns lambda_sr * sigma * u v^T in the layer's original 2-D
-    orientation (transposed layers get the transposed increment); zeros
-    when lambda_sr is 0 or W is the zero matrix.
+    Returns lambda_sr * sigma * u v^T in the layer's own shape; zeros when
+    lambda_sr is 0 or W is the zero matrix.
 
     u is the top eigenvector of the Gram matrix W W^T from one symmetric
     eigensolve, sigma = ||W^T u|| and v = W^T u / sigma; unlike power
@@ -327,9 +326,10 @@ def snr_grad_term(
     pair must satisfy ||W v - sigma u|| <= tol * sigma, else
     ConvergenceError.
     """
-    w = layer.values
+    w = matrix(layer.values)
+    inc = np.zeros_like(layer.values)
     if lambda_sr == 0.0 or not w.any():
-        return np.zeros((layer.m, layer.n) if layer.transposed else (layer.n, layer.m))
+        return inc
     u = np.linalg.eigh(gram(layer))[1][:, -1]
     wu = w.T @ u
     sigma = float(np.linalg.norm(wu))
@@ -337,10 +337,10 @@ def snr_grad_term(
     residual = float(np.linalg.norm(w @ v - sigma * u))
     if not residual <= tol * sigma:
         raise ConvergenceError(
-            f"{layer.source_name!r}: top singular pair has residual {residual:.3e} > tol * sigma", residual
+            f"{layer.name!r}: top singular pair has residual {residual:.3e} > tol * sigma", residual
         )
-    inc = lambda_sr * sigma * np.outer(u, v)
-    return inc.T if layer.transposed else inc
+    np.multiply(lambda_sr * sigma, np.outer(u, v), out=matrix(inc))  # written through W's view of inc
+    return inc
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +627,8 @@ def run_training(
             if lambda_sr > 0.0:
                 a0 = perf_counter()
                 for name in layer_names:
-                    w = params[f"{name}.w"]
-                    oriented = orient(LayerTensor(name, w))
-                    inc = snr_grad_term(oriented, lambda_sr)
-                    grads[f"{name}.w"] = grads[f"{name}.w"] + inc.reshape(w.shape)
+                    inc = snr_grad_term(LayerTensor(name, params[f"{name}.w"]), lambda_sr)
+                    grads[f"{name}.w"] = grads[f"{name}.w"] + inc
                 analysis_sec += perf_counter() - a0
             last_grad_norms = {
                 name: float(np.linalg.norm(grads[f"{name}.w"])) for name in layer_names

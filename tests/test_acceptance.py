@@ -14,7 +14,7 @@ import pytest
 
 from conftest import random_snapshot
 from tempbal.cli import main
-from tempbal.esd import ESD, compute_esd, orient
+from tempbal.esd import ESD, compute_esd
 from tempbal.htsr import LambdaMinPolicy, hill_alpha
 from tempbal.rmt_lab import spike_experiment, verify_s_alpha
 from tempbal.scheduler import ScheduleConfig, assign_rates, cal_rate
@@ -152,10 +152,10 @@ def test_criterion_5_power_iteration_and_snr():
         n = int(rng.integers(2, 129))
         m = int(rng.integers(2, 129))
         w = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-2, 3)
-        oriented = orient(LayerTensor("acc", w))
+        layer = LayerTensor("acc", w)
         # the increment is lam_sr * sigma * u v^T, so its norm is lam_sr * sigma
-        sigma = float(np.linalg.norm(snr_grad_term(oriented, lam_sr))) / lam_sr
-        top = math.sqrt(compute_esd(oriented).lambda_max)
+        sigma = float(np.linalg.norm(snr_grad_term(layer, lam_sr))) / lam_sr
+        top = math.sqrt(compute_esd(layer).lambda_max)
         rel = abs(sigma - top) / top
         worst = max(worst, rel)
         assert rel <= 1e-6
@@ -163,8 +163,7 @@ def test_criterion_5_power_iteration_and_snr():
     h = 1e-6
     for trial in range(10):
         w = rng.normal(size=(int(rng.integers(4, 12)), int(rng.integers(4, 12))))
-        oriented = orient(LayerTensor("snr", w))
-        inc = snr_grad_term(oriented, lam_sr, tol=1e-11)
+        inc = snr_grad_term(LayerTensor("snr", w), lam_sr, tol=1e-11)
         assert inc.shape == w.shape
 
         def penalty(mat):
@@ -320,7 +319,7 @@ def test_criterion_9_format_roundtrip_and_errors(tmp_path):
 def test_criterion_10_spike_detection():
     n = 256
     rng = np.random.default_rng(0)
-    bulk = orient(LayerTensor("bulk", rng.normal(0.0, 1.0 / math.sqrt(n), size=(n, n))))
+    bulk = LayerTensor("bulk", rng.normal(0.0, 1.0 / math.sqrt(n), size=(n, n)))
 
     none = spike_experiment(bulk, 0.0, seed=1000)
     assert not none.spike_detected

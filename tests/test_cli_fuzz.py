@@ -7,7 +7,10 @@ numpy's index range, where no array is allocated at all.
 
 import contextlib
 import io
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -216,3 +219,37 @@ def test_sizes_past_numpys_index_range_exit_1(sizes):
     config = BASE_CONFIG_BYTES + "".join(f"{k} = {v}\n" for k, v in sizes.items()).encode()
     with tempfile.TemporaryDirectory() as tmp:
         assert _train_exit(tmp, config) == 1
+
+
+# Python's own UTF-8 mode and locale coercion off, so text files default to the C locale's ASCII
+ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+def _cli_under_ascii_locale(argv: list[str]) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **ASCII_LOCALE, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"]
+    encoding = subprocess.run(probe, capture_output=True, text=True, env=env, timeout=60).stdout.strip()
+    assert encoding.lower().replace("-", "") != "utf8", "the C locale must not be UTF-8 for this test to mean anything"
+    return subprocess.run([sys.executable, "-m", "tempbal.cli", *argv], capture_output=True, env=env, timeout=120)
+
+
+def test_analyze_writes_utf8_under_an_ascii_locale(tmp_path):
+    layer = LayerTensor("café", np.random.default_rng(0).normal(size=(6, 9)))
+    save_snapshot(WeightSnapshot(epoch=0, layers=(layer,)), str(tmp_path / "cafe.wsnp"))
+    done = _cli_under_ascii_locale(["analyze", str(tmp_path / "cafe.wsnp"), "--out-dir", str(tmp_path / "out")])
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    metrics = (tmp_path / "out" / "metrics.csv").read_bytes().decode("utf-8").splitlines()
+    assert len(metrics) == 2 and metrics[1].startswith("café,6,9,")
+    assert (tmp_path / "out" / "esd_caf%C3%A9.csv").is_file()
+
+
+def test_train_reads_a_utf8_csv_under_an_ascii_locale(tmp_path):
+    rows = "".join(f"{i % 7}.5,{i % 3},{'é' if i % 2 else 'e'}\n" for i in range(20))
+    (tmp_path / "data.csv").write_bytes(("x0,x1,label\n" + rows).encode("utf-8"))
+    config = BASE_CONFIG_BYTES + f"dataset = csv\ncsv_path = {tmp_path / 'data.csv'}\n".encode()
+    (tmp_path / "run.cfg").write_bytes(config)
+    done = _cli_under_ascii_locale(["train", "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path)])
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "telemetry.csv").is_file()

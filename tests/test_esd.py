@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tempbal import cli
 from tempbal.errors import NumericalError
-from tempbal.esd import ESD, NonFiniteMatrixError, compute_esd, orient, roundoff_floor
+from tempbal.esd import ESD, NonFiniteMatrixError, compute_esd, gram, matrix, orient, roundoff_floor
 from tempbal.htsr import POLICY_VARIANTS, LambdaMinPolicy, layer_metrics
 from tempbal.rmt_lab import PLSpectrumSpec, synth_pl_matrix
 from tempbal.weight_store import LayerTensor, WeightSnapshot, load_snapshot, save_snapshot
@@ -17,15 +17,16 @@ EPS = np.finfo(np.float64).eps
 
 def test_orient_already_wide():
     layer = LayerTensor("fc", np.zeros((10, 72)))
-    mat = orient(layer)
-    assert (mat.n, mat.m, mat.transposed) == (10, 72, False)
+    assert orient(layer) == (10, 72)
+    assert gram(layer).shape == (10, 10)
 
 
 def test_orient_transposes_tall():
-    layer = LayerTensor("fc", np.arange(720.0).reshape(72, 10))
-    mat = orient(layer)
-    assert (mat.n, mat.m, mat.transposed) == (10, 72, True)
-    assert np.array_equal(mat.values, np.arange(720.0).reshape(72, 10).T)
+    w = np.arange(720.0).reshape(72, 10)
+    layer = LayerTensor("fc", w)
+    assert orient(layer) == (10, 72)
+    assert np.array_equal(matrix(layer.values), w.T)
+    assert np.array_equal(gram(layer), w.T @ w)
 
 
 def test_orient_opens_nothing_and_compute_esd_reads_the_file(tmp_path, monkeypatch, capsys):
@@ -37,14 +38,15 @@ def test_orient_opens_nothing_and_compute_esd_reads_the_file(tmp_path, monkeypat
     path = str(tmp_path / "three.wsnp")
     save_snapshot(WeightSnapshot(epoch=0, layers=layers), path)
     stored = load_snapshot(path).layers
+    for layer, in_memory in zip(stored, layers):
+        assert gram(layer).shape == gram(in_memory).shape == (min(layer.shape),) * 2
+        assert np.allclose(compute_esd(layer).eigenvalues, compute_esd(in_memory).eigenvalues, rtol=1e-13, atol=0)
     os.remove(path)  # only a read of the values can notice
     for layer, in_memory in zip(stored, layers):
-        want = orient(in_memory)
-        mat = orient(layer)
-        assert (mat.n, mat.m, mat.transposed) == (want.n, want.m, want.transposed)
-    assert [orient(layer).transposed for layer in layers] == [True, False, False]
+        assert orient(layer) == orient(in_memory)
+    assert [orient(layer) for layer in layers] == [(10, 72), (10, 72), (4, 18)]
     with pytest.raises(FileNotFoundError):
-        compute_esd(orient(stored[1]))
+        compute_esd(stored[1])
 
     def load_then_remove(name):
         snap = load_snapshot(name)
@@ -62,8 +64,7 @@ def test_orient_conv_reshape_matches_index_oracle():
     rng = np.random.default_rng(3)
     tensor = rng.normal(size=(4, 2, 3, 3))
     layer = LayerTensor("conv", tensor)
-    mat = orient(layer)
-    assert (mat.n, mat.m) == (4, 18)
+    assert orient(layer) == (4, 18)
 
     # oracle: place each tensor element by explicit row-major index arithmetic
     oracle = np.zeros((4, 18))
@@ -72,9 +73,10 @@ def test_orient_conv_reshape_matches_index_oracle():
             for ki in range(3):
                 for kj in range(3):
                     oracle[o, c * 9 + ki * 3 + kj] = tensor[o, c, ki, kj]
-    assert np.array_equal(mat.values, oracle)
+    assert np.array_equal(matrix(layer.values), oracle)
+    assert np.array_equal(gram(layer), oracle @ oracle.T)
 
-    lam = compute_esd(mat).eigenvalues
+    lam = compute_esd(layer).eigenvalues
     lam_oracle = np.sort(np.linalg.eigvalsh(oracle @ oracle.T))
     assert np.allclose(lam, np.maximum(lam_oracle, 0.0), rtol=1e-9, atol=1e-12)
 
@@ -88,29 +90,31 @@ def test_orient_conv_reshape_matches_index_oracle():
 @example((2, 1, 2, 2)).via("wide conv")
 def test_orient_property(shape):
     layer = LayerTensor("w", np.arange(float(np.prod(shape))).reshape(shape))
-    mat = orient(layer)
+    n, m = orient(layer)
     flat = layer.values.reshape(shape[0], -1)
-    assert mat.n <= mat.m
-    assert mat.transposed == (flat.shape[0] > flat.shape[1])
-    assert np.array_equal(mat.values, flat.T if mat.transposed else flat)
-    assert np.shares_memory(mat.values, layer.values)
+    tall = flat.shape[0] > flat.shape[1]
+    assert n <= m and n == min(flat.shape)
+    assert np.array_equal(matrix(layer.values), flat.T if tall else flat)
+    assert matrix(layer.values).shape == (n, m)
+    assert np.shares_memory(matrix(layer.values), layer.values)
+    assert np.array_equal(gram(layer), flat.T @ flat if tall else flat @ flat.T)
 
 
 def test_diagonal_esd():
-    mat = orient(LayerTensor("diag", np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])))
+    mat = LayerTensor("diag", np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     lam = compute_esd(mat).eigenvalues
     assert np.allclose(lam, [1.0, 9.0], rtol=0, atol=1e-12)
 
 
 def test_zero_matrix_esd():
-    lam = compute_esd(orient(LayerTensor("zero", np.zeros((2, 5))))).eigenvalues
+    lam = compute_esd(LayerTensor("zero", np.zeros((2, 5)))).eigenvalues
     assert np.array_equal(lam, [0.0, 0.0])
 
 
 def test_eigenvalue_exactly_at_the_floor_reads_zero():
     # W W^T = diag(1, 2^-50, 1/4, 1/16): 2^-50 is exactly roundoff_floor(4) * lambda_max
     w = np.diag([1.0, 2.0**-25, 0.5, 0.25]) @ np.eye(4, 6)
-    lam = compute_esd(orient(LayerTensor("edge", w))).eigenvalues
+    lam = compute_esd(LayerTensor("edge", w)).eigenvalues
     assert 2.0**-50 == roundoff_floor(4)
     assert np.array_equal(lam, [0.0, 0.0625, 0.25, 1.0])
 
@@ -118,7 +122,7 @@ def test_eigenvalue_exactly_at_the_floor_reads_zero():
 def test_gram_oracle_random():
     rng = np.random.default_rng(11)
     w = rng.normal(size=(8, 12))
-    lam = compute_esd(orient(LayerTensor("w", w))).eigenvalues
+    lam = compute_esd(LayerTensor("w", w)).eigenvalues
     oracle = np.sort(np.linalg.eigvalsh(w @ w.T))
     assert np.all(np.abs(lam - oracle) <= 1e-9 * np.maximum(np.abs(oracle), 1e-30))
 
@@ -127,16 +131,16 @@ def test_scale_equivariance():
     rng = np.random.default_rng(12)
     w = rng.normal(size=(6, 9))
     c = 3.7
-    lam = compute_esd(orient(LayerTensor("w", w))).eigenvalues
-    lam_scaled = compute_esd(orient(LayerTensor("cw", c * w))).eigenvalues
+    lam = compute_esd(LayerTensor("w", w)).eigenvalues
+    lam_scaled = compute_esd(LayerTensor("cw", c * w)).eigenvalues
     assert np.allclose(lam_scaled, c * c * lam, rtol=1e-9)
 
 
 def test_orientation_invariance():
     rng = np.random.default_rng(13)
     w = rng.normal(size=(5, 14))
-    lam = compute_esd(orient(LayerTensor("w", w))).eigenvalues
-    lam_t = compute_esd(orient(LayerTensor("wt", w.T))).eigenvalues
+    lam = compute_esd(LayerTensor("w", w)).eigenvalues
+    lam_t = compute_esd(LayerTensor("wt", w.T)).eigenvalues
     assert np.allclose(lam, lam_t, rtol=1e-9)
 
 
@@ -144,7 +148,7 @@ def test_sum_identity_frobenius():
     rng = np.random.default_rng(14)
     for _ in range(20):
         w = rng.normal(size=(int(rng.integers(2, 20)), int(rng.integers(20, 40))))
-        lam = compute_esd(orient(LayerTensor("w", w))).eigenvalues
+        lam = compute_esd(LayerTensor("w", w)).eigenvalues
         assert np.isclose(lam.sum(), np.linalg.norm(w) ** 2, rtol=1e-9)
 
 
@@ -152,12 +156,12 @@ def test_non_finite_rejected():
     w = np.ones((3, 4))
     w[1, 2] = np.nan
     with pytest.raises(NonFiniteMatrixError):
-        compute_esd(orient(LayerTensor("bad", w)))
+        compute_esd(LayerTensor("bad", w))
 
 
 def test_esd_ascending_and_nonnegative():
     rng = np.random.default_rng(15)
-    esd = compute_esd(orient(LayerTensor("w", rng.normal(size=(20, 30)))))
+    esd = compute_esd(LayerTensor("w", rng.normal(size=(20, 30))))
     lam = esd.eigenvalues
     assert np.all(np.diff(lam) >= 0)
     assert lam[0] >= 0
@@ -178,7 +182,7 @@ def test_rank_deficient_esd_has_exact_zeros():
     rng = np.random.default_rng(16)
     w = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 10))
     for raw in (w, w.T):
-        lam = compute_esd(orient(LayerTensor("rank2", raw))).eigenvalues
+        lam = compute_esd(LayerTensor("rank2", raw)).eigenvalues
         # the 4 null-space eigenvalues are exact zeros, not roundoff
         assert np.count_nonzero(lam == 0.0) == 4
         assert np.allclose(lam[4:], svd_eigenvalues(w)[4:], rtol=1e-12)
@@ -190,20 +194,20 @@ def test_wide_rank_deficient_esd_has_exact_zeros():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(8, 2)) @ rng.normal(size=(2, 4608))
-        lam = compute_esd(orient(LayerTensor("wide", w))).eigenvalues
+        lam = compute_esd(LayerTensor("wide", w)).eigenvalues
         assert np.count_nonzero(lam == 0.0) == 6
         assert np.allclose(lam[6:], svd_eigenvalues(w)[6:], rtol=1e-12)
 
 
 def test_esd_of_extreme_scales():
     w = np.random.default_rng(0).normal(size=(8, 12))
-    unit = compute_esd(orient(LayerTensor("unit", w))).eigenvalues
+    unit = compute_esd(LayerTensor("unit", w)).eigenvalues
     # 1e-150: eigenvalues near 1e-299, still normal floats
-    tiny = compute_esd(orient(LayerTensor("tiny", w * 1e-150))).eigenvalues
+    tiny = compute_esd(LayerTensor("tiny", w * 1e-150)).eigenvalues
     assert np.allclose(tiny * 1e300, unit, rtol=1e-12)
     # 1e160: the eigenvalues themselves pass float64's range
     with pytest.raises(NumericalError, match="overflows float64"):
-        compute_esd(orient(LayerTensor("huge", w * 1e160)))
+        compute_esd(LayerTensor("huge", w * 1e160))
 
 
 @st.composite
@@ -230,12 +234,12 @@ def gram_layers(draw):
 @settings(max_examples=200)
 @given(gram_layers())
 def test_gram_route_matches_svd_property(raw):
-    mat = orient(LayerTensor("w", raw))
-    lam = compute_esd(mat).eigenvalues
-    svd = svd_eigenvalues(mat.values)
+    layer = LayerTensor("w", raw)
+    lam = compute_esd(layer).eigenvalues
+    svd = svd_eigenvalues(matrix(layer.values))
     # the Gram route is off by a few eps * lambda_max, and its floor zeroes
     # eigenvalues up to n * eps * lambda_max
-    assert np.all(np.abs(lam - svd) <= 4 * mat.n * EPS * svd[-1])
+    assert np.all(np.abs(lam - svd) <= 4 * orient(layer)[0] * EPS * svd[-1])
     assert np.all(np.diff(lam) >= 0)
     assert lam[0] >= 0
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tempbal import esd, rmt_lab
 from tempbal.cli import RMT_REL_ERR_TOL
-from tempbal.esd import compute_esd, orient, roundoff_floor
+from tempbal.esd import compute_esd, roundoff_floor
 from tempbal.htsr import LambdaMinPolicy, layer_metrics
 from tempbal.errors import ConfigError
 from tempbal.esd import ESD
@@ -112,7 +112,7 @@ def test_verify_s_alpha_rejects_bad_grid():
 
 def gaussian_bulk(n=256, seed=0):
     rng = np.random.default_rng(seed)
-    return orient(LayerTensor("bulk", rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, n))))
+    return LayerTensor("bulk", rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, n)))
 
 
 def test_spike_zero_scale_is_identity():
@@ -140,11 +140,11 @@ def test_spike_top_eigenvalue_monotone():
 
 
 def test_spike_of_a_tall_bulk_matches_its_transpose():
-    # a tall bulk is oriented to its transpose, so a draws n = 48 entries and b m = 80 either way
+    # a tall bulk's W is its transpose, so a draws n = 48 entries and b m = 80 either way
     w = np.random.default_rng(4).normal(0.0, 1.0 / np.sqrt(80), size=(80, 48))
     for scale in (0.0, 0.5, 10.0):
-        tall = spike_experiment(orient(LayerTensor("tall", w)), scale, seed=9)
-        wide = spike_experiment(orient(LayerTensor("wide", w.T)), scale, seed=9)
+        tall = spike_experiment(LayerTensor("tall", w), scale, seed=9)
+        wide = spike_experiment(LayerTensor("wide", w.T), scale, seed=9)
         assert tall.esd_before.n == 48
         assert np.array_equal(tall.esd_before.eigenvalues, wide.esd_before.eigenvalues)
         assert np.array_equal(tall.esd_after.eigenvalues, wide.esd_after.eigenvalues)

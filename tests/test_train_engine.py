@@ -93,7 +93,7 @@ def test_sgd_missing_lr():
 
 def test_snr_diagonal_gradient():
     w = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    inc = snr_grad_term(orient(LayerTensor("diag", w)), 0.01)
+    inc = snr_grad_term(LayerTensor("diag", w), 0.01)
     expected = np.zeros((2, 3))
     expected[0, 0] = 0.01 * 3.0
     assert np.allclose(inc, expected, atol=1e-9)
@@ -101,7 +101,7 @@ def test_snr_diagonal_gradient():
 
 def test_snr_zero_coefficient():
     w = np.ones((4, 6))
-    inc = snr_grad_term(orient(LayerTensor("w", w)), 0.0)
+    inc = snr_grad_term(LayerTensor("w", w), 0.0)
     assert inc.shape == (4, 6)
     assert not inc.any()
 
@@ -109,10 +109,11 @@ def test_snr_zero_coefficient():
 def test_snr_transposed_layer_gets_transposed_increment():
     rng = np.random.default_rng(1)
     w = rng.normal(size=(10, 4))  # tall: orientation transposes
-    oriented = orient(LayerTensor("tall", w))
-    assert oriented.transposed
-    inc = snr_grad_term(oriented, 0.5)
+    layer = LayerTensor("tall", w)
+    assert orient(layer) == (4, 10)
+    inc = snr_grad_term(layer, 0.5)
     assert inc.shape == (10, 4)
+    assert np.allclose(inc, snr_grad_term(LayerTensor("wide", w.T), 0.5).T, rtol=1e-12, atol=0)
 
 
 def test_snr_finite_difference():
@@ -120,7 +121,7 @@ def test_snr_finite_difference():
     lam_sr = 0.01
     for trial in range(3):
         w = rng.normal(size=(6, 10))
-        inc = snr_grad_term(orient(LayerTensor("w", w)), lam_sr, tol=1e-11)
+        inc = snr_grad_term(LayerTensor("w", w), lam_sr, tol=1e-11)
 
         def penalty(mat):
             return 0.5 * lam_sr * np.linalg.svd(mat, compute_uv=False)[0] ** 2

@@ -6,11 +6,14 @@ reruns every golden case, prints each cell that moved from the committed
 files under tests/golden/<case>/, and writes the new outputs in their place.
 A change that moves a golden names the cells and the reason in CHANGES.md.
 
-The cases: `train` of one tiny config under each assignment, with the SNR
+The cases: `train` of one tiny config under each assignment, under the ks
+and fixfinger policies, with `start_epoch`, on a CSV dataset, with the SNR
 penalty, and with a conv stem under fixfinger and the SNR penalty;
 `analyze` under each policy of one seeded snapshot file holding a tall
 layer (read from the file in blocks), a conv layer, a rank-deficient layer,
-a flat layer and a zero layer; and one small `rmt` grid.
+a flat layer and a zero layer; `analyze` under ks of a file holding one
+700 x 300 tall layer, whose n = 300 is ragged in both its blocks of rows and
+its Gram's strips; and one small `rmt` grid.
 
 Outputs are compared as parsed cells, not bytes, because BLAS thread counts
 move the last bits of a float. Integer and text cells must match exactly;
@@ -62,6 +65,11 @@ CONFIG = {
 TRAIN_CASES = {
     # lars diverges at the default eta0
     **{a: {**CONFIG, "assignment": a, **({"eta0": "0.0005"} if a == "lars" else {})} for a in ASSIGNMENTS},
+    "ks": {**CONFIG, "policy": "ks"},
+    "fixfinger": {**CONFIG, "policy": "fixfinger"},
+    "start_epoch": {**CONFIG, "start_epoch": "1"},
+    # CSV_DATA's 60 rows of 6 features and 3 text labels, written next to the config
+    "csv": {**CONFIG, "dataset": "csv"},
     "snr": {**CONFIG, "lambda_sr": "0.001"},
     # SNR on conv layers too: conv0 flattens to 4 x 9 and conv1 to 8 x 36; dense0 is 10 x 128, dense1 3 x 10
     "conv_fixfinger": {
@@ -93,19 +101,40 @@ def analyze_input() -> WeightSnapshot:
     )
 
 
+def csv_data() -> str:
+    """The csv case's dataset: 60 rows, 6 features around 3 class means, the text label in the middle column."""
+    rng = np.random.default_rng(77)
+    labels = rng.integers(0, 3, size=60)
+    x = 2.0 * np.eye(3, 6)[labels] + rng.normal(size=(60, 6))
+    rows = ([*map(repr, row[:3]), "abc"[label], *map(repr, row[3:])] for row, label in zip(x.tolist(), labels))
+    return "".join(",".join(row) + "\n" for row in [["f0", "f1", "f2", "label", "f3", "f4", "f5"], *rows])
+
+
+def tall_input() -> WeightSnapshot:
+    """The analyze_tall case's snapshot: one Student-t layer of 700 x 300, read in blocks of 300, 300 and 100 rows."""
+    rng = np.random.default_rng(700)
+    return WeightSnapshot(epoch=1, layers=(LayerTensor("tall", rng.standard_t(3.0, size=(700, 300))),))
+
+
 def _train(config: dict[str, str]) -> Callable[[Path, Path], list[str]]:
     def argv(out_dir: Path, work: Path) -> list[str]:
+        if config.get("dataset") == "csv":
+            data = work / "data.csv"
+            data.write_text(csv_data(), encoding="utf-8")
+            config_here = {**config, "csv_path": str(data)}
+        else:
+            config_here = config
         cfg = work / "run.cfg"
-        cfg.write_text("".join(f"{key} = {value}\n" for key, value in config.items()), encoding="utf-8")
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in config_here.items()), encoding="utf-8")
         return ["train", "--config", str(cfg), "--out-dir", str(out_dir)]
 
     return argv
 
 
-def _analyze(policy: str) -> Callable[[Path, Path], list[str]]:
+def _analyze(policy: str, snapshot: Callable[[], WeightSnapshot] = analyze_input) -> Callable[[Path, Path], list[str]]:
     def argv(out_dir: Path, work: Path) -> list[str]:
         path = work / "layers.wsnp"
-        save_snapshot(analyze_input(), str(path))
+        save_snapshot(snapshot(), str(path))
         return ["analyze", str(path), "--policy", policy, "--out-dir", str(out_dir)]
 
     return argv
@@ -119,6 +148,7 @@ def _rmt(out_dir: Path, work: Path) -> list[str]:
 CASES: dict[str, Callable[[Path, Path], list[str]]] = {
     **{name: _train(config) for name, config in TRAIN_CASES.items()},
     **{f"analyze_{policy}": _analyze(policy) for policy in POLICY_VARIANTS},
+    "analyze_tall": _analyze("ks", tall_input),
     "rmt": _rmt,
 }
 

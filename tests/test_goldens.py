@@ -21,6 +21,12 @@ def test_analyze_outputs_match_the_golden(tmp_path, policy):
     assert moved_cells(f"analyze_{policy}", tmp_path) == []
 
 
+def test_analyze_of_a_ragged_tall_layer_matches_the_golden(tmp_path):
+    run("analyze_tall", tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["esd_tall.csv", "metrics.csv"]
+    assert moved_cells("analyze_tall", tmp_path) == []
+
+
 def test_rmt_outputs_match_the_golden(tmp_path):
     run("rmt", tmp_path)
     assert moved_cells("rmt", tmp_path) == []

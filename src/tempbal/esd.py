@@ -10,13 +10,16 @@ W W^T, from a symmetric eigensolve. W W^T is the smaller of the two Gram
 matrices and has the same nonzero spectrum as W^T W; one eigensolve of it
 costs a fraction of a full SVD of W.
 
-gram, the one reader of a layer's rows, sums W W^T over the blocks of n
-rows the layer gives. An array in memory is one block, as is a wide layer
-of a snapshot file, freed when gram returns, before its eigensolve. A tall
-one (transposed, so its rows are the columns of W) is never held whole;
-its sum runs in another order than the one-block product, so its
-eigenvalues may differ in the last bits from those of the same layer in
-memory.
+gram, the one reader of a layer's rows, sums W W^T into one n x n array
+over the blocks of n rows the layer gives. An array in memory is one block,
+as is a wide layer of a snapshot file, freed when gram returns, before its
+eigensolve. A tall one (transposed, so its rows are the columns of W) is
+never held whole; its sum runs in another order than the one-block product,
+so its eigenvalues may differ in the last bits from those of the same layer
+in memory. Each block adds its product to the Gram's lower triangle
+GRAM_STRIP rows at a time, and the upper triangle is mirrored from the lower
+one at the end: besides the Gram and a block, gram holds one strip's product
+of GRAM_STRIP x n, never a second n x n array.
 
 Forming W W^T and its eigensolve leave each eigenvalue with an absolute
 error of a few eps * lambda_max, so W W^T cannot resolve eigenvalues below
@@ -41,6 +44,11 @@ import numpy as np
 
 from .errors import NumericalError
 from .weight_store import LayerTensor, StoredLayer
+
+
+# Rows of the Gram matrix that gram sums per product: a strip's product, GRAM_STRIP x n, is the one array it
+# holds besides the Gram and a block of rows. 256 was slower on a 4096 x 1024 layer.
+GRAM_STRIP = 128
 
 
 class NonFiniteMatrixError(NumericalError):
@@ -97,20 +105,27 @@ def roundoff_floor(n: int) -> float:
 
 
 def gram(layer: LayerTensor | StoredLayer) -> np.ndarray:
-    """The n x n Gram matrix W W^T of a layer, checked finite.
+    """The n x n Gram matrix W W^T of a layer, checked finite and exactly symmetric.
 
-    Summed over the blocks B of n of its flattened rows: B B^T when they are
-    W (one block), B^T B when they are W^T.
+    Summed over the blocks of n of its flattened rows, each taken as C, the columns of W it holds (the block when
+    its rows are W^T, its transpose when they are W), so that W W^T is the sum of the C^T C. Each C^T C adds its
+    lower triangle a strip of GRAM_STRIP rows at a time; the strict lower triangle is then copied into the upper.
     """
+    n = min(layer.shape)
     tall = _tall(layer.shape)
-    product = None
-    for block in layer.row_blocks(min(layer.shape)):
+    strips = [(j0, min(j0 + GRAM_STRIP, n)) for j0 in range(0, n, GRAM_STRIP)]
+    product = np.zeros((n, n))
+    for block in layer.row_blocks(n):
         if not np.all(np.isfinite(block)):
             raise NonFiniteMatrixError(f"{layer.name!r}: non-finite entries in weight matrix")
+        cols = block if tall else block.T
         with np.errstate(over="ignore", invalid="ignore"):  # checked after the sum
-            part = block.T @ block if tall else block @ block.T
-            product = part if product is None else np.add(product, part, out=product)
-        del part  # before the next block's product: a Gram, a block and one product at most
+            for j0, j1 in strips:
+                product[j0:j1, :j1] += cols[:, j0:j1].T @ cols[:, :j1]
+    for j0, j1 in strips:
+        product[:j0, j0:j1] = product[j0:j1, :j0].T
+        diagonal = product[j0:j1, j0:j1]
+        np.copyto(diagonal, diagonal.T, where=np.tri(j1 - j0, k=-1, dtype=bool).T)
     if not np.all(np.isfinite(product)):
         raise NumericalError(f"{layer.name!r}: W W^T overflows float64, so its eigenvalues would too")
     return product

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from tempbal import cli
 from tempbal.errors import NumericalError
-from tempbal.esd import ESD, NonFiniteMatrixError, compute_esd, gram, matrix, orient, roundoff_floor
+from tempbal.esd import GRAM_STRIP, ESD, NonFiniteMatrixError, compute_esd, gram, matrix, orient, roundoff_floor
 from tempbal.htsr import POLICY_VARIANTS, LambdaMinPolicy, layer_metrics
 from tempbal.rmt_lab import PLSpectrumSpec, synth_pl_matrix
 from tempbal.weight_store import LayerTensor, WeightSnapshot, load_snapshot, save_snapshot
@@ -166,6 +167,57 @@ def test_esd_ascending_and_nonnegative():
     assert np.all(np.diff(lam) >= 0)
     assert lam[0] >= 0
     assert esd.lambda_max == lam[-1]
+
+
+# ---------------------------------------------------------------------------
+# the Gram summed strip by strip
+
+
+def strip_edge_shape(kind: str, n: int) -> tuple[int, ...]:
+    """A raw shape whose W is n x m; stored, it is read in one block of n rows, in three, or in two and a ragged one."""
+    return {
+        "wide": (n, 2 * n + 3),  # one block
+        "tall": (3 * n, n),  # three blocks of n rows
+        "tall ragged": (2 * n + n // 2 + 1, n),  # a short last block
+        "conv": (n, n // 9 + 1, 3, 3),  # wide once flattened: one block
+        "conv tall": (2 * n + 1, n, 1, 1),  # two blocks and a ragged row
+    }[kind]
+
+
+@pytest.mark.parametrize("n", (1, GRAM_STRIP - 1, GRAM_STRIP, GRAM_STRIP + 1, 2 * GRAM_STRIP + 3))
+@pytest.mark.parametrize("kind", ("wide", "tall", "tall ragged", "conv", "conv tall"))
+def test_gram_strips_sum_to_the_one_block_product(tmp_path, kind, n):
+    rng = np.random.default_rng(n)
+    layer = LayerTensor(kind, rng.standard_t(3.0, size=strip_edge_shape(kind, n)))
+    flat = layer.values.reshape(layer.values.shape[0], -1)
+    expected = flat.T @ flat if flat.shape[0] > flat.shape[1] else flat @ flat.T
+    path = str(tmp_path / "layer.wsnp")
+    save_snapshot(WeightSnapshot(epoch=0, layers=(layer,)), path)
+    (stored_layer,) = load_snapshot(path).layers
+    in_memory, stored = gram(layer), gram(stored_layer)
+    tol = 4 * n * EPS * np.max(np.abs(expected))
+    for product in (in_memory, stored):
+        assert product.shape == (n, n)
+        assert np.array_equal(product, product.T)
+        assert np.max(np.abs(product - expected)) <= tol
+    assert np.max(np.abs(stored - in_memory)) <= tol
+
+
+def test_gram_of_a_tall_stored_layer_holds_one_strip_besides_the_gram_and_a_block(tmp_path):
+    n = 4 * GRAM_STRIP
+    path = str(tmp_path / "tall.wsnp")
+    save_snapshot(WeightSnapshot(epoch=0, layers=(LayerTensor("tall", np.ones((16 * n, n))),)), path)
+    (layer,) = load_snapshot(path).layers
+    tracemalloc.start()
+    try:
+        product = gram(layer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(product, np.full((n, n), 16.0 * n))
+    # the Gram and a block of n rows are n^2 doubles each, one strip's product GRAM_STRIP * n: 2.25 n^2 here;
+    # a second n x n product would make it 3
+    assert peak < 2.5 * n * n * 8, peak / (n * n * 8)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,7 @@ from .errors import NumericalError
 from .weight_store import LayerTensor, StoredLayer
 
 
-# Rows of the Gram matrix that gram sums per product: a strip's product, GRAM_STRIP x n, is the one array it
-# holds besides the Gram and a block of rows. 256 was slower on a 4096 x 1024 layer.
+# rows of the Gram matrix that gram adds per product; 256 was slower on a 4096 x 1024 layer
 GRAM_STRIP = 128
 
 
@@ -107,9 +106,9 @@ def roundoff_floor(n: int) -> float:
 def gram(layer: LayerTensor | StoredLayer) -> np.ndarray:
     """The n x n Gram matrix W W^T of a layer, checked finite and exactly symmetric.
 
-    Summed over the blocks of n of its flattened rows, each taken as C, the columns of W it holds (the block when
-    its rows are W^T, its transpose when they are W), so that W W^T is the sum of the C^T C. Each C^T C adds its
-    lower triangle a strip of GRAM_STRIP rows at a time; the strict lower triangle is then copied into the upper.
+    Each block of n of its flattened rows gives C, whose rows are columns of W (the block when its rows are W^T,
+    its transpose when they are W), and W W^T is the sum of the C^T C. Each C^T C is added to the lower triangle
+    GRAM_STRIP rows at a time; the strict lower triangle is then copied into the upper one.
     """
     n = min(layer.shape)
     tall = _tall(layer.shape)

@@ -38,8 +38,9 @@ from .weight_store import LayerTensor
 SPIKE_SEPARATION = 3.0
 # a Q x Q float64 matrix is then 512 MiB. A sweep of one size peaks in a cell's
 # eigensolve, at three of them: W, W W^T and the eigensolver's copy (the numpy arrays
-# alone: 2.13 at Q = 512 under tracemalloc; building W holds little more than W). With
-# LAPACK's work space its resident memory rises by about three and a half (3.35 at Q = 2048)
+# alone: 2.15 at Q = 2048 under tracemalloc; building W holds 1.10). With LAPACK's work
+# space its resident memory rises by about three and a half (3.42 at Q = 2048, over a
+# process that has only imported tempbal.cli)
 MAX_SIZE = 8192
 # rows of the frame gathered at a time, and the width of the column split in random_frame
 FRAME_BLOCK = 64

@@ -68,7 +68,7 @@ TRAIN_CASES = {
     "ks": {**CONFIG, "policy": "ks"},
     "fixfinger": {**CONFIG, "policy": "fixfinger"},
     "start_epoch": {**CONFIG, "start_epoch": "1"},
-    # CSV_DATA's 60 rows of 6 features and 3 text labels, written next to the config
+    # csv_data()'s 60 rows of 6 features and 3 text labels, written next to the config
     "csv": {**CONFIG, "dataset": "csv"},
     "snr": {**CONFIG, "lambda_sr": "0.001"},
     # SNR on conv layers too: conv0 flattens to 4 x 9 and conv1 to 8 x 36; dense0 is 10 x 128, dense1 3 x 10

@@ -29,7 +29,9 @@ def mutants(listing: Path) -> list[tuple[str, str, str]]:
     for line in listing.read_text(encoding="utf-8").splitlines():
         if line.strip() and not line.startswith("#"):
             path, _, change = line.partition(": ")
-            old, _, new = change.partition(" => ")
+            old, arrow, new = change.partition(" => ")
+            if not (old and arrow):
+                raise SystemExit(f"{listing}: not a `path: old => new` line: {line!r}")
             found.append((path, old.replace("\\n", "\n"), new.replace("\\n", "\n")))
     return found
 

@@ -8,7 +8,8 @@ A change that moves a golden names the cells and the reason in CHANGES.md.
 
 The cases: `train` of one tiny config under each assignment, under the ks
 and fixfinger policies, with `start_epoch`, on a CSV dataset, with the SNR
-penalty, and with a conv stem under fixfinger and the SNR penalty;
+penalty, and with a conv stem under fixfinger and the SNR penalty, under relu
+and he init and under tanh and xavier init;
 `analyze` under each policy of one seeded snapshot file holding a tall
 layer (read from the file in blocks), a conv layer, a rank-deficient layer,
 a flat layer and a zero layer; `analyze` under ks of a file holding one
@@ -62,6 +63,18 @@ CONFIG = {
     "seed": "5",
     "timing": "off",
 }
+# SNR on conv layers too: conv0 flattens to 4 x 9 and conv1 to 8 x 36; dense0 is 10 x 128, dense1 3 x 10
+CONV_CONFIG = {
+    **CONFIG,
+    "dim": "64",
+    "conv_stem": "4x1x3x3,8x4x3x3",
+    "conv_input": "1x8x8",
+    "hidden": "10",
+    "policy": "fixfinger",
+    "metric": "alpha_weighted",
+    "exclude_first_last": "false",
+    "lambda_sr": "0.001",
+}
 TRAIN_CASES = {
     # lars diverges at the default eta0
     **{a: {**CONFIG, "assignment": a, **({"eta0": "0.0005"} if a == "lars" else {})} for a in ASSIGNMENTS},
@@ -71,18 +84,9 @@ TRAIN_CASES = {
     # csv_data()'s 60 rows of 6 features and 3 text labels, written next to the config
     "csv": {**CONFIG, "dataset": "csv"},
     "snr": {**CONFIG, "lambda_sr": "0.001"},
-    # SNR on conv layers too: conv0 flattens to 4 x 9 and conv1 to 8 x 36; dense0 is 10 x 128, dense1 3 x 10
-    "conv_fixfinger": {
-        **CONFIG,
-        "dim": "64",
-        "conv_stem": "4x1x3x3,8x4x3x3",
-        "conv_input": "1x8x8",
-        "hidden": "10",
-        "policy": "fixfinger",
-        "metric": "alpha_weighted",
-        "exclude_first_last": "false",
-        "lambda_sr": "0.001",
-    },
+    "conv_fixfinger": CONV_CONFIG,
+    # the one case of tanh and of xavier init
+    "tanh": {**CONV_CONFIG, "activation": "tanh", "init": "xavier"},
 }
 
 

@@ -82,6 +82,8 @@ class ModelSpec:
                 raise ConfigError(
                     f"conv stem flattens to {c * h * w} features but widths[0] is {self.widths[0]}"
                 )
+        elif self.conv_input is not None:
+            raise ConfigError("conv_input is given but there is no conv_stem to read it")
 
     @property
     def input_dim(self) -> int:
@@ -145,11 +147,13 @@ def snapshot_params(params: dict[str, np.ndarray], spec: ModelSpec, epoch: int) 
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+    """Write the activation over z, in place, and return z."""
+    return np.maximum(z, 0.0, out=z) if kind == "relu" else np.tanh(z, out=z)
 
 
-def _act_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    return (z > 0).astype(np.float64) if kind == "relu" else 1.0 - a * a
+def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative, read from its output a: relu's mask a > 0, tanh's 1 - a*a."""
+    return a > 0 if kind == "relu" else 1.0 - a * a
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -173,7 +177,7 @@ def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int) -> np.ndarray:
 
 
 def _forward(params, spec: ModelSpec, x: np.ndarray):
-    """Logits plus the cache needed for the backward pass."""
+    """Logits and what backward reads: each dense layer's input, each conv block's (input shape, patches, activation)."""
     cache = {"conv": [], "dense": []}
     a = x
     if spec.conv_stem:
@@ -183,22 +187,19 @@ def _forward(params, spec: ModelSpec, x: np.ndarray):
             wmat = params[f"conv{idx}.w"].reshape(out, cin * kh * kw)
             cols = _im2col(a, kh, kw)
             hp, wp = a.shape[2] - kh + 1, a.shape[3] - kw + 1
-            z = (cols @ wmat.T + params[f"conv{idx}.b"]).reshape(a.shape[0], hp, wp, out)
-            z = z.transpose(0, 3, 1, 2)
-            act = _act(z, spec.activation)
-            cache["conv"].append((a.shape, cols, z, act))
+            z = cols @ wmat.T
+            z += params[f"conv{idx}.b"]
+            act = _act(z, spec.activation).reshape(a.shape[0], hp, wp, out).transpose(0, 3, 1, 2)
+            cache["conv"].append((a.shape, cols, act))
             a = act
         a = a.reshape(a.shape[0], -1)
     n_dense = len(spec.widths) - 1
     for idx in range(n_dense):
-        w = params[f"dense{idx}.w"]
-        z = a @ w.T + params[f"dense{idx}.b"]
+        cache["dense"].append(a)
+        a = a @ params[f"dense{idx}.w"].T
+        a += params[f"dense{idx}.b"]
         if idx < n_dense - 1:
-            act = _act(z, spec.activation)
-        else:
-            act = z
-        cache["dense"].append((a, z, act))
-        a = act
+            _act(a, spec.activation)
     return a, cache
 
 
@@ -222,19 +223,18 @@ def loss_and_grads(params, spec: ModelSpec, x: np.ndarray, y: np.ndarray):
     grads: dict[str, np.ndarray] = {}
     n_dense = len(spec.widths) - 1
     for idx in range(n_dense - 1, -1, -1):
-        a_in, z, act = cache["dense"][idx]
         if idx < n_dense - 1:
-            delta = delta * _act_grad(z, act, spec.activation)
-        grads[f"dense{idx}.w"] = delta.T @ a_in
+            delta *= _act_grad(cache["dense"][idx + 1], spec.activation)  # this layer's activation
+        grads[f"dense{idx}.w"] = delta.T @ cache["dense"][idx]
         grads[f"dense{idx}.b"] = delta.sum(axis=0)
         if idx > 0 or spec.conv_stem:  # the input gradient of dense0 feeds only a conv stem
             delta = delta @ params[f"dense{idx}.w"]
     if spec.conv_stem:
-        delta = delta.reshape(cache["conv"][-1][3].shape)  # the last conv activation's shape
+        delta = delta.reshape(cache["conv"][-1][2].shape)  # the last conv activation's shape
         for idx in range(len(spec.conv_stem) - 1, -1, -1):
             out, cin, kh, kw = spec.conv_stem[idx]
-            x_shape, cols, z, act = cache["conv"][idx]
-            delta = delta * _act_grad(z, act, spec.activation)
+            x_shape, cols, act = cache["conv"][idx]
+            delta *= _act_grad(act, spec.activation)
             dflat = delta.transpose(0, 2, 3, 1).reshape(-1, out)
             grads[f"conv{idx}.w"] = (dflat.T @ cols).reshape(out, cin, kh, kw)
             grads[f"conv{idx}.b"] = dflat.sum(axis=0)
@@ -628,7 +628,7 @@ def run_training(
                 a0 = perf_counter()
                 for name in layer_names:
                     inc = snr_grad_term(LayerTensor(name, params[f"{name}.w"]), lambda_sr)
-                    grads[f"{name}.w"] = grads[f"{name}.w"] + inc
+                    grads[f"{name}.w"] += inc
                 analysis_sec += perf_counter() - a0
             last_grad_norms = {
                 name: float(np.linalg.norm(grads[f"{name}.w"])) for name in layer_names

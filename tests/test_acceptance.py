@@ -15,7 +15,7 @@ import pytest
 from conftest import random_snapshot
 from tempbal.cli import main
 from tempbal.esd import ESD, compute_esd
-from tempbal.htsr import LambdaMinPolicy, hill_alpha
+from tempbal.htsr import LambdaMinPolicy, analyze_snapshot, hill_alpha
 from tempbal.rmt_lab import spike_experiment, verify_s_alpha
 from tempbal.scheduler import ScheduleConfig, assign_rates, cal_rate
 from tempbal.train_engine import (
@@ -336,3 +336,27 @@ def test_criterion_10_spike_detection():
     report(10, f"rank-1 spike detected at scale 10 (top/second = "
                f"{strong.esd_after.eigenvalues[-1] / strong.esd_after.eigenvalues[-2]:.1f}), "
                f"absent at 0, top eigenvalue monotone over the sweep")
+
+
+def _final_alpha_spread(assignment: str, seed: int) -> float:
+    """Population std of the final alpha_hill over the layers the schedule assigns (all but the first and last)."""
+    model = ModelSpec(widths=(32, 64, 64, 64, 64, 10), seed=seed)
+    data = GaussianMixtureSpec(classes=10, dim=32, samples=1280, separation=3.0)
+    sched = ScheduleConfig(eta0=0.1, total_epochs=6, update_interval_iters=5, assignment=assignment)
+    policy = LambdaMinPolicy(variant="median")
+    _, final = run_training(model, data, sched, policy, seed=seed)
+    rows = analyze_snapshot(final, policy)[1:-1]
+    return float(np.std([row.metrics.alpha_hill for row in rows]))
+
+
+def test_criterion_11_tempbalance_narrows_the_alpha_spread():
+    # the paper's mechanism: more rate to layers of larger alpha, less to those of smaller alpha, so the
+    # scheduled layers' alphas end closer together than under one global rate; accuracy is not gated
+    started = time.perf_counter()
+    seeds = range(8)
+    spreads = {a: [_final_alpha_spread(a, seed) for seed in seeds] for a in ("global_only", "tempbalance")}
+    means = {a: float(np.mean(v)) for a, v in spreads.items()}
+    assert means["tempbalance"] <= 0.75 * means["global_only"], spreads
+    elapsed = time.perf_counter() - started
+    report(11, f"mean final alpha spread of the scheduled layers over seeds 0-7: tempbalance "
+               f"{means['tempbalance']:.4f} <= 0.75 x global_only {means['global_only']:.4f}, {elapsed:.2f}s")

@@ -392,6 +392,14 @@ def test_optimizer_out_of_range_exit_1(tmp_path, capsys):
         assert_usage_error(["train", "--config", str(cfg)], capsys)
 
 
+def test_conv_input_without_a_conv_stem_exit_1(tmp_path, capsys):
+    # a dense model would train on dim = 6 and never read the 1x8x8 input shape
+    cfg = train_config(tmp_path, dim=6, hidden=8, classes=3, samples=60, total_epochs=1, conv_input="1x8x8")
+    err = assert_usage_error(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")], capsys)
+    assert "conv_input" in err and "conv_stem" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_rate_range_must_contain_the_global_rate_exit_1(tmp_path, capsys):
     # excluded and fallback layers ride eta_t, so [s1, s2] must hold 1
     for s1, s2 in ((2.0, 3.0), (0.2, 0.8)):

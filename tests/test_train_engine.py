@@ -14,6 +14,7 @@ from tempbal.esd import orient
 from tempbal.htsr import LambdaMinPolicy
 from tempbal.scheduler import ScheduleConfig, ScheduleDecision, cal_rate, schedule_epoch
 from tempbal.train_engine import (
+    ACTIVATIONS,
     CsvDataSpec,
     CsvParseError,
     DivergenceError,
@@ -268,9 +269,10 @@ def test_csv_non_finite_feature_rejected(tmp_path):
 
 
 def relu_pattern(params, spec, x):
-    """Which pre-activations are positive: a ReLU net is smooth wherever this stays fixed."""
+    """Which hidden activations are positive: a ReLU net is smooth wherever this stays fixed."""
     cache = train_engine._forward(params, spec, x)[1]
-    return [entry[2] > 0 for entry in cache["conv"]] + [entry[1] > 0 for entry in cache["dense"][:-1]]
+    # each conv block's activation, then each hidden dense layer's: the input of the layer after it
+    return [act > 0 for _, _, act in cache["conv"]] + [a_in > 0 for a_in in cache["dense"][1:]]
 
 
 def grad_check(spec: ModelSpec, seed: int, coords: int = 16, rel_tol: float = 1e-4):
@@ -351,9 +353,120 @@ def test_gradients_match_central_differences_on_random_models(spec, seed):
     grad_check(spec, seed, coords=8)
 
 
+# A reference forward and backward pass, written plainly: each hidden layer caches its pre-activation z next to
+# its activation, the bias is added into a new array, and relu's derivative is a float copy of the mask z > 0.
+# loss_and_grads, which keeps only what backward reads and works in place, must match it bit for bit.
+
+
+def reference_act(z, kind):
+    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+
+
+def reference_act_grad(z, a, kind):
+    return (z > 0).astype(np.float64) if kind == "relu" else 1.0 - a * a
+
+
+def reference_forward(params, spec, x):
+    cache = {"conv": [], "dense": []}
+    a = x
+    if spec.conv_stem:
+        c, h, w = spec.conv_input
+        a = a.reshape(-1, c, h, w)
+        for idx, (out, cin, kh, kw) in enumerate(spec.conv_stem):
+            wmat = params[f"conv{idx}.w"].reshape(out, cin * kh * kw)
+            cols = train_engine._im2col(a, kh, kw)
+            hp, wp = a.shape[2] - kh + 1, a.shape[3] - kw + 1
+            z = (cols @ wmat.T + params[f"conv{idx}.b"]).reshape(a.shape[0], hp, wp, out)
+            z = z.transpose(0, 3, 1, 2)
+            act = reference_act(z, spec.activation)
+            cache["conv"].append((a.shape, cols, z, act))
+            a = act
+        a = a.reshape(a.shape[0], -1)
+    n_dense = len(spec.widths) - 1
+    for idx in range(n_dense):
+        w = params[f"dense{idx}.w"]
+        z = a @ w.T + params[f"dense{idx}.b"]
+        if idx < n_dense - 1:
+            act = reference_act(z, spec.activation)
+        else:
+            act = z
+        cache["dense"].append((a, z, act))
+        a = act
+    return a, cache
+
+
+def reference_loss_and_grads(params, spec, x, y):
+    logits, cache = reference_forward(params, spec, x)
+    loss, delta = train_engine._softmax_ce(logits, y)
+    grads = {}
+    n_dense = len(spec.widths) - 1
+    for idx in range(n_dense - 1, -1, -1):
+        a_in, z, act = cache["dense"][idx]
+        if idx < n_dense - 1:
+            delta = delta * reference_act_grad(z, act, spec.activation)
+        grads[f"dense{idx}.w"] = delta.T @ a_in
+        grads[f"dense{idx}.b"] = delta.sum(axis=0)
+        if idx > 0 or spec.conv_stem:
+            delta = delta @ params[f"dense{idx}.w"]
+    if spec.conv_stem:
+        delta = delta.reshape(cache["conv"][-1][3].shape)
+        for idx in range(len(spec.conv_stem) - 1, -1, -1):
+            out, cin, kh, kw = spec.conv_stem[idx]
+            x_shape, cols, z, act = cache["conv"][idx]
+            delta = delta * reference_act_grad(z, act, spec.activation)
+            dflat = delta.transpose(0, 2, 3, 1).reshape(-1, out)
+            grads[f"conv{idx}.w"] = (dflat.T @ cols).reshape(out, cin, kh, kw)
+            grads[f"conv{idx}.b"] = dflat.sum(axis=0)
+            wmat = params[f"conv{idx}.w"].reshape(out, cin * kh * kw)
+            delta = train_engine._col2im(dflat @ wmat, x_shape, kh, kw)
+    return loss, grads
+
+
+@settings(max_examples=60)
+@given(random_models(), st.integers(0, 2**32 - 1), st.integers(1, 9))
+def test_loss_and_grads_are_the_reference_bytes(spec, seed, rows):
+    rng = np.random.default_rng(seed)
+    params = init_params(spec)
+    for name in params:
+        if name.endswith(".b"):  # init leaves every bias 0, which would hide how it is added
+            params[name] = rng.normal(size=params[name].shape)
+    x = rng.normal(size=(rows, spec.input_dim))
+    y = rng.integers(0, spec.widths[-1], size=rows)
+    loss, grads = loss_and_grads(params, spec, x, y)
+    want_loss, want = reference_loss_and_grads(params, spec, x, y)
+    assert loss == want_loss
+    assert sorted(grads) == sorted(want) == sorted(params)
+    for name, g in grads.items():
+        assert g.shape == params[name].shape and np.array_equal(g, want[name]), name
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_loss_and_grads_holds_one_activation_per_hidden_layer(activation):
+    # the train_refresh model at batch 128: besides the gradients, the forward pass holds each hidden layer's
+    # activation once, and backward holds a few deltas and derivative temporaries of one layer's size; a cached
+    # pre-activation, a float relu mask or a bias-add temporary adds most of another set of activations
+    spec = ModelSpec(widths=(128, 256, 256, 128, 10), activation=activation, seed=0)
+    params = init_params(spec)
+    rng = np.random.default_rng(0)
+    batch = 128
+    x, y = rng.normal(size=(batch, 128)), rng.integers(0, 10, size=batch)
+    loss_and_grads(params, spec, x, y)  # first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        loss_and_grads(params, spec, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(p.nbytes for p in params.values())
+    activations = batch * sum(spec.widths[1:-1]) * 8
+    assert (peak - grad_bytes) / activations < 2.2
+
+
 def test_model_spec_validation():
     with pytest.raises(ConfigError):
         ModelSpec(widths=(4, 2))
+    with pytest.raises(ConfigError, match="conv_input"):
+        ModelSpec(widths=(4, 2, 2), conv_input=(1, 2, 2))  # no stem would read it
     with pytest.raises(ConfigError):
         ModelSpec(widths=(4, 2, 2), activation="gelu")
     with pytest.raises(ConfigError):

@@ -17,9 +17,10 @@ eigensolve. A tall one (transposed, so its rows are the columns of W) is
 never held whole; its sum runs in another order than the one-block product,
 so its eigenvalues may differ in the last bits from those of the same layer
 in memory. Each block adds its product to the Gram's lower triangle
-GRAM_STRIP rows at a time, and the upper triangle is mirrored from the lower
-one at the end: besides the Gram and a block, gram holds one strip's product
-of GRAM_STRIP x n, never a second n x n array.
+GRAM_STRIP rows at a time. That is the triangle the eigensolvers read
+(numpy's default UPLO='L'), and nothing copies it into the upper one.
+Besides the Gram and a block, gram holds one strip's product of
+GRAM_STRIP x n, never a second n x n array.
 
 Forming W W^T and its eigensolve leave each eigenvalue with an absolute
 error of a few eps * lambda_max, so W W^T cannot resolve eigenvalues below
@@ -104,27 +105,23 @@ def roundoff_floor(n: int) -> float:
 
 
 def gram(layer: LayerTensor | StoredLayer) -> np.ndarray:
-    """The n x n Gram matrix W W^T of a layer, checked finite and exactly symmetric.
+    """The n x n Gram matrix W W^T of a layer in its lower triangle, diagonal included, checked finite.
 
     Each block of n of its flattened rows gives C, whose rows are columns of W (the block when its rows are W^T,
     its transpose when they are W), and W W^T is the sum of the C^T C. Each C^T C is added to the lower triangle
-    GRAM_STRIP rows at a time; the strict lower triangle is then copied into the upper one.
+    GRAM_STRIP rows at a time; what lies above the diagonal is unspecified, as eigvalsh and eigh never read it.
     """
     n = min(layer.shape)
     tall = _tall(layer.shape)
-    strips = [(j0, min(j0 + GRAM_STRIP, n)) for j0 in range(0, n, GRAM_STRIP)]
     product = np.zeros((n, n))
     for block in layer.row_blocks(n):
         if not np.all(np.isfinite(block)):
             raise NonFiniteMatrixError(f"{layer.name!r}: non-finite entries in weight matrix")
         cols = block if tall else block.T
         with np.errstate(over="ignore", invalid="ignore"):  # checked after the sum
-            for j0, j1 in strips:
+            for j0 in range(0, n, GRAM_STRIP):
+                j1 = min(j0 + GRAM_STRIP, n)
                 product[j0:j1, :j1] += cols[:, j0:j1].T @ cols[:, :j1]
-    for j0, j1 in strips:
-        product[:j0, j0:j1] = product[j0:j1, :j0].T
-        diagonal = product[j0:j1, j0:j1]
-        np.copyto(diagonal, diagonal.T, where=np.tri(j1 - j0, k=-1, dtype=bool).T)
     if not np.all(np.isfinite(product)):
         raise NumericalError(f"{layer.name!r}: W W^T overflows float64, so its eigenvalues would too")
     return product
@@ -133,8 +130,9 @@ def gram(layer: LayerTensor | StoredLayer) -> np.ndarray:
 def compute_esd(layer: LayerTensor | StoredLayer) -> ESD:
     """Eigenvalues of the Gram matrix W W^T of a layer, ascending as eigvalsh returns them.
 
-    Those at or below roundoff_floor(n) * lambda_max, negative ones included,
-    are set to zero; the zero matrix gives all zeros.
+    eigvalsh reads only the lower triangle of gram's output (UPLO='L'), the
+    one gram fills. Those at or below roundoff_floor(n) * lambda_max, negative
+    ones included, are set to zero; the zero matrix gives all zeros.
     """
     lam = np.linalg.eigvalsh(gram(layer))
     lam[lam <= roundoff_floor(lam.size) * lam[-1]] = 0.0

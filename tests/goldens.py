@@ -2,8 +2,10 @@
 
     PYTHONPATH=src python tests/goldens.py
 
-reruns every golden case, prints each cell that moved from the committed
-files under tests/golden/<case>/, and writes the new outputs in their place.
+reruns every golden case and prints each cell that moved from the committed
+files under tests/golden/<case>/. It writes the new outputs of a case in
+place of its files only when the case is new or one of its cells moved; any
+other case keeps its files as they are, bytes and all.
 A change that moves a golden names the cells and the reason in CHANGES.md.
 
 The cases: `train` of one tiny config under each assignment, under the ks
@@ -232,6 +234,7 @@ def moved_cells(case: str, out_dir: Path) -> list[str]:
 
 
 def regenerate() -> int:
+    """Rerun every case; write the outputs of a new case and of one whose cells moved, and leave the rest untouched."""
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             out_dir = Path(tmp) / case
@@ -240,6 +243,8 @@ def regenerate() -> int:
             if golden.is_dir():
                 moves = moved_cells(case, out_dir)
                 print("\n".join(moves) if moves else f"{case}: no cell moved")
+                if not moves:
+                    continue
                 shutil.rmtree(golden)
             else:
                 print(f"{case}: new golden")

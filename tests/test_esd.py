@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tempbal import cli
+from tempbal import cli, esd, train_engine
 from tempbal.errors import NumericalError
 from tempbal.esd import GRAM_STRIP, ESD, NonFiniteMatrixError, compute_esd, gram, matrix, orient, roundoff_floor
 from tempbal.htsr import POLICY_VARIANTS, LambdaMinPolicy, layer_metrics
 from tempbal.rmt_lab import PLSpectrumSpec, synth_pl_matrix
+from tempbal.train_engine import snr_grad_term
 from tempbal.weight_store import LayerTensor, WeightSnapshot, load_snapshot, save_snapshot
 
 EPS = np.finfo(np.float64).eps
@@ -198,9 +199,8 @@ def test_gram_strips_sum_to_the_one_block_product(tmp_path, kind, n):
     tol = 4 * n * EPS * np.max(np.abs(expected))
     for product in (in_memory, stored):
         assert product.shape == (n, n)
-        assert np.array_equal(product, product.T)
-        assert np.max(np.abs(product - expected)) <= tol
-    assert np.max(np.abs(stored - in_memory)) <= tol
+        assert np.max(np.abs(np.tril(product - expected))) <= tol  # the lower triangle is all gram fills
+    assert np.max(np.abs(np.tril(stored - in_memory))) <= tol
 
 
 def test_gram_of_a_tall_stored_layer_holds_one_strip_besides_the_gram_and_a_block(tmp_path):
@@ -214,10 +214,26 @@ def test_gram_of_a_tall_stored_layer_holds_one_strip_besides_the_gram_and_a_bloc
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(product, np.full((n, n), 16.0 * n))
+    assert np.array_equal(np.tril(product), np.tril(np.full((n, n), 16.0 * n)))
     # the Gram and a block of n rows are n^2 doubles each, one strip's product GRAM_STRIP * n: 2.25 n^2 here;
     # a second n x n product would make it 3
     assert peak < 2.5 * n * n * 8, peak / (n * n * 8)
+
+
+@pytest.mark.parametrize("shape", [(300, GRAM_STRIP + 1), (GRAM_STRIP + 1, 300), (40, 9), (6, 4, 3, 3)])
+def test_the_eigensolvers_read_only_the_lower_triangle_of_the_gram(monkeypatch, shape):
+    layer = LayerTensor("w", np.random.default_rng(sum(shape)).standard_t(3.0, size=shape))
+    lam, inc = compute_esd(layer).eigenvalues, snr_grad_term(layer, 0.01)
+
+    def nan_above_the_diagonal(layer):
+        product = gram(layer)
+        product[np.triu_indices_from(product, k=1)] = np.nan
+        return product
+
+    monkeypatch.setattr(esd, "gram", nan_above_the_diagonal)
+    monkeypatch.setattr(train_engine, "gram", nan_above_the_diagonal)
+    assert np.array_equal(compute_esd(layer).eigenvalues, lam)
+    assert np.array_equal(snr_grad_term(layer, 0.01), inc)
 
 
 # ---------------------------------------------------------------------------

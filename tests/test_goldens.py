@@ -1,7 +1,10 @@
 """Every golden case's outputs match the committed goldens cell by cell (see goldens.py)."""
 
+import shutil
+
 import pytest
 
+import goldens
 from goldens import TRAIN_CASES, moved_cells, run
 from tempbal.htsr import POLICY_VARIANTS
 from tempbal.weight_store import LayerTensor, WeightSnapshot, read_snapshot, save_snapshot
@@ -30,6 +33,20 @@ def test_analyze_of_a_ragged_tall_layer_matches_the_golden(tmp_path):
 def test_rmt_outputs_match_the_golden(tmp_path):
     run("rmt", tmp_path)
     assert moved_cells("rmt", tmp_path) == []
+
+
+def test_regenerate_leaves_the_files_of_an_unmoved_case_untouched(tmp_path, monkeypatch, capsys):
+    golden = tmp_path / "golden"
+    shutil.copytree(goldens.GOLDEN_DIR, golden)
+
+    def stamps():
+        return {path: (path.stat().st_ino, path.stat().st_mtime_ns) for path in golden.rglob("*")}
+
+    before = stamps()
+    monkeypatch.setattr(goldens, "GOLDEN_DIR", golden)
+    assert goldens.regenerate() == 0
+    assert capsys.readouterr().out.splitlines() == [f"{case}: no cell moved" for case in goldens.CASES]
+    assert stamps() == before
 
 
 @pytest.mark.parametrize("factor, moved", [(1 + 1e-15, False), (1 + 1e-12, True)])

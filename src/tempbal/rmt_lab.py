@@ -19,7 +19,8 @@ one. sweep_specs checks the cells of a sweep, verify_s_alpha sweeps the
 relation on a grid of s, each cell scaling a frame of its own in place,
 and spike_experiment demonstrates how a rank-1 update ejects an eigenvalue
 from a random bulk ("bulk+spike"). Every matrix here is a LayerTensor, and
-its W comes from esd, as any layer's does.
+its W comes from esd, as any layer's does; a sweep's cell hands compute_esd
+its spec instead, and its matrix is built when gram reads it.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from .weight_store import LayerTensor
 
 # top/second eigenvalue ratio above which a spike counts as ejected
 SPIKE_SEPARATION = 3.0
-# a Q x Q float64 matrix is then 512 MiB. A sweep of one size peaks in a cell's
-# eigensolve, at three of them: W, W W^T and the eigensolver's copy (the numpy arrays
-# alone: 2.15 at Q = 2048 under tracemalloc; building W holds 1.10). With LAPACK's work
-# space its resident memory rises by about three and a half (3.42 at Q = 2048, over a
-# process that has only imported tempbal.cli)
+# a Q x Q float64 matrix is then 512 MiB. A sweep of one size holds two of them at a time:
+# in a cell's gram, the Gram and W (the numpy arrays alone: 2.13 at Q = 2048 under
+# tracemalloc, with one strip's product), then the Gram and the eigensolver's copy, which
+# takes W's memory. With LAPACK's work space its resident memory rises by about two and a
+# half (2.42 at Q = 2048, over a process that has only imported tempbal.cli)
 MAX_SIZE = 8192
 # rows of the frame gathered at a time, and the width of the column split in random_frame
 FRAME_BLOCK = 64
@@ -119,7 +120,40 @@ def synth_pl_matrix(spec: PLSpectrumSpec) -> LayerTensor:
     """
     w = random_frame(spec.size, spec.seed)
     w *= np.sqrt(pl_eigenvalues(spec))
-    return LayerTensor(f"pl_q{spec.size}_s{spec.decay:g}", w)
+    return LayerTensor(_layer_name(spec), w)
+
+
+def _layer_name(spec: PLSpectrumSpec) -> str:
+    return f"pl_q{spec.size}_s{spec.decay:g}"
+
+
+@dataclass(frozen=True)
+class _PLCell:
+    """The layer synth_pl_matrix(spec) gives, built at each read and kept by nothing, as a StoredLayer reads its file.
+
+    gram allocates the Gram before it asks for the one block, so W is freed
+    when gram returns and the eigensolver's copy of the Gram can take its
+    memory: no W is held through a cell's eigensolve.
+    """
+
+    spec: PLSpectrumSpec
+
+    @property
+    def name(self) -> str:
+        return _layer_name(self.spec)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.spec.size, self.spec.size
+
+    @property
+    def values(self) -> np.ndarray:
+        """W, built at each access."""
+        return synth_pl_matrix(self.spec).values
+
+    def row_blocks(self, rows: int) -> tuple[np.ndarray]:
+        """W as one block, built at this call, whatever rows asks."""
+        return (self.values,)
 
 
 def max_decay(size: int) -> float:
@@ -175,14 +209,16 @@ def verify_s_alpha(
     The cells of sweep_specs(size, s_grid, seed) share one seed, so each
     cell's synth_pl_matrix(spec) scales the same frame into a matrix with
     spectrum k^(-s). Each cell builds that frame itself, in place, and drops
-    it with its matrix, so no frame outlives its cell. Each is fit with the
+    it with its matrix, so no frame outlives its cell. compute_esd gets the
+    cell as a layer that builds its matrix when gram reads it and keeps none,
+    so W is freed before the eigensolve. Each is fit with the
     median threshold policy (k = n/2), whose threshold is the prescribed
     eigenvalue (n//2 + 1)^(-s).
     """
     policy = LambdaMinPolicy(variant="median")
     rows = []
     for spec in sweep_specs(size, s_grid, seed):
-        metrics = layer_metrics(compute_esd(synth_pl_matrix(spec)), policy)
+        metrics = layer_metrics(compute_esd(_PLCell(spec)), policy)
         pred = 1.0 + 1.0 / spec.decay
         rows.append(
             SAlphaRow(

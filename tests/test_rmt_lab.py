@@ -241,9 +241,47 @@ def test_sweep_memory_peaks_at_two_and_a_half_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured at 2.13 Q x Q arrays, W and W W^T in a cell's eigensolve; with a
-    # frame shared by the cells of a size, held as well, it was 3.13
+    # measured at 2.36 Q x Q arrays, in a cell's gram: the Gram, allocated before
+    # W is read, and W as its frame is built, 64 rows of phases at a time (at
+    # Q = 2048, 2.13, in gram's sum of W into the Gram a strip at a time). The
+    # eigensolve holds W W^T and LAPACK's copy, which tracemalloc does not see.
+    # With a frame shared by the cells of a size, held as well, it was 3.13
     assert peak <= 2.5 * size * size * 8
+
+
+def test_a_cells_eigensolve_holds_no_w(monkeypatch):
+    # the cell's W is built when gram reads it and freed when gram returns, so
+    # each eigvalsh starts with the Gram alone traced: 1.00 Q x Q arrays, where
+    # a W built before compute_esd and held through it reads 2.00
+    size = 512
+    entries = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    verify_s_alpha(size, [0.5, 1.5, 3.0])  # first calls allocate caches of their own
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    tracemalloc.start()
+    try:
+        verify_s_alpha(size, [0.5, 1.5, 3.0])
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 3
+    assert max(entries) <= 1.25 * size * size * 8
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.integers(8, 300), decay=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+@example(size=8, decay=0.0, seed=0)
+@example(size=300, decay=3.0, seed=1)
+def test_a_cell_gives_the_esd_of_its_matrix(size, decay, seed):
+    spec = PLSpectrumSpec(size=size, decay=decay, seed=seed)
+    on_read = compute_esd(rmt_lab._PLCell(spec))
+    eager = compute_esd(synth_pl_matrix(spec))
+    assert np.array_equal(on_read.eigenvalues, eager.eigenvalues)
+    assert on_read.source_name == eager.source_name
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ matrices and has the same nonzero spectrum as W^T W; one eigensolve of it
 costs a fraction of a full SVD of W.
 
 gram, the one reader of a layer's rows, sums W W^T into one n x n array
-over the blocks of n rows the layer gives. An array in memory is one block,
-as is a wide layer of a snapshot file, freed when gram returns, before its
-eigensolve. A tall one (transposed, so its rows are the columns of W) is
+over the blocks of n rows the layer gives. An array in memory is one block.
+So are a wide layer of a snapshot file and a cell of rmt_lab's sweep, read
+or built when gram asks for their block and freed when gram returns, before
+the eigensolve. A tall one (transposed, so its rows are the columns of W) is
 never held whole; its sum runs in another order than the one-block product,
 so its eigenvalues may differ in the last bits from those of the same layer
 in memory. Each block adds its product to the Gram's lower triangle

@@ -129,11 +129,10 @@ def _layer_name(spec: PLSpectrumSpec) -> str:
 
 @dataclass(frozen=True)
 class _PLCell:
-    """The layer synth_pl_matrix(spec) gives, built at each read and kept by nothing, as a StoredLayer reads its file.
+    """The layer synth_pl_matrix(spec) gives, built at each read, as a StoredLayer reads its file, and kept by nothing.
 
     gram allocates the Gram before it asks for the one block, so W is freed
-    when gram returns and the eigensolver's copy of the Gram can take its
-    memory: no W is held through a cell's eigensolve.
+    when gram returns and the eigensolver's copy of the Gram can reuse its memory.
     """
 
     spec: PLSpectrumSpec

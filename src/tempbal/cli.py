@@ -26,7 +26,7 @@ from urllib.parse import quote
 
 from .errors import ConfigError, NumericalError, TempbalError
 from .htsr import POLICY_VARIANTS, LambdaMinPolicy, LayerMetrics, analyze_snapshot, log10_histogram
-from .rmt_lab import MAX_SIZE, max_decay, sweep_specs, verify_s_alpha
+from .rmt_lab import MAX_SIZE, max_decay, verify_s_alpha
 from .scheduler import ASSIGNMENTS, METRICS, ScheduleConfig
 from .train_engine import (
     ACTIVATIONS,
@@ -146,7 +146,7 @@ _RUN_PARAMS = inspect.signature(run_training).parameters
 CONFIG_KEYS: dict[str, ConfigKey] = {
     "eta0": ConfigKey(_float, 0.1, "initial global learning rate"),
     "total_epochs": ConfigKey(_int, 30, "cosine annealing horizon T"),
-    "epochs": ConfigKey(_optional_int, None, "epochs to actually run (unset: total_epochs)"),
+    "epochs": ConfigKey(_optional_int, _RUN_PARAMS["epochs"].default, "epochs to actually run (unset: total_epochs)"),
     "s1": ConfigKey(_float, ScheduleConfig.s1, "lower scaling ratio, in (0, 1]"),
     "s2": ConfigKey(_float, ScheduleConfig.s2, "upper scaling ratio, at least 1"),
     "assignment": ConfigKey(str, ScheduleConfig.assignment, "|".join(ASSIGNMENTS)),
@@ -352,25 +352,13 @@ def cmd_rmt(args) -> int:
     sizes = _parse_grid(args.q, "q")
     if not all(q.is_integer() and q > 0 for q in sizes):
         raise ConfigError(f"q grid: matrix sizes must be positive integers, got {args.q!r}")
-    sizes = [int(q) for q in sizes]
-    s_grid = _parse_grid(args.s, "s")
-    if not sizes or not s_grid:
-        raise ConfigError("q and s grids must be nonempty")
-    # a cell that cannot run exits 1 before the sweep of any size is spent
-    for size in sizes:
-        sweep_specs(size, s_grid, seed=args.seed)
-
     table = []
     violations = []
-    for size in sizes:
-        for row in verify_s_alpha(size, s_grid, seed=args.seed):
-            table.append((row.size, f"{row.decay:g}", row.alpha_hill, row.alpha_pred, row.rel_err))
-            gated = (
-                row.size >= RMT_GATE_MIN_SIZE
-                and RMT_GATE_S_RANGE[0] <= row.decay <= RMT_GATE_S_RANGE[1]
-            )
-            if gated and row.rel_err > RMT_REL_ERR_TOL:
-                violations.append(row)
+    for row in verify_s_alpha([int(q) for q in sizes], _parse_grid(args.s, "s"), seed=args.seed):
+        table.append((row.size, f"{row.decay:g}", row.alpha_hill, row.alpha_pred, row.rel_err))
+        gated = row.size >= RMT_GATE_MIN_SIZE and RMT_GATE_S_RANGE[0] <= row.decay <= RMT_GATE_S_RANGE[1]
+        if gated and row.rel_err > RMT_REL_ERR_TOL:
+            violations.append(row)
     header = "Q,s,alpha_hill,alpha_pred,rel_err"
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -393,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="per-layer tail metrics of a weight snapshot")
     p_analyze.add_argument("snapshot", help="path to a .wsnp snapshot file")
-    p_analyze.add_argument("--policy", choices=POLICY_VARIANTS, default=LambdaMinPolicy.variant)
+    p_analyze.add_argument("--policy", default=LambdaMinPolicy.variant, help="|".join(POLICY_VARIANTS))
     p_analyze.add_argument("--bins", type=int, default=LambdaMinPolicy.histogram_bins, help="histogram bins (fixfinger and ESD output)")
     p_analyze.add_argument("--out-dir", default=".", help="where to write metrics.csv and ESD histograms")
     p_analyze.set_defaults(func=cmd_analyze)

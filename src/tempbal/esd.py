@@ -12,12 +12,13 @@ costs a fraction of a full SVD of W.
 
 gram, the one reader of a layer's rows, sums W W^T into one n x n array
 over the blocks of n rows the layer gives. An array in memory is one block.
-So are a wide layer of a snapshot file and a cell of rmt_lab's sweep, read
-or built when gram asks for their block and freed when gram returns, before
-the eigensolve. A tall one (transposed, so its rows are the columns of W) is
-never held whole; its sum runs in another order than the one-block product,
-so its eigenvalues may differ in the last bits from those of the same layer
-in memory. Each block adds its product to the Gram's lower triangle
+So are a wide layer of a snapshot file and an rmt_lab PLSpectrumSpec, a
+layer that builds its W when it is read, as a StoredLayer reads its file:
+each is read or built when gram asks for its block and freed when gram
+returns, before the eigensolve. A tall stored layer (transposed, so its rows
+are the columns of W) is never held whole; its sum runs in another order
+than the one-block product, so its eigenvalues may differ in the last bits
+from those of the same layer in memory. Each block adds its product to the Gram's lower triangle
 GRAM_STRIP rows at a time. That is the triangle the eigensolvers read
 (numpy's default UPLO='L'), and nothing copies it into the upper one.
 Besides the Gram and a block, gram holds one strip's product of
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .weight_store import LayerTensor, StoredLayer
+from .weight_store import Layer
 
 
 # rows of the Gram matrix that gram adds per product; 256 was slower on a 4096 x 1024 layer
@@ -88,7 +89,7 @@ def _tall(shape: tuple[int, int]) -> bool:
     return rows > cols
 
 
-def orient(layer: LayerTensor | StoredLayer) -> tuple[int, int]:
+def orient(layer: Layer) -> tuple[int, int]:
     """The (n, m) of a layer's matrix W, in memory or in a snapshot file, n <= m; reads nothing."""
     rows, cols = layer.shape
     return (cols, rows) if _tall(layer.shape) else (rows, cols)
@@ -105,7 +106,7 @@ def roundoff_floor(n: int) -> float:
     return n * np.finfo(np.float64).eps
 
 
-def gram(layer: LayerTensor | StoredLayer) -> np.ndarray:
+def gram(layer: Layer) -> np.ndarray:
     """The n x n Gram matrix W W^T of a layer in its lower triangle, diagonal included, checked finite.
 
     Each block of n of its flattened rows gives C, whose rows are columns of W (the block when its rows are W^T,
@@ -128,7 +129,7 @@ def gram(layer: LayerTensor | StoredLayer) -> np.ndarray:
     return product
 
 
-def compute_esd(layer: LayerTensor | StoredLayer) -> ESD:
+def compute_esd(layer: Layer) -> ESD:
     """Eigenvalues of the Gram matrix W W^T of a layer, ascending as eigvalsh returns them.
 
     eigvalsh reads only the lower triangle of gram's output (UPLO='L'), the

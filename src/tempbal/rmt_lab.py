@@ -15,12 +15,12 @@ for every orthogonal U, so any exactly orthogonal frame will do; a dense
 one spreads each eigenvalue over the rows as a random rotation would, and
 a sign-flipped DCT is the usual cheap stand-in for one (Ailon & Chazelle,
 2009). Only a left frame is built: the Gram spectrum never sees a right
-one. sweep_specs checks the cells of a sweep, verify_s_alpha sweeps the
-relation on a grid of s, each cell scaling a frame of its own in place,
-and spike_experiment demonstrates how a rank-1 update ejects an eigenvalue
-from a random bulk ("bulk+spike"). Every matrix here is a LayerTensor, and
-its W comes from esd, as any layer's does; a sweep's cell hands compute_esd
-its spec instead, and its matrix is built when gram reads it.
+one. A PLSpectrumSpec is itself a layer: it builds its W when it is read,
+as a StoredLayer reads its file, and keeps none. sweep_specs checks the
+cells of one size of a sweep, verify_s_alpha plans and checks every cell of
+a grid of sizes and s before it builds any, then hands compute_esd each
+cell's spec, and spike_experiment demonstrates how a rank-1 update ejects
+an eigenvalue from a random bulk ("bulk+spike").
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .weight_store import LayerTensor
 
 # top/second eigenvalue ratio above which a spike counts as ejected
 SPIKE_SEPARATION = 3.0
-# a Q x Q float64 matrix is then 512 MiB. A sweep of one size holds two of them at a time:
-# in a cell's gram, the Gram and W (the numpy arrays alone: 2.13 at Q = 2048 under
-# tracemalloc, with one strip's product), then the Gram and the eigensolver's copy, which
-# takes W's memory. With LAPACK's work space its resident memory rises by about two and a
+# a Q x Q float64 matrix is then 512 MiB. A sweep holds two of them at a time: in a
+# cell's gram, the Gram and the W the spec builds when gram reads it (the numpy arrays
+# alone: 2.13 at Q = 2048 under tracemalloc, with one strip's product), then the Gram
+# and the eigensolver's copy, which takes W's memory. With LAPACK's work space its resident memory rises by about two and a
 # half (2.42 at Q = 2048, over a process that has only imported tempbal.cli)
 MAX_SIZE = 8192
 # rows of the frame gathered at a time, and the width of the column split in random_frame
@@ -49,7 +49,13 @@ FRAME_BLOCK = 64
 
 @dataclass(frozen=True)
 class PLSpectrumSpec:
-    """Prescription for a matrix whose Gram spectrum decays as lambda1 * k^(-s)."""
+    """Prescription for a matrix whose Gram spectrum decays as lambda1 * k^(-s), and the layer of that matrix.
+
+    As a layer it builds W = synth_pl_matrix(self).values when it is read, as
+    a StoredLayer reads its file, and keeps none. gram allocates the Gram
+    before it asks for the one block, so W is freed when gram returns and
+    the eigensolver's copy of the Gram can reuse its memory.
+    """
 
     size: int
     decay: float
@@ -63,6 +69,23 @@ class PLSpectrumSpec:
             raise ConfigError(f"decay exponent must be nonnegative, got {self.decay}")
         if self.lambda1 <= 0:
             raise ConfigError(f"lambda1 must be positive, got {self.lambda1}")
+
+    @property
+    def name(self) -> str:
+        return f"pl_q{self.size}_s{self.decay:g}"
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.size, self.size
+
+    @property
+    def values(self) -> np.ndarray:
+        """W, built at each access."""
+        return synth_pl_matrix(self).values
+
+    def row_blocks(self, rows: int) -> tuple[np.ndarray]:
+        """W as one block, built at this call, whatever rows asks."""
+        return (self.values,)
 
 
 def pl_eigenvalues(spec: PLSpectrumSpec) -> np.ndarray:
@@ -120,39 +143,7 @@ def synth_pl_matrix(spec: PLSpectrumSpec) -> LayerTensor:
     """
     w = random_frame(spec.size, spec.seed)
     w *= np.sqrt(pl_eigenvalues(spec))
-    return LayerTensor(_layer_name(spec), w)
-
-
-def _layer_name(spec: PLSpectrumSpec) -> str:
-    return f"pl_q{spec.size}_s{spec.decay:g}"
-
-
-@dataclass(frozen=True)
-class _PLCell:
-    """The layer synth_pl_matrix(spec) gives, built at each read, as a StoredLayer reads its file, and kept by nothing.
-
-    gram allocates the Gram before it asks for the one block, so W is freed
-    when gram returns and the eigensolver's copy of the Gram can reuse its memory.
-    """
-
-    spec: PLSpectrumSpec
-
-    @property
-    def name(self) -> str:
-        return _layer_name(self.spec)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.spec.size, self.spec.size
-
-    @property
-    def values(self) -> np.ndarray:
-        """W, built at each access."""
-        return synth_pl_matrix(self.spec).values
-
-    def row_blocks(self, rows: int) -> tuple[np.ndarray]:
-        """W as one block, built at this call, whatever rows asks."""
-        return (self.values,)
+    return LayerTensor(spec.name, w)
 
 
 def max_decay(size: int) -> float:
@@ -176,11 +167,12 @@ def sweep_specs(size: int, s_grid: list[float], seed: int = 0) -> list[PLSpectru
 
     Every cell of a size gets the one seed SeedSequence([seed, size]), so a
     cell depends only on (seed, size, s) and not on where s sits in the grid.
-    Nothing is synthesized. Raises ConfigError for an empty grid, a size
-    outside [8, MAX_SIZE] or an s <= 0. Every s must also keep the median
-    fit's threshold, the prescribed eigenvalue (size//2 + 1)^(-s), above
-    compute_esd's roundoff floor, roundoff_floor(size), or the fit would rest
-    on an eigenvalue read as zero: s < max_decay(size).
+    Nothing is synthesized: each spec is a layer that builds its W when it is
+    read. Raises ConfigError for an empty grid, a size outside [8, MAX_SIZE]
+    or an s <= 0. Every s must also keep the median fit's threshold, the
+    prescribed eigenvalue (size//2 + 1)^(-s), above compute_esd's roundoff
+    floor, roundoff_floor(size), or the fit would rest on an eigenvalue read
+    as zero: s < max_decay(size).
     """
     if not s_grid:
         raise ConfigError("s grid must be nonempty")
@@ -198,30 +190,29 @@ def sweep_specs(size: int, s_grid: list[float], seed: int = 0) -> list[PLSpectru
     return specs
 
 
-def verify_s_alpha(
-    size: int,
-    s_grid: list[float],
-    seed: int = 0,
-) -> list[SAlphaRow]:
-    """Tabulate the fitted Hill exponent against the prediction 1 + 1/s.
+def verify_s_alpha(sizes: list[int], s_grid: list[float], seed: int = 0) -> list[SAlphaRow]:
+    """Tabulate the fitted Hill exponent against the prediction 1 + 1/s on every (size, s) cell.
 
-    The cells of sweep_specs(size, s_grid, seed) share one seed, so each
-    cell's synth_pl_matrix(spec) scales the same frame into a matrix with
-    spectrum k^(-s). Each cell builds that frame itself, in place, and drops
-    it with its matrix, so no frame outlives its cell. compute_esd gets the
-    cell as a layer that builds its matrix when gram reads it and keeps none,
-    so W is freed before the eigensolve. Each is fit with the
-    median threshold policy (k = n/2), whose threshold is the prescribed
-    eigenvalue (n//2 + 1)^(-s).
+    Every cell is planned and checked by sweep_specs before any matrix is
+    built, so a grid with one bad cell, or no size, raises ConfigError having
+    spent nothing. The cells of a size share one seed, so each scales the same
+    frame into a matrix with spectrum k^(-s). compute_esd gets each cell's
+    spec, a layer that builds its W when gram reads it and keeps none, so no
+    frame outlives its cell and W is freed before the eigensolve. Each is fit
+    with the median threshold policy (k = n/2), whose threshold is the
+    prescribed eigenvalue (n//2 + 1)^(-s).
     """
+    if not sizes:
+        raise ConfigError("q grid must be nonempty")
+    specs = [spec for size in sizes for spec in sweep_specs(size, s_grid, seed)]
     policy = LambdaMinPolicy(variant="median")
     rows = []
-    for spec in sweep_specs(size, s_grid, seed):
-        metrics = layer_metrics(compute_esd(_PLCell(spec)), policy)
+    for spec in specs:
+        metrics = layer_metrics(compute_esd(spec), policy)
         pred = 1.0 + 1.0 / spec.decay
         rows.append(
             SAlphaRow(
-                size=size,
+                size=spec.size,
                 decay=spec.decay,
                 alpha_hill=metrics.alpha_hill,
                 alpha_pred=pred,

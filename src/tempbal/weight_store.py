@@ -33,9 +33,9 @@ from __future__ import annotations
 import io
 import math
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import BinaryIO
+from typing import BinaryIO, Protocol
 
 import numpy as np
 
@@ -67,6 +67,18 @@ class SnapshotIOError(SnapshotError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte offset {offset})")
         self.offset = offset
+
+
+class Layer(Protocol):
+    """What esd.gram reads of a layer: a LayerTensor, a StoredLayer, or an rmt_lab.PLSpectrumSpec."""
+
+    @property
+    def name(self) -> str: ...
+
+    @property
+    def shape(self) -> tuple[int, int]: ...
+
+    def row_blocks(self, rows: int) -> Iterable[np.ndarray]: ...
 
 
 @dataclass(frozen=True)

@@ -130,10 +130,10 @@ def test_criterion_3_cal_endpoints():
 def test_criterion_4_s_alpha_relation():
     started = time.perf_counter()
     grid = [0.5 + 0.25 * i for i in range(11)]  # 0.5 .. 3.0
-    rows_large = verify_s_alpha(1024, grid, seed=0)
+    rows_large = verify_s_alpha([1024], grid, seed=0)
     for row in rows_large:
         assert row.rel_err <= 0.15, f"s={row.decay}: rel err {row.rel_err}"
-    rows_small = verify_s_alpha(64, grid, seed=0)
+    rows_small = verify_s_alpha([64], grid, seed=0)
     mean_large = float(np.mean([r.rel_err for r in rows_large]))
     mean_small = float(np.mean([r.rel_err for r in rows_small]))
     assert mean_large < mean_small

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import os
 import struct
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from tempbal.cli import CONFIG_KEYS, _parse_grid, main, parse_config
 from tempbal.errors import ConfigError
+from tempbal.htsr import POLICY_VARIANTS
 from tempbal.rmt_lab import PLSpectrumSpec, synth_pl_matrix
+from tempbal.train_engine import run_training
 from tempbal.weight_store import MAGIC, LayerTensor, SnapshotError, WeightSnapshot, load_snapshot, save_snapshot
 
 
@@ -336,6 +339,27 @@ def test_config_comments_and_defaults(tmp_path):
     assert values["policy"] == "median"
 
 
+def test_config_defaults_of_run_training_keys_are_its_own():
+    params = inspect.signature(run_training).parameters
+    shared = [key for key in CONFIG_KEYS if key in params and params[key].default is not inspect.Parameter.empty]
+    assert {"epochs", "lambda_sr", "seed"} <= set(shared)
+    for key in shared:
+        assert CONFIG_KEYS[key].default == params[key].default, key
+
+
+def test_analyze_unknown_policy_exit_1_before_the_snapshot_is_read(tmp_path, capsys):
+    # LambdaMinPolicy is the one check of --policy; a missing file read first would exit 2
+    err = assert_usage_error(["analyze", str(tmp_path / "missing.wsnp"), "--policy", "mean"], capsys)
+    assert "'mean'" in err
+
+
+def test_analyze_help_lists_the_policy_variants(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "|".join(POLICY_VARIANTS) in capsys.readouterr().out
+
+
 def test_config_bad_value_reports_key(tmp_path):
     cfg = train_config(tmp_path, eta0="fast")
     with pytest.raises(ConfigError, match="eta0"):
@@ -522,6 +546,28 @@ def test_rmt_checks_every_cell_before_computing_any(capsys, monkeypatch):
     assert_usage_error(["rmt", "--q", "64,1024", "--s", "0.5,6.0"], capsys)
     assert built == []
     assert frames == []
+
+
+def test_rmt_grid_of_commas_only_exit_1(capsys):
+    # ',' parses to no value at all; rmt_lab's plan of the sweep rejects the empty grid
+    assert "q grid must be nonempty" in assert_usage_error(["rmt", "--q", ",", "--s", "1.0"], capsys)
+    assert "s grid must be nonempty" in assert_usage_error(["rmt", "--q", "64", "--s", ","], capsys)
+
+
+def test_rmt_plans_each_size_once(monkeypatch, capsys):
+    from tempbal import cli, rmt_lab
+
+    planned = []
+    plan = rmt_lab.sweep_specs
+
+    def spy(size, *args, **kwargs):
+        planned.append(size)
+        return plan(size, *args, **kwargs)
+
+    monkeypatch.setattr(rmt_lab, "sweep_specs", spy)
+    monkeypatch.setattr(cli, "sweep_specs", spy, raising=False)
+    assert main(["rmt", "--q", "64,128", "--s", "1.0"]) == 0
+    assert planned == [64, 128]
 
 
 def test_rmt_row_does_not_depend_on_the_rest_of_the_grid(tmp_path):

@@ -149,6 +149,18 @@ def test_fixfinger_clamps_into_range():
     assert 2 <= k <= 15
 
 
+def test_fixfinger_clamps_a_lone_spike_up_to_two():
+    # the peak bin holds the flat bulk at its left edge, so only the spike lies above it: a count of 1
+    lam = np.array([1.0] * 39 + [100.0])
+    assert select_k(esd_of(lam), LambdaMinPolicy(variant="fixfinger", histogram_bins=10)) == 2
+
+
+def test_ks_ties_break_toward_the_largest_k_across_candidate_blocks():
+    # every candidate of a flat spectrum is at distance 1; n = 200 spans four blocks of KS_CANDIDATES
+    for n in (40, 200):
+        assert select_k(esd_of(np.ones(n)), LambdaMinPolicy(variant="ks")) == n - 1
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         LambdaMinPolicy(variant="nope")
@@ -484,6 +496,18 @@ def test_flat_layer_reads_flat_at_every_scale(c):
     for variant, k in (("median", 4), ("ks", 7), ("fixfinger", 7)):
         met = layer_metrics(esd, LambdaMinPolicy(variant=variant))
         assert (met.k, met.alpha_hill) == (k, math.inf), variant
+
+
+def test_flat_tail_bound_admits_the_roundoff_of_a_flat_layer_and_no_more_than_three_times_it():
+    # FLAT_TAIL_ROUNDOFFS is calibrated on layers whose singular values are all equal. This one's
+    # worst k-value log-sum is 2.47 k n eps (n = 6, k = 5): every k must read flat, and a
+    # one-value tail of three times that ratio must be fit
+    n = 6
+    lam = compute_esd(LayerTensor("flat", flat_layer(n, 197, seed=55))).eigenvalues
+    assert all(hill_alpha(esd_of(lam), k) == math.inf for k in range(1, n))
+    worst = max(np.sum(np.log(lam[n - k:] / lam[n - k - 1])) / (k * roundoff_floor(n)) for k in range(1, n))
+    spike = math.exp(3 * worst * roundoff_floor(n))
+    assert math.isfinite(hill_alpha(esd_of([1.0] * (n - 1) + [spike]), 1))
 
 
 def test_log10_histogram_bins_a_flat_or_narrow_span_like_a_zero_span():

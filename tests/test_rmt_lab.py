@@ -87,7 +87,7 @@ def test_hill_scale_invariance_on_synthetic_spectra():
 
 
 def test_verify_s_alpha_small_grid():
-    rows = verify_s_alpha(128, [0.5, 1.0, 2.0], seed=0)
+    rows = verify_s_alpha([128], [0.5, 1.0, 2.0], seed=0)
     assert [r.decay for r in rows] == [0.5, 1.0, 2.0]
     for row in rows:
         assert row.alpha_pred == pytest.approx(1 + 1 / row.decay, abs=1e-12)
@@ -98,16 +98,21 @@ def test_verify_s_alpha_small_grid():
 
 def test_verify_s_alpha_improves_with_size():
     grid = [0.5, 1.0, 2.0, 3.0]
-    small = np.mean([r.rel_err for r in verify_s_alpha(16, grid, seed=0)])
-    large = np.mean([r.rel_err for r in verify_s_alpha(256, grid, seed=0)])
+    small = np.mean([r.rel_err for r in verify_s_alpha([16], grid, seed=0)])
+    large = np.mean([r.rel_err for r in verify_s_alpha([256], grid, seed=0)])
     assert large < small
 
 
 def test_verify_s_alpha_rejects_bad_grid():
     with pytest.raises(ValueError):
-        verify_s_alpha(64, [])
+        verify_s_alpha([64], [])
     with pytest.raises(ValueError):
-        verify_s_alpha(64, [0.0])
+        verify_s_alpha([64], [0.0])
+
+
+def test_verify_s_alpha_rejects_an_empty_size_list():
+    with pytest.raises(ConfigError, match="q grid must be nonempty"):
+        verify_s_alpha([], [1.0])
 
 
 def gaussian_bulk(n=256, seed=0):
@@ -167,7 +172,7 @@ def test_max_decay_keeps_the_median_threshold_resolvable():
     for size in (8, 64, 1024):
         assert (size // 2 + 1) ** -max_decay(size) == pytest.approx(size * np.finfo(float).eps, rel=1e-12)
     with pytest.raises(ConfigError, match="roundoff floor"):
-        verify_s_alpha(256, [1.0, max_decay(256) + 0.01])
+        verify_s_alpha([256], [1.0, max_decay(256) + 0.01])
 
 
 def test_verify_s_alpha_near_max_decay_matches_svd():
@@ -194,12 +199,18 @@ def test_verify_s_alpha_pinned_values():
         64: [3.1101023367383673, 1.7033674455794574, 1.3516837227897762],
     }
     for size, alphas in pinned.items():
-        rows = verify_s_alpha(size, [0.5, 1.5, 3.0], seed=0)
+        rows = verify_s_alpha([size], [0.5, 1.5, 3.0], seed=0)
         assert [r.alpha_hill for r in rows] == pytest.approx(alphas, rel=1e-10, abs=0)
 
 
 # ---------------------------------------------------------------------------
 # the cells of a size
+
+
+def test_a_spec_is_a_layer_named_by_its_size_and_decay():
+    spec = PLSpectrumSpec(size=64, decay=1.5, seed=2)
+    assert (spec.name, spec.shape) == ("pl_q64_s1.5", (64, 64))
+    assert synth_pl_matrix(spec).name == spec.name
 
 
 def test_sweep_specs_gives_the_cells_of_a_size_one_seed():
@@ -218,7 +229,7 @@ def test_each_cell_is_the_matrix_its_spec_gives_alone(monkeypatch):
         return cells[-1][1]
 
     monkeypatch.setattr(rmt_lab, "synth_pl_matrix", record)
-    verify_s_alpha(48, [0.5, 1.5, 3.0], seed=2)
+    verify_s_alpha([48], [0.5, 1.5, 3.0], seed=2)
     assert [spec.decay for spec, _ in cells] == [0.5, 1.5, 3.0]
     for spec, mat in cells:
         assert mat.values.tobytes() == synth_pl_matrix(spec).values.tobytes()
@@ -226,7 +237,7 @@ def test_each_cell_is_the_matrix_its_spec_gives_alone(monkeypatch):
 
 def test_a_row_depends_only_on_seed_size_and_s():
     rows = [
-        next(row for row in verify_s_alpha(256, grid, seed=3) if row.decay == 2.0)
+        next(row for row in verify_s_alpha([256], grid, seed=3) if row.decay == 2.0)
         for grid in ([2.0], [0.5, 2.0], [2.0, 0.5])
     ]
     assert rows[0] == rows[1] == rows[2]
@@ -234,10 +245,10 @@ def test_a_row_depends_only_on_seed_size_and_s():
 
 def test_sweep_memory_peaks_at_two_and_a_half_matrices():
     size = 512
-    verify_s_alpha(size, [0.5, 1.5, 3.0])  # first calls allocate caches of their own
+    verify_s_alpha([size], [0.5, 1.5, 3.0])  # first calls allocate caches of their own
     tracemalloc.start()
     try:
-        verify_s_alpha(size, [0.5, 1.5, 3.0])
+        verify_s_alpha([size], [0.5, 1.5, 3.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -261,11 +272,11 @@ def test_a_cells_eigensolve_holds_no_w(monkeypatch):
         entries.append(tracemalloc.get_traced_memory()[0])
         return eigvalsh(a, *args, **kwargs)
 
-    verify_s_alpha(size, [0.5, 1.5, 3.0])  # first calls allocate caches of their own
+    verify_s_alpha([size], [0.5, 1.5, 3.0])  # first calls allocate caches of their own
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     tracemalloc.start()
     try:
-        verify_s_alpha(size, [0.5, 1.5, 3.0])
+        verify_s_alpha([size], [0.5, 1.5, 3.0])
     finally:
         tracemalloc.stop()
     assert len(entries) == 3
@@ -278,7 +289,7 @@ def test_a_cells_eigensolve_holds_no_w(monkeypatch):
 @example(size=300, decay=3.0, seed=1)
 def test_a_cell_gives_the_esd_of_its_matrix(size, decay, seed):
     spec = PLSpectrumSpec(size=size, decay=decay, seed=seed)
-    on_read = compute_esd(rmt_lab._PLCell(spec))
+    on_read = compute_esd(spec)
     eager = compute_esd(synth_pl_matrix(spec))
     assert np.array_equal(on_read.eigenvalues, eager.eigenvalues)
     assert on_read.source_name == eager.source_name
@@ -381,13 +392,13 @@ def test_a_float32_gram_moves_the_pinned_alpha(monkeypatch):
     # in float32 the Q = 1024, s = 3 cell's rel_err only rises from 0.0015 to
     # about 0.025. Its alpha moves by 2.3e-2 relative, so the values pinned at
     # 1e-10 in test_verify_s_alpha_pinned_values are what guard precision
-    exact = verify_s_alpha(1024, [3.0])[0]
+    exact = verify_s_alpha([1024], [3.0])[0]
 
     def float32_gram(mat):
         w = mat.values.astype(np.float32)
         return (w @ w.T).astype(np.float64)
 
     monkeypatch.setattr(esd, "gram", float32_gram)
-    lossy = verify_s_alpha(1024, [3.0])[0]
+    lossy = verify_s_alpha([1024], [3.0])[0]
     assert lossy.rel_err < RMT_REL_ERR_TOL
     assert abs(lossy.alpha_hill - exact.alpha_hill) > 1e-3 * exact.alpha_hill

@@ -151,6 +151,12 @@ def test_sqrt_log_require_positive():
         assign_rates(0.1, {"A": 0.0}, "log2", 0.5, 1.5)
 
 
+def test_sqrt_rejects_a_zero_metric_value():
+    # alpha_weighted = alpha * log10(lambda_max) is 0 on a layer whose lambda_max is 1; a rate of 0 would freeze it
+    with pytest.raises(AssignmentError, match="positive"):
+        assign_rates(0.1, {"A": 0.0, "B": 4.0}, "sqrt", 0.5, 1.5)
+
+
 @pytest.mark.parametrize("assignment", ["lars", "global_only", "linear"])
 def test_assign_rates_rejects_an_assignment_it_does_not_compute(assignment):
     # even for one layer, which every metric-driven assignment would give the midpoint
@@ -207,6 +213,20 @@ def test_variant_rates_are_positive_and_ordered_like_their_metrics(metrics, eta_
         out = assign_rates(eta_t, metrics, variant, 0.5, 1.5)
         lrs = [out[name] for name in ranked]
         assert lrs[0] > 0 and all(a <= b for a, b in zip(lrs, lrs[1:])), (variant, lrs)
+
+
+@settings(max_examples=200)
+@given(
+    metric_maps_above_one(),
+    st.floats(min_value=1e-6, max_value=10.0),
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.floats(min_value=1.0, max_value=10.0),
+)
+@example({"a": 1.0, "b": 2.0}, 0.1, 0.7, 2.9)  # tempbalance's unclamped top rate: 0.29000000000000004
+def test_bounded_assignments_keep_every_rate_inside_s1_s2_eta_t(metrics, eta_t, s1, s2):
+    for variant in ("tempbalance", "step"):
+        out = assign_rates(eta_t, metrics, variant, s1, s2)
+        assert all(s1 * eta_t <= lr <= s2 * eta_t for lr in out.values()), (variant, out)
 
 
 @settings(max_examples=100)

@@ -18,8 +18,8 @@ each is read or built when gram asks for its block and freed when gram
 returns, before the eigensolve. A tall stored layer (transposed, so its rows
 are the columns of W) is never held whole; its sum runs in another order
 than the one-block product, so its eigenvalues may differ in the last bits
-from those of the same layer in memory. Each block adds its product to the Gram's lower triangle
-GRAM_STRIP rows at a time. That is the triangle the eigensolvers read
+from those of the same layer in memory. Each block adds its product to the
+Gram's lower triangle GRAM_STRIP rows at a time. That is the triangle the eigensolvers read
 (numpy's default UPLO='L'), and nothing copies it into the upper one.
 Besides the Gram and a block, gram holds one strip's product of
 GRAM_STRIP x n, never a second n x n array.

@@ -40,8 +40,9 @@ SPIKE_SEPARATION = 3.0
 # a Q x Q float64 matrix is then 512 MiB. A sweep holds two of them at a time: in a
 # cell's gram, the Gram and the W the spec builds when gram reads it (the numpy arrays
 # alone: 2.13 at Q = 2048 under tracemalloc, with one strip's product), then the Gram
-# and the eigensolver's copy, which takes W's memory. With LAPACK's work space its resident memory rises by about two and a
-# half (2.42 at Q = 2048, over a process that has only imported tempbal.cli)
+# and the eigensolver's copy, which takes W's memory. With LAPACK's work space its
+# resident memory rises by about two and a half (2.42 at Q = 2048, over a process that
+# has only imported tempbal.cli)
 MAX_SIZE = 8192
 # rows of the frame gathered at a time, and the width of the column split in random_frame
 FRAME_BLOCK = 64

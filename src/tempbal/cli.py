@@ -350,8 +350,8 @@ def _parse_grid(raw: str, what: str) -> list[float]:
 
 def cmd_rmt(args) -> int:
     sizes = _parse_grid(args.q, "q")
-    if not all(q.is_integer() and q > 0 for q in sizes):
-        raise ConfigError(f"q grid: matrix sizes must be positive integers, got {args.q!r}")
+    if not all(q.is_integer() for q in sizes):
+        raise ConfigError(f"q grid: matrix sizes must be integers, got {args.q!r}")
     table = []
     violations = []
     for row in verify_s_alpha([int(q) for q in sizes], _parse_grid(args.s, "s"), seed=args.seed):

@@ -177,6 +177,7 @@ def sweep_specs(size: int, s_grid: list[float], seed: int = 0) -> list[PLSpectru
     """
     if not s_grid:
         raise ConfigError("s grid must be nonempty")
+    PLSpectrumSpec(size, 1.0)  # the spec's size rule, checked before the size seeds anything
     size_seed = int(np.random.SeedSequence([seed, size]).generate_state(1)[0])
     specs = []
     for s in s_grid:

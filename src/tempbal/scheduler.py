@@ -156,11 +156,10 @@ def assign_rates(
     a_max = max(values.values())
     if len(values) == 1 or (assignment == "tempbalance" and a_max == a_min):
         return dict.fromkeys(values, eta_t * (s1 + s2) / 2.0)
-    hi = s2 * eta_t  # step's top rank can round an ulp past it
+    hi = s2 * eta_t  # the top rate can round an ulp past it; at the bottom, a_min maps to s1 * eta_t exactly
     if assignment == "tempbalance":
         span = a_max - a_min
-        lo = s1 * eta_t
-        return {name: min(max(eta_t * ((v - a_min) / span * (s2 - s1) + s1), lo), hi) for name, v in values.items()}
+        return {name: min(eta_t * ((v - a_min) / span * (s2 - s1) + s1), hi) for name, v in values.items()}
     # step: a stable sort on the metric itself, so a +inf sentinel ranks above
     # the finite value standing in for it; ties keep layer order
     ranked = sorted(values, key=lambda name: metrics[name])

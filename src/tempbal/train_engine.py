@@ -267,14 +267,13 @@ def accuracy(params, spec: ModelSpec, x: np.ndarray, y: np.ndarray, batch_size: 
 # optimizer
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimState:
-    """SGD hyperparameters and per-parameter momentum buffers."""
+    """SGD hyperparameters; each run_training holds its own momentum buffers, which start at zero."""
 
     momentum: float = 0.9
     weight_decay: float = 5e-4
     batch_size: int = 128
-    buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -288,10 +287,11 @@ class OptimState:
 def sgd_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
+    velocity: dict[str, np.ndarray],
     optim: OptimState,
     lr_map: dict[str, float],
 ) -> None:
-    """v <- momentum*v + g + weight_decay*w; w <- w - lr*v, per parameter.
+    """v <- momentum*v + g + weight_decay*w; w <- w - lr*v, per parameter, with v = velocity[name].
 
     Each parameter array and momentum buffer is updated in place; nothing is returned.
     """
@@ -301,9 +301,7 @@ def sgd_step(
             raise ValueError(f"gradient shape {g.shape} does not match parameter {name} {w.shape}")
         if name not in lr_map:
             raise ValueError(f"no learning rate for parameter {name}")
-        buf = optim.buffers.get(name)
-        if buf is None:
-            buf = optim.buffers[name] = np.zeros_like(w)
+        buf = velocity[name]
         buf *= optim.momentum
         buf += g
         buf += optim.weight_decay * w
@@ -604,6 +602,7 @@ def run_training(
         )
     optim = optim if optim is not None else OptimState()
     params = init_params(model)
+    velocity = {name: np.zeros_like(w) for name, w in params.items()}
     layer_names = weight_layer_names(model)
     telemetry = TrainTelemetry()
     last_grad_norms: dict[str, float] | None = None
@@ -633,7 +632,8 @@ def run_training(
             last_grad_norms = {
                 name: float(np.linalg.norm(grads[f"{name}.w"])) for name in layer_names
             }
-            sgd_step(params, grads, optim, lr_map)
+            sgd_step(params, grads, velocity, optim, lr_map)
+            del grads  # so the next step's loss_and_grads runs without this step's gradients
         try:
             eval_acc = accuracy(params, model, dataset.x_eval, dataset.y_eval, optim.batch_size)
         except NumericalError as exc:

@@ -185,16 +185,13 @@ def test_train_tempbalance_range(tmp_path):
         assert 0.5 * eta_t - 1e-15 <= lr <= 1.5 * eta_t + 1e-15
 
 
-def _out_of_place_sgd_step(params, grads, optim, lr_map):
+def _out_of_place_sgd_step(params, grads, velocity, optim, lr_map):
     """The SGD update with fresh buffer and parameter arrays at every step, the in-place one's reference."""
     for name, w in params.items():
-        buf = optim.buffers.get(name)
-        if buf is None:
-            buf = np.zeros_like(w)
-        buf = optim.momentum * buf + grads[name] + optim.weight_decay * w
-        optim.buffers[name] = buf
+        buf = optim.momentum * velocity[name] + grads[name] + optim.weight_decay * w
+        velocity[name] = buf
         params[name] = w - lr_map[name] * buf
-    return params, optim
+    return params, velocity
 
 
 def test_train_in_place_sgd_gives_the_out_of_place_bytes(tmp_path, monkeypatch):

@@ -115,6 +115,12 @@ def test_verify_s_alpha_rejects_an_empty_size_list():
         verify_s_alpha([], [1.0])
 
 
+def test_verify_s_alpha_checks_a_negative_size_before_seeding_it():
+    # SeedSequence([seed, size]) would raise numpy's own ValueError on a negative size
+    with pytest.raises(ConfigError, match=r"size must be in \[8, 8192\], got -3"):
+        verify_s_alpha([-3], [1.0])
+
+
 def gaussian_bulk(n=256, seed=0):
     rng = np.random.default_rng(seed)
     return LayerTensor("bulk", rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, n)))

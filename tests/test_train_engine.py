@@ -34,7 +34,7 @@ from tempbal.train_engine import (
     snr_grad_term,
     write_table,
 )
-from tempbal.weight_store import LayerTensor
+from tempbal.weight_store import LayerTensor, write_snapshot
 
 # ---------------------------------------------------------------------------
 # SGD
@@ -44,26 +44,27 @@ def test_vanilla_sgd_step():
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([2.0])}
     optim = OptimState(momentum=0.0, weight_decay=0.0)
-    sgd_step(params, grads, optim, {"w": 0.1})
+    sgd_step(params, grads, {"w": np.zeros(1)}, optim, {"w": 0.1})
     assert params["w"][0] == pytest.approx(0.8, abs=1e-15)
 
 
 def test_zero_gradient_scales_buffer():
     params = {"w": np.array([1.0])}
-    optim = OptimState(momentum=0.9, weight_decay=0.0)
-    optim.buffers["w"] = np.array([2.0])
-    sgd_step(params, {"w": np.array([0.0])}, optim, {"w": 0.0})
-    assert optim.buffers["w"][0] == pytest.approx(1.8, abs=1e-15)
+    velocity = {"w": np.array([2.0])}
+    sgd_step(params, {"w": np.array([0.0])}, velocity, OptimState(momentum=0.9, weight_decay=0.0), {"w": 0.0})
+    assert velocity["w"][0] == pytest.approx(1.8, abs=1e-15)
     assert params["w"][0] == 1.0
 
 
 def test_two_step_momentum_oracle():
     # v1 = 1, w1 = -0.1; v2 = 0.9 + 1 = 1.9, w2 = -0.1 - 0.19 = -0.29
     params = {"w": np.array([0.0])}
+    velocity = {"w": np.zeros(1)}
     optim = OptimState(momentum=0.9, weight_decay=0.0)
     for _ in range(2):
-        sgd_step(params, {"w": np.array([1.0])}, optim, {"w": 0.1})
+        sgd_step(params, {"w": np.array([1.0])}, velocity, optim, {"w": 0.1})
     assert params["w"][0] == pytest.approx(-0.29, abs=1e-15)
+    assert velocity["w"][0] == pytest.approx(1.9, abs=1e-15)
 
 
 def test_per_layer_lr_honored_exactly():
@@ -73,19 +74,19 @@ def test_per_layer_lr_honored_exactly():
     before = {k: v.copy() for k, v in params.items()}
     optim = OptimState(momentum=0.0, weight_decay=0.0)
     lrs = {"a.w": 0.05, "b.w": 0.2}
-    sgd_step(params, grads, optim, lrs)
+    sgd_step(params, grads, {k: np.zeros_like(v) for k, v in params.items()}, optim, lrs)
     for name in params:
         assert np.array_equal(params[name], before[name] - lrs[name] * grads[name])
 
 
 def test_sgd_shape_mismatch():
     with pytest.raises(ValueError):
-        sgd_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, OptimState(), {"w": 0.1})
+        sgd_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, {"w": np.zeros(3)}, OptimState(), {"w": 0.1})
 
 
 def test_sgd_missing_lr():
     with pytest.raises(ValueError):
-        sgd_step({"w": np.zeros(3)}, {"w": np.zeros(3)}, OptimState(), {})
+        sgd_step({"w": np.zeros(3)}, {"w": np.zeros(3)}, {"w": np.zeros(3)}, OptimState(), {})
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +256,14 @@ def test_optim_state_validation():
         OptimState(momentum=-0.5)
     with pytest.raises(ConfigError):
         OptimState(weight_decay=float("nan"))
+
+
+def test_optim_state_is_frozen():
+    optim = OptimState()
+    for name in ("momentum", "weight_decay", "batch_size"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(optim, name, getattr(optim, name))
+    assert [f.name for f in dataclasses.fields(OptimState)] == ["momentum", "weight_decay", "batch_size"]
 
 
 def test_csv_non_finite_feature_rejected(tmp_path):
@@ -613,10 +622,10 @@ def spy_on_refreshes(monkeypatch):
         refreshes.append((t, len(steps), grad_norms, decision))
         return decision
 
-    def spy_sgd(params, grads, optim, lr_map):
+    def spy_sgd(params, grads, velocity, optim, lr_map):
         norms = {name[:-2]: float(np.linalg.norm(g)) for name, g in grads.items() if name.endswith(".w")}
         steps.append((dict(lr_map), norms))
-        sgd_step(params, grads, optim, lr_map)
+        sgd_step(params, grads, velocity, optim, lr_map)
 
     monkeypatch.setattr(train_engine, "schedule_epoch", spy_schedule)
     monkeypatch.setattr(train_engine, "sgd_step", spy_sgd)
@@ -647,9 +656,9 @@ def test_refresh_and_final_snapshots_view_the_live_weights(monkeypatch):
         snapshots.append(snapshot)
         return schedule_epoch(config, t, snapshot, policy, grad_norms=grad_norms)
 
-    def spy_sgd(params, grads, optim, lr_map):
+    def spy_sgd(params, grads, velocity, optim, lr_map):
         live.append(params)
-        sgd_step(params, grads, optim, lr_map)
+        sgd_step(params, grads, velocity, optim, lr_map)
 
     monkeypatch.setattr(train_engine, "schedule_epoch", spy_schedule)
     monkeypatch.setattr(train_engine, "sgd_step", spy_sgd)
@@ -705,6 +714,21 @@ def test_telemetry_determinism_bytes():
         return buf.getvalue().encode()
 
     assert run_bytes() == run_bytes()
+
+
+def test_runs_sharing_an_optim_state_each_start_from_zero_momentum():
+    model, data, sched = quick_setup()
+
+    def run_bytes(optim):
+        telem, final = run_training(model, data, sched, LambdaMinPolicy(), epochs=3, seed=6, optim=optim)
+        csv_text, wsnp = io.StringIO(), io.BytesIO()
+        telem.write_csv(csv_text, timing=False)
+        write_snapshot(final, wsnp)
+        return csv_text.getvalue(), wsnp.getvalue()
+
+    shared = OptimState(batch_size=32)
+    first, second = run_bytes(shared), run_bytes(shared)
+    assert first == second == run_bytes(OptimState(batch_size=32))
 
 
 def test_model_dataset_mismatch():

@@ -156,7 +156,7 @@ def assign_rates(
     a_max = max(values.values())
     if len(values) == 1 or (assignment == "tempbalance" and a_max == a_min):
         return dict.fromkeys(values, eta_t * (s1 + s2) / 2.0)
-    hi = s2 * eta_t  # the top rate can round an ulp past it; at the bottom, a_min maps to s1 * eta_t exactly
+    hi = s2 * eta_t  # the top rate can round an ulp past it; the bottom one is s1 * eta_t exactly, and rounding is monotone
     if assignment == "tempbalance":
         span = a_max - a_min
         return {name: min(eta_t * ((v - a_min) / span * (s2 - s1) + s1), hi) for name, v in values.items()}

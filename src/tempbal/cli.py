@@ -349,12 +349,9 @@ def _parse_grid(raw: str, what: str) -> list[float]:
 
 
 def cmd_rmt(args) -> int:
-    sizes = _parse_grid(args.q, "q")
-    if not all(q.is_integer() for q in sizes):
-        raise ConfigError(f"q grid: matrix sizes must be integers, got {args.q!r}")
     table = []
     violations = []
-    for row in verify_s_alpha([int(q) for q in sizes], _parse_grid(args.s, "s"), seed=args.seed):
+    for row in verify_s_alpha(_parse_grid(args.q, "q"), _parse_grid(args.s, "s"), seed=args.seed):
         table.append((row.size, f"{row.decay:g}", row.alpha_hill, row.alpha_pred, row.rel_err))
         gated = row.size >= RMT_GATE_MIN_SIZE and RMT_GATE_S_RANGE[0] <= row.decay <= RMT_GATE_S_RANGE[1]
         if gated and row.rel_err > RMT_REL_ERR_TOL:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer rule of every size it checks."""
+
+import numbers
 
 
 class TempbalError(Exception):
@@ -25,3 +27,10 @@ class NumericalError(TempbalError):
     """Numerical failure: degenerate spectra, divergence, non-convergence."""
 
     exit_code = 3
+
+
+def integral(value, what: str) -> int:
+    """value as an int when it is a whole number (8, or 8.0 from a parsed grid); else ConfigError naming what."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise ConfigError(f"{what} must be an integer, got {value!r}")

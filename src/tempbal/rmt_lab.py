@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integral
 from .esd import ESD, compute_esd, matrix, roundoff_floor
 from .htsr import LambdaMinPolicy, layer_metrics
 from .weight_store import LayerTensor
@@ -64,6 +64,7 @@ class PLSpectrumSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "size", integral(self.size, "size"))
         if not 8 <= self.size <= MAX_SIZE:
             raise ConfigError(f"size must be in [8, {MAX_SIZE}], got {self.size}")
         if self.decay < 0:
@@ -169,15 +170,16 @@ def sweep_specs(size: int, s_grid: list[float], seed: int = 0) -> list[PLSpectru
     Every cell of a size gets the one seed SeedSequence([seed, size]), so a
     cell depends only on (seed, size, s) and not on where s sits in the grid.
     Nothing is synthesized: each spec is a layer that builds its W when it is
-    read. Raises ConfigError for an empty grid, a size outside [8, MAX_SIZE]
-    or an s <= 0. Every s must also keep the median fit's threshold, the
-    prescribed eigenvalue (size//2 + 1)^(-s), above compute_esd's roundoff
-    floor, roundoff_floor(size), or the fit would rest on an eigenvalue read
-    as zero: s < max_decay(size).
+    read. Raises ConfigError for an empty grid, a size that is not a whole
+    number (64.0 reads as 64) or lies outside [8, MAX_SIZE], or an s <= 0.
+    Every s must also keep the median fit's threshold, the prescribed
+    eigenvalue (size//2 + 1)^(-s), above compute_esd's roundoff floor,
+    roundoff_floor(size), or the fit would rest on an eigenvalue read as
+    zero: s < max_decay(size).
     """
     if not s_grid:
         raise ConfigError("s grid must be nonempty")
-    PLSpectrumSpec(size, 1.0)  # the spec's size rule, checked before the size seeds anything
+    size = PLSpectrumSpec(size, 1.0).size  # the spec's size rule, checked before the size seeds anything
     size_seed = int(np.random.SeedSequence([seed, size]).generate_state(1)[0])
     specs = []
     for s in s_grid:

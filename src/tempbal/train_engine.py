@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, integral
 from .esd import gram, matrix
 from .htsr import LambdaMinPolicy
 from .scheduler import ScheduleConfig, ScheduleDecision, schedule_epoch
@@ -65,7 +65,11 @@ class ModelSpec:
     conv_input: tuple[int, int, int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        object.__setattr__(self, "widths", tuple(integral(w, "a width") for w in self.widths))
+        stem = tuple(tuple(integral(v, "a conv block size") for v in block) for block in self.conv_stem)
+        object.__setattr__(self, "conv_stem", stem)
+        if self.conv_input is not None:
+            object.__setattr__(self, "conv_input", tuple(integral(v, "a conv_input size") for v in self.conv_input))
         if len(self.widths) < 3:
             raise ConfigError("need at least 2 dense layers (widths of length >= 3)")
         if any(w <= 0 for w in self.widths):
@@ -111,39 +115,34 @@ def conv_output_shape(
     return c, h, w
 
 
+def weight_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Each weight layer's name and shape, in forward order: conv blocks (out, in, kh, kw), then dense (out, in)."""
+    shapes = {f"conv{idx}": block for idx, block in enumerate(spec.conv_stem)}
+    shapes.update((f"dense{idx}", (spec.widths[idx + 1], spec.widths[idx])) for idx in range(len(spec.widths) - 1))
+    return shapes
+
+
 def init_params(spec: ModelSpec) -> dict[str, np.ndarray]:
     """Seeded parameter initialization; weight keys '<layer>.w', biases '<layer>.b'."""
     rng = np.random.default_rng(spec.seed)
     params: dict[str, np.ndarray] = {}
-
-    def draw(shape, fan_in, fan_out):
+    for name, shape in weight_shapes(spec).items():
+        fan_in, fan_out = math.prod(shape[1:]), shape[0] * math.prod(shape[2:])  # (in, out) for a dense layer
         try:
             if spec.init == "he":
-                return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-bound, bound, size=shape)
+                params[f"{name}.w"] = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
+            else:
+                bound = math.sqrt(6.0 / (fan_in + fan_out))
+                params[f"{name}.w"] = rng.uniform(-bound, bound, size=shape)
         except ValueError as exc:  # a size beyond numpy's index range
             raise ConfigError(f"cannot allocate a layer of shape {shape}: {exc}") from None
-
-    for idx, (out, cin, kh, kw) in enumerate(spec.conv_stem):
-        params[f"conv{idx}.w"] = draw((out, cin, kh, kw), cin * kh * kw, out * kh * kw)
-        params[f"conv{idx}.b"] = np.zeros(out)
-    for idx in range(len(spec.widths) - 1):
-        fan_in, fan_out = spec.widths[idx], spec.widths[idx + 1]
-        params[f"dense{idx}.w"] = draw((fan_out, fan_in), fan_in, fan_out)
-        params[f"dense{idx}.b"] = np.zeros(fan_out)
+        params[f"{name}.b"] = np.zeros(shape[0])
     return params
-
-
-def weight_layer_names(spec: ModelSpec) -> list[str]:
-    names = [f"conv{i}" for i in range(len(spec.conv_stem))]
-    names += [f"dense{i}" for i in range(len(spec.widths) - 1)]
-    return names
 
 
 def snapshot_params(params: dict[str, np.ndarray], spec: ModelSpec, epoch: int) -> WeightSnapshot:
     """Snapshot of the 2-D/4-D weight tensors (biases are not analyzed); it views the arrays in params, copying none."""
-    return WeightSnapshot(epoch, (LayerTensor(name, params[f"{name}.w"]) for name in weight_layer_names(spec)))
+    return WeightSnapshot(epoch, (LayerTensor(name, params[f"{name}.w"]) for name in weight_shapes(spec)))
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -177,29 +176,22 @@ def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int) -> np.ndarray:
 
 
 def _forward(params, spec: ModelSpec, x: np.ndarray):
-    """Logits and what backward reads: each dense layer's input, each conv block's (input shape, patches, activation)."""
-    cache = {"conv": [], "dense": []}
-    a = x
-    if spec.conv_stem:
-        c, h, w = spec.conv_input
-        a = a.reshape(-1, c, h, w)
-        for idx, (out, cin, kh, kw) in enumerate(spec.conv_stem):
-            wmat = params[f"conv{idx}.w"].reshape(out, cin * kh * kw)
-            cols = _im2col(a, kh, kw)
-            hp, wp = a.shape[2] - kh + 1, a.shape[3] - kw + 1
-            z = cols @ wmat.T
-            z += params[f"conv{idx}.b"]
-            act = _act(z, spec.activation).reshape(a.shape[0], hp, wp, out).transpose(0, 3, 1, 2)
-            cache["conv"].append((a.shape, cols, act))
-            a = act
-        a = a.reshape(a.shape[0], -1)
-    n_dense = len(spec.widths) - 1
-    for idx in range(n_dense):
-        cache["dense"].append(a)
-        a = a @ params[f"dense{idx}.w"].T
-        a += params[f"dense{idx}.b"]
-        if idx < n_dense - 1:
-            _act(a, spec.activation)
+    """Logits, and each layer's (input shape, rows its matrix multiplied, activation); a conv one is (B, C, H, W)."""
+    cache = []
+    a = x.reshape(-1, *spec.conv_input) if spec.conv_stem else x
+    shapes = weight_shapes(spec)
+    for idx, (name, shape) in enumerate(shapes.items()):
+        conv = len(shape) == 4
+        rows = _im2col(a, *shape[2:]) if conv else a.reshape(a.shape[0], -1)
+        z = rows @ params[f"{name}.w"].reshape(shape[0], -1).T
+        z += params[f"{name}.b"]
+        if idx < len(shapes) - 1:
+            _act(z, spec.activation)
+        if conv:
+            hp, wp = a.shape[2] - shape[2] + 1, a.shape[3] - shape[3] + 1
+            z = z.reshape(a.shape[0], hp, wp, shape[0]).transpose(0, 3, 1, 2)
+        cache.append((a.shape, rows, z))
+        a = z
     return a, cache
 
 
@@ -221,25 +213,20 @@ def loss_and_grads(params, spec: ModelSpec, x: np.ndarray, y: np.ndarray):
     logits, cache = _forward(params, spec, x)
     loss, delta = _softmax_ce(logits, y)
     grads: dict[str, np.ndarray] = {}
-    n_dense = len(spec.widths) - 1
-    for idx in range(n_dense - 1, -1, -1):
-        if idx < n_dense - 1:
-            delta *= _act_grad(cache["dense"][idx + 1], spec.activation)  # this layer's activation
-        grads[f"dense{idx}.w"] = delta.T @ cache["dense"][idx]
-        grads[f"dense{idx}.b"] = delta.sum(axis=0)
-        if idx > 0 or spec.conv_stem:  # the input gradient of dense0 feeds only a conv stem
-            delta = delta @ params[f"dense{idx}.w"]
-    if spec.conv_stem:
-        delta = delta.reshape(cache["conv"][-1][2].shape)  # the last conv activation's shape
-        for idx in range(len(spec.conv_stem) - 1, -1, -1):
-            out, cin, kh, kw = spec.conv_stem[idx]
-            x_shape, cols, act = cache["conv"][idx]
-            delta *= _act_grad(act, spec.activation)
-            dflat = delta.transpose(0, 2, 3, 1).reshape(-1, out)
-            grads[f"conv{idx}.w"] = (dflat.T @ cols).reshape(out, cin, kh, kw)
-            grads[f"conv{idx}.b"] = dflat.sum(axis=0)
-            wmat = params[f"conv{idx}.w"].reshape(out, cin * kh * kw)
-            delta = _col2im(dflat @ wmat, x_shape, kh, kw)
+    layers = list(weight_shapes(spec).items())
+    for idx in range(len(layers) - 1, -1, -1):
+        name, shape = layers[idx]
+        x_shape, rows, out = cache[idx]
+        conv = len(shape) == 4
+        if idx < len(layers) - 1:
+            delta *= _act_grad(out, spec.activation)  # this layer's activation
+        if conv:  # one row per output position, as the patches are
+            delta = delta.transpose(0, 2, 3, 1).reshape(-1, shape[0])
+        grads[f"{name}.w"] = (delta.T @ rows).reshape(shape)
+        grads[f"{name}.b"] = delta.sum(axis=0)
+        if idx > 0:  # the first layer's input gradient feeds nothing
+            delta = delta @ params[f"{name}.w"].reshape(shape[0], -1)
+            delta = _col2im(delta, x_shape, *shape[2:]) if conv else delta.reshape(x_shape)
     return loss, grads
 
 
@@ -603,7 +590,7 @@ def run_training(
     optim = optim if optim is not None else OptimState()
     params = init_params(model)
     velocity = {name: np.zeros_like(w) for name, w in params.items()}
-    layer_names = weight_layer_names(model)
+    layer_names = list(weight_shapes(model))
     telemetry = TrainTelemetry()
     last_grad_norms: dict[str, float] | None = None
 

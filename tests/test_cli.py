@@ -450,6 +450,30 @@ def test_csv_non_finite_feature_exit_2(tmp_path, capsys):
     assert_usage_error(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")], capsys, code=2)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty file"),
+        ("label\na\nb\n", "no feature columns"),
+        ("a,b,label\n1,2,x\n3,y\n", "row 2 has 2 fields, expected 3"),
+        ("a,b,label\n", "no data rows"),
+        ("a,label\n1,x\n2,x\n", "need at least 2 classes, got 1"),
+    ],
+)
+def test_csv_defect_exit_2(tmp_path, capsys, text, message):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    cfg = train_config(tmp_path, dataset="csv", csv_path=data, total_epochs=1, hidden=4)
+    assert message in assert_usage_error(["train", "--config", str(cfg)], capsys, code=2)
+
+
+def test_csv_split_out_of_range_exit_1(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("a,label\n" + "".join(f"{i},{i % 2}\n" for i in range(10)))
+    cfg = train_config(tmp_path, dataset="csv", csv_path=data, split=1.5)
+    assert "split must be in (0, 1), got 1.5" in assert_usage_error(["train", "--config", str(cfg)], capsys)
+
+
 # ---------------------------------------------------------------------------
 # rmt
 
@@ -462,6 +486,19 @@ def test_rmt_single_cell(tmp_path, capsys):
     q, s, alpha, pred, rel = lines[1].split(",")
     assert (q, s) == ("128", "1")
     assert float(rel) <= 0.15
+
+
+def test_rmt_gate_failure_exit_3_names_the_worst_cell_and_writes_the_table(tmp_path, capsys, monkeypatch):
+    from tempbal import cli
+
+    monkeypatch.setattr(cli, "RMT_REL_ERR_TOL", 0.0)
+    out = tmp_path / "table.csv"
+    err = assert_usage_error(["rmt", "--q", "64", "--s", "1.0,2.0", "--out", str(out)], capsys, code=3)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    worst = max(rows, key=lambda row: float(row["rel_err"]))
+    assert f"2 sweep cells exceed rel_err tolerance 0.0 (worst: Q=64 s={worst['s']} rel_err=" in err
 
 
 def test_rmt_decay_past_roundoff_floor_exit_1(tmp_path, capsys):

@@ -170,6 +170,15 @@ def test_esd_ascending_and_nonnegative():
     assert esd.lambda_max == lam[-1]
 
 
+@pytest.mark.parametrize(
+    "lam, what",
+    [(np.ones((2, 2)), "must be 1-D"), (np.array([2.0, 1.0]), "ascending"), (np.array([-1.0, 1.0]), "nonnegative")],
+)
+def test_esd_rejects_eigenvalues_out_of_form(lam, what):
+    with pytest.raises(ValueError, match=what):
+        ESD(eigenvalues=lam, source_name="bad")
+
+
 # ---------------------------------------------------------------------------
 # the Gram summed strip by strip
 

@@ -121,6 +121,15 @@ def test_verify_s_alpha_checks_a_negative_size_before_seeding_it():
         verify_s_alpha([-3], [1.0])
 
 
+def test_a_size_is_a_whole_number():
+    # 8.5 used to reach SeedSequence([seed, size]) and raise numpy's bare TypeError
+    for bad in (lambda: PLSpectrumSpec(8.5, 1.0), lambda: verify_s_alpha([8.5], [1.0])):
+        with pytest.raises(ConfigError, match="size must be an integer, got 8.5"):
+            bad()
+    assert type(PLSpectrumSpec(64.0, 1.0).size) is int
+    assert verify_s_alpha([64.0], [1.0]) == verify_s_alpha([64], [1.0])
+
+
 def gaussian_bulk(n=256, seed=0):
     rng = np.random.default_rng(seed)
     return LayerTensor("bulk", rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, n)))
@@ -160,6 +169,20 @@ def test_spike_of_a_tall_bulk_matches_its_transpose():
         assert np.array_equal(tall.esd_before.eigenvalues, wide.esd_before.eigenvalues)
         assert np.array_equal(tall.esd_after.eigenvalues, wide.esd_after.eigenvalues)
         assert tall.spike_detected == wide.spike_detected == (scale == 10.0)
+
+
+def test_spike_of_a_one_row_bulk_is_never_detected():
+    # one eigenvalue: no second one to stand apart from
+    result = spike_experiment(LayerTensor("row", np.random.default_rng(2).normal(size=(1, 12))), 10.0, seed=1)
+    assert result.esd_after.n == 1 and not result.spike_detected
+
+
+def test_spike_on_a_zero_bulk_is_detected():
+    # the second eigenvalue is 0, so any nonzero top one stands apart
+    result = spike_experiment(LayerTensor("zero", np.zeros((6, 9))), 0.5, seed=1)
+    lam = result.esd_after.eigenvalues
+    assert lam[-2] == 0.0 and lam[-1] == pytest.approx(0.25)
+    assert result.spike_detected
 
 
 def test_spike_rejects_negative_scale():

@@ -280,8 +280,8 @@ def test_csv_non_finite_feature_rejected(tmp_path):
 def relu_pattern(params, spec, x):
     """Which hidden activations are positive: a ReLU net is smooth wherever this stays fixed."""
     cache = train_engine._forward(params, spec, x)[1]
-    # each conv block's activation, then each hidden dense layer's: the input of the layer after it
-    return [act > 0 for _, _, act in cache["conv"]] + [a_in > 0 for a_in in cache["dense"][1:]]
+    # each layer's activation but the logits: every conv block's, then each hidden dense layer's
+    return [out > 0 for _, _, out in cache[:-1]]
 
 
 def grad_check(spec: ModelSpec, seed: int, coords: int = 16, rel_tol: float = 1e-4):
@@ -331,6 +331,30 @@ def test_conv_stem_gradients():
         conv_input=(1, 4, 4),
     )
     grad_check(spec, seed=12)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_backward_scatters_patch_gradients_for_every_conv_block_but_the_first(monkeypatch, blocks):
+    # the first layer's input gradient feeds nothing, so conv0's patch gradients are never laid back onto x
+    calls = []
+    col2im = train_engine._col2im
+    monkeypatch.setattr(train_engine, "_col2im", lambda *args: calls.append(args[1]) or col2im(*args))
+    stem = ((2, 1, 2, 2),) + ((2, 2, 2, 2),) * (blocks - 1)
+    side = 8 - blocks
+    spec = ModelSpec(widths=(2 * side * side, 4, 3), seed=1, conv_stem=stem, conv_input=(1, 8, 8))
+    x = np.random.default_rng(0).normal(size=(5, 64))
+    loss_and_grads(init_params(spec), spec, x, np.arange(5) % 3)
+    assert len(calls) == len(spec.conv_stem) - 1
+    assert all(shape[1:] != (1, 8, 8) for shape in calls)
+
+
+def test_weight_shapes_name_and_order_every_layer():
+    spec = ModelSpec(widths=(8, 5, 3), conv_stem=((4, 1, 3, 3), (2, 4, 3, 3)), conv_input=(1, 6, 6))
+    shapes = train_engine.weight_shapes(spec)
+    assert shapes == {"conv0": (4, 1, 3, 3), "conv1": (2, 4, 3, 3), "dense0": (5, 8), "dense1": (3, 5)}
+    params = init_params(spec)
+    assert list(params) == [f"{name}.{kind}" for name in shapes for kind in "wb"]
+    assert all(params[f"{name}.w"].shape == shape for name, shape in shapes.items())
 
 
 @st.composite
@@ -483,6 +507,19 @@ def test_model_spec_validation():
     with pytest.raises(ConfigError):
         # conv output is 2*2*2=8, not 4
         ModelSpec(widths=(4, 2, 2), conv_stem=((2, 1, 3, 3),), conv_input=(1, 4, 4))
+
+
+def test_model_spec_sizes_are_integers():
+    with pytest.raises(ConfigError, match="width must be an integer, got 8.5"):
+        ModelSpec(widths=(8.5, 4, 2))
+    with pytest.raises(ConfigError, match="conv block size must be an integer, got 2.5"):
+        ModelSpec(widths=(8, 4, 2), conv_stem=((2.5, 1, 3, 3),), conv_input=(1, 4, 4))
+    with pytest.raises(ConfigError, match="conv_input size must be an integer, got 4.5"):
+        ModelSpec(widths=(8, 4, 2), conv_stem=((2, 1, 3, 3),), conv_input=(1, 4.5, 4))
+    spec = ModelSpec(widths=(8.0, 4, np.int64(2)), conv_stem=((2.0, 1, 3, 3),), conv_input=(1.0, 4, 4))
+    assert spec == ModelSpec(widths=(8, 4, 2), conv_stem=((2, 1, 3, 3),), conv_input=(1, 4, 4))
+    values = [*spec.widths, *spec.conv_stem[0], *spec.conv_input]
+    assert all(type(v) is int for v in values)
 
 
 # ---------------------------------------------------------------------------

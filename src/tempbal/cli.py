@@ -35,7 +35,6 @@ from .train_engine import (
     GaussianMixtureSpec,
     ModelSpec,
     OptimState,
-    conv_output_shape,
     make_dataset,
     run_training,
     write_table,
@@ -164,7 +163,9 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "activation": ConfigKey(str, ModelSpec.activation, "|".join(ACTIVATIONS)),
     "init": ConfigKey(str, ModelSpec.init, "|".join(INIT_SCHEMES)),
     "conv_stem": ConfigKey(_conv_stem, ModelSpec.conv_stem, "e.g. 4x1x3x3,8x4x3x3 (out,in,kh,kw blocks)"),
-    "conv_input": ConfigKey(_conv_input, ModelSpec.conv_input, "e.g. 1x8x8 (channels x height x width)"),
+    "conv_input": ConfigKey(
+        _conv_input, ModelSpec.conv_input, "e.g. 1x8x8 (channels x height x width), product = dim or CSV feature count"
+    ),
     "dataset": ConfigKey(_one_of("gaussian", "csv"), "gaussian", "gaussian|csv"),
     "classes": ConfigKey(_int, GaussianMixtureSpec.classes, "gaussian: number of classes"),
     "dim": ConfigKey(_int, GaussianMixtureSpec.dim, "gaussian: feature dimension"),
@@ -299,8 +300,6 @@ def cmd_train(args) -> int:
     else:
         data = _from_config(GaussianMixtureSpec, cfg)
         in_dim, n_classes = data.dim, data.classes
-    if cfg["conv_stem"] and cfg["conv_input"]:
-        in_dim = math.prod(conv_output_shape(cfg["conv_stem"], cfg["conv_input"]))
     model = _from_config(ModelSpec, cfg, widths=(in_dim, *cfg["hidden"], n_classes), seed=seed)
     sched = _from_config(ScheduleConfig, cfg)
     policy = LambdaMinPolicy(variant=cfg["policy"], histogram_bins=cfg["policy_bins"])

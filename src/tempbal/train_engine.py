@@ -55,7 +55,7 @@ class CsvParseError(DataError):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Network shape: optional conv stem, then dense widths [in, h..., out]."""
+    """Network shape: dense widths [input features, h..., classes], and an optional conv stem that reads the input."""
 
     widths: tuple[int, ...]
     activation: str = "relu"
@@ -81,29 +81,26 @@ class ModelSpec:
         if self.conv_stem:
             if self.conv_input is None:
                 raise ConfigError("conv_stem requires conv_input (channels, height, width)")
-            c, h, w = conv_output_shape(self.conv_stem, self.conv_input)
+            c, h, w = self.conv_input  # the input's widths[0] features, read as one (channels, height, width) volume
             if c * h * w != self.widths[0]:
                 raise ConfigError(
-                    f"conv stem flattens to {c * h * w} features but widths[0] is {self.widths[0]}"
+                    f"conv_input {c}x{h}x{w} holds {c * h * w} features but the input has {self.widths[0]}"
                 )
         elif self.conv_input is not None:
             raise ConfigError("conv_input is given but there is no conv_stem to read it")
-
-    @property
-    def input_dim(self) -> int:
-        if self.conv_stem:
-            c, h, w = self.conv_input
-            return c * h * w
-        return self.widths[0]
+        weight_shapes(self)  # walks the stem, so a block that cannot read its input is refused here
 
 
-def conv_output_shape(
-    conv_stem: tuple[tuple[int, int, int, int], ...],
-    conv_input: tuple[int, int, int],
-) -> tuple[int, int, int]:
-    """Output (channels, h, w) of a valid-convolution stem, stride 1."""
-    c, h, w = conv_input
-    for idx, (out, cin, kh, kw) in enumerate(conv_stem):
+def weight_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Each weight layer's name and shape, in forward order: conv blocks (out, in, kh, kw), then dense (out, in).
+
+    The stem is walked from conv_input (valid convolutions, stride 1) and dense0 reads its flattened output; a
+    block with a size below 1, other in-channels than the stage before, or a kernel larger than its input is a
+    ConfigError.
+    """
+    shapes = {}
+    c, h, w = spec.conv_input or (spec.widths[0], 1, 1)  # a dense model's input: widths[0] channels of 1x1
+    for idx, (out, cin, kh, kw) in enumerate(spec.conv_stem):
         if min(out, cin, kh, kw) < 1:
             raise ConfigError(f"conv block {idx} sizes must be positive, got {(out, cin, kh, kw)}")
         if cin != c:
@@ -112,13 +109,9 @@ def conv_output_shape(
         if h <= 0 or w <= 0:
             raise ConfigError(f"conv block {idx} kernel ({kh}x{kw}) larger than its input")
         c = out
-    return c, h, w
-
-
-def weight_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """Each weight layer's name and shape, in forward order: conv blocks (out, in, kh, kw), then dense (out, in)."""
-    shapes = {f"conv{idx}": block for idx, block in enumerate(spec.conv_stem)}
-    shapes.update((f"dense{idx}", (spec.widths[idx + 1], spec.widths[idx])) for idx in range(len(spec.widths) - 1))
+        shapes[f"conv{idx}"] = (out, cin, kh, kw)
+    widths = (c * h * w, *spec.widths[1:])
+    shapes.update((f"dense{idx}", (widths[idx + 1], widths[idx])) for idx in range(len(widths) - 1))
     return shapes
 
 
@@ -378,6 +371,11 @@ class Dataset:
     n_classes: int
     seed: int
 
+    def __post_init__(self):
+        for split, x, y in (("train", self.x_train, self.y_train), ("eval", self.x_eval, self.y_eval)):
+            if not len(x) or len(x) != len(y):
+                raise DataError(f"{split} set of {len(x)} rows and {len(y)} labels: need >= 1 row, each labelled")
+
     @property
     def dim(self) -> int:
         return self.x_train.shape[1]
@@ -390,7 +388,7 @@ class Dataset:
 
 
 def _csv_rows(fh: TextIO, path: str) -> Iterator[list[str]]:
-    """The csv module's rows of fh; text that is not UTF-8 or that csv rejects is a CsvParseError."""
+    """The csv module's rows of fh but blank lines; text that is not UTF-8 or that csv rejects is a CsvParseError."""
     reader = csv.reader(fh)
     while True:
         try:
@@ -401,7 +399,8 @@ def _csv_rows(fh: TextIO, path: str) -> Iterator[list[str]]:
             raise CsvParseError(f"{path!r}: not UTF-8 text: {exc.reason}") from None
         except csv.Error as exc:
             raise CsvParseError(f"{path!r}: line {reader.line_num}: {exc}") from None
-        yield row
+        if row:  # csv reads a blank line as []
+            yield row
 
 
 def _load_csv(spec: CsvDataSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -471,8 +470,6 @@ def make_dataset(spec: GaussianMixtureSpec | CsvDataSpec, seed: int) -> Dataset:
     order = rng.permutation(len(x))
     x, y = x[order], y[order]
     n_train = int(len(x) * spec.split)
-    if n_train < 1 or n_train >= len(x):
-        raise DataError(f"split {spec.split} leaves an empty train or eval set for {len(x)} samples")
     return Dataset(
         x_train=x[:n_train],
         y_train=y[:n_train],
@@ -581,8 +578,8 @@ def run_training(
     if lambda_sr < 0:
         raise ConfigError(f"lambda_sr must be nonnegative, got {lambda_sr}")
     dataset = data if isinstance(data, Dataset) else make_dataset(data, seed)
-    if dataset.dim != model.input_dim:
-        raise ConfigError(f"dataset dim {dataset.dim} does not match model input {model.input_dim}")
+    if dataset.dim != model.widths[0]:
+        raise ConfigError(f"dataset dim {dataset.dim} does not match model input {model.widths[0]}")
     if dataset.n_classes != model.widths[-1]:
         raise ConfigError(
             f"dataset has {dataset.n_classes} classes but model outputs {model.widths[-1]}"
@@ -597,7 +594,6 @@ def run_training(
     for t in range(epochs):
         epoch_start = perf_counter()
         analysis_sec = 0.0
-        decision = None
         batch_losses = []
         for it, (xb, yb) in enumerate(dataset.batches(t, optim.batch_size)):
             if it % sched.update_interval_iters == 0:  # it restarts at 0, so each epoch refreshes first

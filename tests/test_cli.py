@@ -421,6 +421,53 @@ def test_conv_input_without_a_conv_stem_exit_1(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "stem, message",
+    [
+        (dict(dim=60), "conv_input 1x8x8 holds 64 features but the input has 60"),
+        (dict(conv_stem="2x3x3x3"), "conv block 0 expects 3 input channels, previous stage has 1"),
+        (dict(conv_stem="2x1x3x3,4x1x3x3"), "conv block 1 expects 1 input channels, previous stage has 2"),
+        (dict(conv_stem="2x1x9x3"), "conv block 0 kernel (9x3) larger than its input"),
+        (dict(conv_stem="2x1x3x3,2x2x7x7"), "conv block 1 kernel (7x7) larger than its input"),
+        (dict(conv_stem="0x1x3x3"), "conv block 0 sizes must be positive"),
+    ],
+    ids=["volume", "channels", "channels_second_block", "kernel", "kernel_second_block", "size"],
+)
+def test_conv_stem_that_cannot_read_its_input_exit_1(tmp_path, capsys, stem, message):
+    cfg = train_config(
+        tmp_path, **{"dim": 64, "conv_stem": "2x1x3x3", "conv_input": "1x8x8", "classes": 3, "total_epochs": 1, **stem}
+    )
+    err = assert_usage_error(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")], capsys)
+    assert message in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_conv_stem_reads_the_csv_features(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,c,d,label\n" + "".join(f"{i % 3},{i % 2},{i % 5},{i % 7},{i % 2}\n" for i in range(40)))
+
+    def config(conv_input):
+        stem = dict(conv_stem="3x1x2x2", conv_input=conv_input)
+        return str(train_config(tmp_path, dataset="csv", csv_path=data, hidden=4, total_epochs=1, **stem))
+
+    err = assert_usage_error(["train", "--config", config("1x3x3")], capsys)
+    assert "conv_input 1x3x3 holds 9 features but the input has 4" in err
+    assert main(["train", "--config", config("1x2x2"), "--out-dir", str(tmp_path / "run")]) == 0
+    shapes = {layer.name: layer.values.shape for layer in load_snapshot(str(tmp_path / "run" / "final.wsnp")).layers}
+    assert shapes == {"conv0": (3, 1, 2, 2), "dense0": (4, 3), "dense1": (2, 4)}
+
+
+def test_train_split_leaving_an_empty_set_exit_2(tmp_path, capsys):
+    cfg = train_config(tmp_path, samples=2, split=0.4)
+    err = assert_usage_error(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")], capsys, code=2)
+    assert "train set of 0 rows" in err
+
+
+def test_negative_lambda_sr_exit_1(tmp_path, capsys):
+    cfg = train_config(tmp_path, lambda_sr=-0.1)
+    assert "lambda_sr must be nonnegative, got -0.1" in assert_usage_error(["train", "--config", str(cfg)], capsys)
+
+
 def test_rate_range_must_contain_the_global_rate_exit_1(tmp_path, capsys):
     # excluded and fallback layers ride eta_t, so [s1, s2] must hold 1
     for s1, s2 in ((2.0, 3.0), (0.2, 0.8)):
@@ -531,9 +578,11 @@ def test_rmt_empty_grid_exit_1(capsys):
     assert main(["rmt", "--q", "", "--s", "1.0"]) == 1
 
 
-def test_rmt_bad_range_exit_1():
-    assert main(["rmt", "--q", "64", "--s", "3.0:1.0:0.5"]) == 1
-    assert main(["rmt", "--q", "64", "--s", "a,b"]) == 1
+def test_rmt_bad_range_exit_1(capsys):
+    assert_usage_error(["rmt", "--q", "64", "--s", "3.0:1.0:0.5"], capsys)
+    assert_usage_error(["rmt", "--q", "64", "--s", "a,b"], capsys)
+    for q, s in (("64", "0.5:3.0"), ("64", "0.5:3.0:0.5:1"), ("16:64", "1.0"), ("64", "0.5::0.5")):
+        assert "range must be start:stop:step" in assert_usage_error(["rmt", "--q", q, "--s", s], capsys)
 
 
 def test_usage_error_exit_1():

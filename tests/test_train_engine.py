@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import time
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempbal import train_engine
-from tempbal.errors import ConfigError
+from tempbal.errors import ConfigError, DataError
 from tempbal.esd import orient
 from tempbal.htsr import LambdaMinPolicy
 from tempbal.scheduler import ScheduleConfig, ScheduleDecision, cal_rate, schedule_epoch
@@ -17,6 +18,7 @@ from tempbal.train_engine import (
     ACTIVATIONS,
     CsvDataSpec,
     CsvParseError,
+    Dataset,
     DivergenceError,
     GaussianMixtureSpec,
     ModelSpec,
@@ -24,7 +26,6 @@ from tempbal.train_engine import (
     TELEMETRY_HEADER,
     TelemetryRow,
     accuracy,
-    conv_output_shape,
     init_params,
     loss_and_grads,
     make_dataset,
@@ -219,6 +220,45 @@ def test_csv_dataset(tmp_path):
     assert len(data.x_train) + len(data.x_eval) == 5
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["a,label\n1,x\n2,y\n3,x\n4,y\n\n", "a,label\n1,x\n2,y\n\n3,x\n4,y\n", "\na,label\n1,x\n2,y\n3,x\n\n\n4,y"],
+    ids=["trailing", "middle", "leading_and_runs"],
+)
+def test_csv_blank_lines_are_skipped(tmp_path, text):
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("a,label\n1,x\n2,y\n3,x\n4,y\n")
+    blank.write_text(text)
+    want, got = (make_dataset(CsvDataSpec(path=str(path), split=0.5), seed=3) for path in (plain, blank))
+    for field in ("x_train", "y_train", "x_eval", "y_eval", "n_classes"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def test_csv_blank_lines_leave_row_numbers_and_the_empty_file_rule(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("f0,label\n1.0,a\n\nx,b\n")  # the second data row is on line 4
+    with pytest.raises(CsvParseError, match="non-numeric feature at row 2"):
+        make_dataset(CsvDataSpec(path=str(path)), seed=0)
+    path.write_text("\n\n\n")
+    with pytest.raises(CsvParseError, match="empty file"):
+        make_dataset(CsvDataSpec(path=str(path)), seed=0)
+
+
+def test_hand_built_dataset_checks_its_splits():
+    x, y = np.zeros((4, 3)), np.array([0, 1, 0, 1])
+    splits = {
+        "train set of 0 rows and 0 labels": (x[:0], y[:0], x, y),
+        "eval set of 0 rows and 0 labels": (x, y, x[:0], y[:0]),
+        "train set of 4 rows and 3 labels": (x, y[:3], x, y),
+        "eval set of 3 rows and 4 labels": (x, y, x[:3], y),
+    }
+    for message, (x_train, y_train, x_eval, y_eval) in splits.items():
+        with pytest.raises(DataError, match=message):
+            Dataset(x_train, y_train, x_eval, y_eval, n_classes=2, seed=0)
+    data = Dataset(x[:1], y[:1], x[1:], y[1:], n_classes=2, seed=0)
+    assert (len(data.x_train), len(data.x_eval)) == (1, 3)
+
+
 def test_csv_missing_label_names_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,label\n1.0,a\n2.0,\n3.0,b\n")
@@ -247,6 +287,9 @@ def test_gaussian_spec_validation():
         GaussianMixtureSpec(classes=3, samples=2)
     with pytest.raises(ConfigError):
         GaussianMixtureSpec(split=1.0)
+    for sizes in (dict(spread=-0.5), dict(separation=-1.0)):
+        with pytest.raises(ConfigError, match="spread and separation must be nonnegative"):
+            GaussianMixtureSpec(**sizes)
 
 
 def test_optim_state_validation():
@@ -287,7 +330,7 @@ def relu_pattern(params, spec, x):
 def grad_check(spec: ModelSpec, seed: int, coords: int = 16, rel_tol: float = 1e-4):
     rng = np.random.default_rng(seed)
     params = init_params(spec)
-    x = rng.normal(size=(8, spec.input_dim))
+    x = rng.normal(size=(8, spec.widths[0]))
     y = rng.integers(0, spec.widths[-1], size=8)
     _, grads = loss_and_grads(params, spec, x, y)
     h = 1e-5
@@ -324,7 +367,7 @@ def test_dense_relu_gradients():
 
 def test_conv_stem_gradients():
     spec = ModelSpec(
-        widths=(8, 6, 3),
+        widths=(16, 6, 3),
         activation="tanh",
         seed=2,
         conv_stem=((2, 1, 3, 3),),
@@ -340,8 +383,7 @@ def test_backward_scatters_patch_gradients_for_every_conv_block_but_the_first(mo
     col2im = train_engine._col2im
     monkeypatch.setattr(train_engine, "_col2im", lambda *args: calls.append(args[1]) or col2im(*args))
     stem = ((2, 1, 2, 2),) + ((2, 2, 2, 2),) * (blocks - 1)
-    side = 8 - blocks
-    spec = ModelSpec(widths=(2 * side * side, 4, 3), seed=1, conv_stem=stem, conv_input=(1, 8, 8))
+    spec = ModelSpec(widths=(64, 4, 3), seed=1, conv_stem=stem, conv_input=(1, 8, 8))
     x = np.random.default_rng(0).normal(size=(5, 64))
     loss_and_grads(init_params(spec), spec, x, np.arange(5) % 3)
     assert len(calls) == len(spec.conv_stem) - 1
@@ -349,7 +391,7 @@ def test_backward_scatters_patch_gradients_for_every_conv_block_but_the_first(mo
 
 
 def test_weight_shapes_name_and_order_every_layer():
-    spec = ModelSpec(widths=(8, 5, 3), conv_stem=((4, 1, 3, 3), (2, 4, 3, 3)), conv_input=(1, 6, 6))
+    spec = ModelSpec(widths=(36, 5, 3), conv_stem=((4, 1, 3, 3), (2, 4, 3, 3)), conv_input=(1, 6, 6))
     shapes = train_engine.weight_shapes(spec)
     assert shapes == {"conv0": (4, 1, 3, 3), "conv1": (2, 4, 3, 3), "dense0": (5, 8), "dense1": (3, 5)}
     params = init_params(spec)
@@ -375,7 +417,7 @@ def random_models(draw):
         stem.append(block)
         c, h, w = block[0], h - block[2] + 1, w - block[3] + 1
     return ModelSpec(
-        widths=(c * h * w, *hidden, classes), activation=activation, seed=seed,
+        widths=(math.prod(conv_input), *hidden, classes), activation=activation, seed=seed,
         conv_stem=tuple(stem), conv_input=conv_input,
     )
 
@@ -463,7 +505,7 @@ def test_loss_and_grads_are_the_reference_bytes(spec, seed, rows):
     for name in params:
         if name.endswith(".b"):  # init leaves every bias 0, which would hide how it is added
             params[name] = rng.normal(size=params[name].shape)
-    x = rng.normal(size=(rows, spec.input_dim))
+    x = rng.normal(size=(rows, spec.widths[0]))
     y = rng.integers(0, spec.widths[-1], size=rows)
     loss, grads = loss_and_grads(params, spec, x, y)
     want_loss, want = reference_loss_and_grads(params, spec, x, y)
@@ -504,20 +546,32 @@ def test_model_spec_validation():
         ModelSpec(widths=(4, 2, 2), activation="gelu")
     with pytest.raises(ConfigError):
         ModelSpec(widths=(4, 2, 2), conv_stem=((2, 1, 3, 3),))
-    with pytest.raises(ConfigError):
-        # conv output is 2*2*2=8, not 4
-        ModelSpec(widths=(4, 2, 2), conv_stem=((2, 1, 3, 3),), conv_input=(1, 4, 4))
+    with pytest.raises(ConfigError, match="unknown init scheme 'lecun'"):
+        ModelSpec(widths=(4, 2, 2), init="lecun")
+    # widths[0] is the input's features, which a stem reads as conv_input: 1x4x4 holds 16, not the 8 it flattens to
+    with pytest.raises(ConfigError, match="conv_input 1x4x4 holds 16 features but the input has 8"):
+        ModelSpec(widths=(8, 2, 2), conv_stem=((2, 1, 3, 3),), conv_input=(1, 4, 4))
+    stem_errors = {
+        ((2, 2, 3, 3),): "conv block 0 expects 2 input channels, previous stage has 1",
+        ((2, 1, 3, 3), (2, 1, 1, 1)): "conv block 1 expects 1 input channels, previous stage has 2",
+        ((2, 1, 5, 1),): r"conv block 0 kernel \(5x1\) larger than its input",  # 4 - 5 + 1 = 0 rows left
+        ((2, 1, 1, 5),): r"conv block 0 kernel \(1x5\) larger than its input",
+        ((2, 1, 3, 3), (2, 2, 3, 3)): r"conv block 1 kernel \(3x3\) larger than its input",
+    }
+    for stem, message in stem_errors.items():
+        with pytest.raises(ConfigError, match=message):
+            ModelSpec(widths=(16, 2, 2), conv_stem=stem, conv_input=(1, 4, 4))
 
 
 def test_model_spec_sizes_are_integers():
     with pytest.raises(ConfigError, match="width must be an integer, got 8.5"):
         ModelSpec(widths=(8.5, 4, 2))
     with pytest.raises(ConfigError, match="conv block size must be an integer, got 2.5"):
-        ModelSpec(widths=(8, 4, 2), conv_stem=((2.5, 1, 3, 3),), conv_input=(1, 4, 4))
+        ModelSpec(widths=(16, 4, 2), conv_stem=((2.5, 1, 3, 3),), conv_input=(1, 4, 4))
     with pytest.raises(ConfigError, match="conv_input size must be an integer, got 4.5"):
-        ModelSpec(widths=(8, 4, 2), conv_stem=((2, 1, 3, 3),), conv_input=(1, 4.5, 4))
-    spec = ModelSpec(widths=(8.0, 4, np.int64(2)), conv_stem=((2.0, 1, 3, 3),), conv_input=(1.0, 4, 4))
-    assert spec == ModelSpec(widths=(8, 4, 2), conv_stem=((2, 1, 3, 3),), conv_input=(1, 4, 4))
+        ModelSpec(widths=(16, 4, 2), conv_stem=((2, 1, 3, 3),), conv_input=(1, 4.5, 4))
+    spec = ModelSpec(widths=(16.0, 4, np.int64(2)), conv_stem=((2.0, 1, 3, 3),), conv_input=(1.0, 4, 4))
+    assert spec == ModelSpec(widths=(16, 4, 2), conv_stem=((2, 1, 3, 3),), conv_input=(1, 4, 4))
     values = [*spec.widths, *spec.conv_stem[0], *spec.conv_input]
     assert all(type(v) is int for v in values)
 
@@ -526,14 +580,14 @@ def test_model_spec_sizes_are_integers():
 # evaluation
 
 
-CONV_SPEC = ModelSpec(widths=(18, 12, 4), seed=3, conv_stem=((2, 1, 3, 3),), conv_input=(1, 5, 5))
+CONV_SPEC = ModelSpec(widths=(25, 12, 4), seed=3, conv_stem=((2, 1, 3, 3),), conv_input=(1, 5, 5))
 
 
 @pytest.mark.parametrize("spec", [ModelSpec(widths=(6, 16, 8, 5), seed=4), CONV_SPEC], ids=["dense", "conv"])
 @pytest.mark.parametrize("rows, batch_size", [(301, 64), (301, 1), (64, 64), (40, 128)])
 def test_chunked_predict_is_the_whole_set_argmax(spec, rows, batch_size):
     params = init_params(spec)
-    x = np.random.default_rng(rows).normal(size=(rows, spec.input_dim))
+    x = np.random.default_rng(rows).normal(size=(rows, spec.widths[0]))
     whole = np.argmax(train_engine._forward(params, spec, x)[0], axis=1)
     assert np.array_equal(predict(params, spec, x, batch_size), whole)
 
@@ -774,12 +828,15 @@ def test_model_dataset_mismatch():
     sched = ScheduleConfig(eta0=0.1, total_epochs=4)
     with pytest.raises(ConfigError):
         run_training(model, data, sched, LambdaMinPolicy(), epochs=1, seed=0)
+    model = ModelSpec(widths=(12, 8, 3), seed=0)
+    with pytest.raises(ConfigError, match="dataset has 2 classes but model outputs 3"):
+        run_training(model, data, sched, LambdaMinPolicy(), epochs=1, seed=0)
 
 
 def test_conv_block_sizes_must_be_positive():
-    for block in ((2, 1, 0, 3), (2, 1, -3, 3), (0, 1, 3, 3)):
-        with pytest.raises(ConfigError):
-            conv_output_shape((block,), (1, 4, 4))
+    for block in ((2, 1, 0, 3), (2, 1, -3, 3), (0, 1, 3, 3), (2, 0, 3, 3), (2, 1, 3, -1)):
+        with pytest.raises(ConfigError, match="conv block 0 sizes must be positive"):
+            ModelSpec(widths=(16, 4, 2), conv_stem=(block,), conv_input=(1, 4, 4))
 
 
 def test_telemetry_header_is_the_row_fields():

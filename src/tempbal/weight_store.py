@@ -18,11 +18,12 @@ File layout (".wsnp", all integers little-endian):
 
 Values are 64-bit IEEE-754 so a write/read cycle is bit-exact. In memory a
 LayerTensor holds its values in their own shape: only the file is flat.
-read_snapshot reads a stream whole. load_snapshot checks a file's whole
-layer table, seeking over the values, and gives a snapshot whose layers are
-the entries of that table: each StoredLayer reads its values from the file
-at each access and keeps none, so a caller walking the layers holds one at
-a time. Each layer gives its flattened rows in blocks (row_blocks): an
+load_snapshot checks a file's whole layer table, seeking over the values,
+and gives a snapshot whose layers are the entries of that table: each
+StoredLayer reads its values from the file at each access and keeps none,
+so a caller walking the layers holds one at a time. read_snapshot reads a
+stream whole into one buffer, checks it with the same walk of the table,
+and gives LayerTensors whose values are read-only views of that buffer. Each layer gives its flattened rows in blocks (row_blocks): an
 array is one block, and a stored layer reads its blocks into one reused
 buffer, its one route from file to array, so a tall layer's Gram matrix
 can be summed without the layer ever in memory.
@@ -169,27 +170,22 @@ def write_snapshot(snapshot: WeightSnapshot, dest: BinaryIO) -> int:
 
 
 class _Reader:
-    """Tracks the byte offset so truncation errors can name it."""
+    """Walks a seekable source, tracking the byte offset so truncation errors can name it."""
 
     def __init__(self, source: BinaryIO):
         self.source = source
-        self.offset = 0
-        self.size = None  # where a seekable source ends; offset is then its position in the source
-        if source.seekable():
-            self.offset = source.tell()
-            self.size = source.seek(0, io.SEEK_END)
-            source.seek(self.offset)
+        self.offset = source.tell()  # its position in the source
+        self.size = source.seek(0, io.SEEK_END)
+        source.seek(self.offset)
 
     def read(self, count: int, context: str) -> bytes:
-        # a seekable source is asked for no more than it holds, so an over-declared size allocates nothing
-        wanted = count if self.size is None else max(0, min(count, self.size - self.offset))  # < 0: the file shrank
+        # the source is asked for no more than it holds, so an over-declared size allocates nothing
+        wanted = max(0, min(count, self.size - self.offset))  # < 0: the file shrank
         try:
             data = self.source.read(wanted)
         except OSError as exc:
             raise SnapshotIOError(f"read failed: {exc}", self.offset) from exc
-        except (OverflowError, MemoryError) as exc:  # a source that cannot seek, or a layer beyond memory
-            raise SnapshotError(f"{context}: cannot buffer {count} bytes ({type(exc).__name__})") from exc
-        self._advance(count, 0 if data is None else len(data), context)
+        self._advance(count, len(data), context)
         return data
 
     def readinto(self, buffer: np.ndarray, context: str) -> None:
@@ -208,7 +204,7 @@ class _Reader:
         self.offset += count
 
     def skip(self, count: int, context: str) -> None:
-        """Seek a seekable source over count bytes, which it must hold."""
+        """Seek over count bytes, which the source must hold."""
         if count > self.size - self.offset:
             raise SnapshotTruncatedError(f"truncated {context}: {count} bytes declared, {self.size - self.offset} left")
         self.offset = self.source.seek(count, io.SEEK_CUR)
@@ -217,8 +213,8 @@ class _Reader:
         return struct.unpack("<I", self.read(4, context))[0]
 
 
-def _parse(r: _Reader, keep_values: bool) -> tuple[int, list]:
-    """The epoch and, per layer, its LayerTensor (keep_values) or (name, dims, offset of its values), all checked."""
+def _parse(r: _Reader) -> tuple[int, list[tuple[str, tuple[int, ...], int]]]:
+    """The epoch and, per layer, its (name, dims, offset of its values), all checked, seeking over the values."""
     magic = r.read(4, "reading magic")
     if magic != MAGIC:
         raise SnapshotMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -228,7 +224,7 @@ def _parse(r: _Reader, keep_values: bool) -> tuple[int, list]:
     epoch = r.u32("reading epoch")
     layer_count = r.u32("reading layer count")
 
-    layers = []
+    table = []
     for idx in range(layer_count):
         ctx = f"at layer {idx}"
         name_len = r.u32(ctx)
@@ -238,29 +234,32 @@ def _parse(r: _Reader, keep_values: bool) -> tuple[int, list]:
         except UnicodeDecodeError as exc:
             raise SnapshotStructureError(f"layer {idx}: name is not valid UTF-8") from exc
         ndims = r.u32(ctx)
-        # before the dims are read: on a source that cannot seek, a huge ndims would buffer 8 * ndims bytes
         if ndims not in (2, 4):
             raise SnapshotStructureError(f"layer {idx} ({name!r}): ndims must be 2 or 4, got {ndims}")
         dims = struct.unpack(f"<{ndims}Q", r.read(8 * ndims, ctx))
         # LayerTensor's checks, made before the values are read; with no zero dim, no file holds one numpy cannot index
         if not name or 0 in dims:
             raise SnapshotStructureError(f"layer {idx} ({name!r}): needs a nonempty name and no zero dimension, got {dims}")
-        if keep_values:
-            payload = r.read(8 * math.prod(dims), f"at layer {idx} ({name!r})")
-            layers.append(LayerTensor(name, np.frombuffer(payload, dtype="<f8").reshape(dims)))
-        else:
-            layers.append((name, dims, r.offset))
-            r.skip(8 * math.prod(dims), f"at layer {idx} ({name!r})")
-    return epoch, layers
+        table.append((name, dims, r.offset))
+        r.skip(8 * math.prod(dims), f"at layer {idx} ({name!r})")
+    return epoch, table
 
 
 def read_snapshot(source: BinaryIO) -> WeightSnapshot:
     """Parse a snapshot stream written by write_snapshot (its exact inverse); it need not be seekable.
 
-    Layer values are read-only views of the bytes read, shaped by the dims (copied only on a big-endian host).
+    The stream is read whole into one buffer and checked with load_snapshot's walk of the layer table. Layer
+    values are read-only views of that buffer, shaped by the dims (copied only on a big-endian host).
     """
-    epoch, layers = _parse(_Reader(source), keep_values=True)
-    return WeightSnapshot(epoch=epoch, layers=layers)
+    try:
+        data = source.read(-1)
+    except OSError as exc:
+        raise SnapshotIOError(f"read failed: {exc}", 0) from exc
+    except MemoryError as exc:
+        raise SnapshotError("cannot buffer the stream (MemoryError)") from exc
+    epoch, table = _parse(_Reader(io.BytesIO(data)))
+    layers = (LayerTensor(name, np.frombuffer(data, "<f8", math.prod(dims), at).reshape(dims)) for name, dims, at in table)
+    return WeightSnapshot(epoch, layers)
 
 
 @dataclass(frozen=True)
@@ -318,7 +317,7 @@ def load_snapshot(path: str) -> WeightSnapshot:
         with open(path, "rb") as fh:
             if not fh.seekable():
                 return read_snapshot(fh)
-            epoch, table = _parse(_Reader(fh), keep_values=False)
+            epoch, table = _parse(_Reader(fh))
     except OSError as exc:
         raise SnapshotIOError(f"cannot read {path!r}: {exc}", 0) from exc
     return WeightSnapshot(epoch=epoch, layers=(StoredLayer(path, idx, *entry) for idx, entry in enumerate(table)))

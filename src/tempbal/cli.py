@@ -310,7 +310,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     telemetry_path = out_dir / "telemetry.csv"
-    with open(telemetry_path, "w", encoding="utf-8") as fh:
+    with open(telemetry_path, "w", newline="", encoding="utf-8") as fh:
         telemetry.write_csv(fh, timing=cfg["timing"] == "wall")
     save_snapshot(final, str(out_dir / "final.wsnp"))
 

@@ -67,10 +67,10 @@ class PLSpectrumSpec:
         object.__setattr__(self, "size", integral(self.size, "size"))
         if not 8 <= self.size <= MAX_SIZE:
             raise ConfigError(f"size must be in [8, {MAX_SIZE}], got {self.size}")
-        if self.decay < 0:
-            raise ConfigError(f"decay exponent must be nonnegative, got {self.decay}")
-        if self.lambda1 <= 0:
-            raise ConfigError(f"lambda1 must be positive, got {self.lambda1}")
+        if not 0 <= self.decay < math.inf:
+            raise ConfigError(f"decay exponent must be finite and nonnegative, got {self.decay}")
+        if not 0 < self.lambda1 < math.inf:
+            raise ConfigError(f"lambda1 must be finite and positive, got {self.lambda1}")
 
     @property
     def name(self) -> str:
@@ -183,7 +183,7 @@ def sweep_specs(size: int, s_grid: list[float], seed: int = 0) -> list[PLSpectru
     size_seed = int(np.random.SeedSequence([seed, size]).generate_state(1)[0])
     specs = []
     for s in s_grid:
-        if s <= 0:
+        if not s > 0:
             raise ConfigError(f"decay exponents must be positive for the sweep, got {s}")
         specs.append(PLSpectrumSpec(size=size, decay=s, seed=size_seed))
         if (size // 2 + 1) ** -s <= roundoff_floor(size):

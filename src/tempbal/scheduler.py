@@ -59,12 +59,12 @@ class ScheduleConfig:
     exclude_first_last: bool = True
 
     def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ConfigError(f"eta0 must be positive, got {self.eta0}")
+        if not 0 < self.eta0 < math.inf:
+            raise ConfigError(f"eta0 must be finite and positive, got {self.eta0}")
         if self.total_epochs <= 0:
             raise ConfigError(f"total_epochs must be positive, got {self.total_epochs}")
-        if not 0 < self.s1 <= 1 <= self.s2:  # excluded and fallback layers ride eta_t, inside the range
-            raise ConfigError(f"need 0 < s1 <= 1 <= s2, got ({self.s1}, {self.s2})")
+        if not 0 < self.s1 <= 1 <= self.s2 < math.inf:  # excluded and fallback layers ride eta_t, inside the range
+            raise ConfigError(f"need 0 < s1 <= 1 <= s2 < inf, got ({self.s1}, {self.s2})")
         if self.assignment not in ASSIGNMENTS:
             raise ConfigError(f"unknown assignment {self.assignment!r}, expected one of {ASSIGNMENTS}")
         if self.metric not in METRICS:

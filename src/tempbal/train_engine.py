@@ -78,28 +78,26 @@ class ModelSpec:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.init not in INIT_SCHEMES:
             raise ConfigError(f"unknown init scheme {self.init!r}")
-        if self.conv_stem:
-            if self.conv_input is None:
-                raise ConfigError("conv_stem requires conv_input (channels, height, width)")
-            c, h, w = self.conv_input  # the input's widths[0] features, read as one (channels, height, width) volume
-            if c * h * w != self.widths[0]:
-                raise ConfigError(
-                    f"conv_input {c}x{h}x{w} holds {c * h * w} features but the input has {self.widths[0]}"
-                )
-        elif self.conv_input is not None:
+        if self.conv_stem and self.conv_input is None:
+            raise ConfigError("conv_stem requires conv_input (channels, height, width)")
+        if self.conv_input is not None and not self.conv_stem:
             raise ConfigError("conv_input is given but there is no conv_stem to read it")
-        weight_shapes(self)  # walks the stem, so a block that cannot read its input is refused here
+        weight_shapes(self)  # walks the stem, so an input or a block it cannot read is refused here
 
 
 def weight_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """Each weight layer's name and shape, in forward order: conv blocks (out, in, kh, kw), then dense (out, in).
 
     The stem is walked from conv_input (valid convolutions, stride 1) and dense0 reads its flattened output; a
-    block with a size below 1, other in-channels than the stage before, or a kernel larger than its input is a
-    ConfigError.
+    conv_input with a size below 1 or other than widths[0] features, a block with a size below 1, other
+    in-channels than the stage before, or a kernel larger than its input is a ConfigError.
     """
     shapes = {}
-    c, h, w = spec.conv_input or (spec.widths[0], 1, 1)  # a dense model's input: widths[0] channels of 1x1
+    c, h, w = spec.conv_input or (spec.widths[0], 1, 1)  # the input's widths[0] features as one (c, h, w) volume
+    if min(c, h, w) < 1:
+        raise ConfigError(f"conv_input sizes must be positive, got {(c, h, w)}")
+    if c * h * w != spec.widths[0]:
+        raise ConfigError(f"conv_input {c}x{h}x{w} holds {c * h * w} features but the input has {spec.widths[0]}")
     for idx, (out, cin, kh, kw) in enumerate(spec.conv_stem):
         if min(out, cin, kh, kw) < 1:
             raise ConfigError(f"conv block {idx} sizes must be positive, got {(out, cin, kh, kw)}")
@@ -260,8 +258,8 @@ class OptimState:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0.0:
-            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
 
 
 def sgd_step(
@@ -343,8 +341,8 @@ class GaussianMixtureSpec:
             raise ConfigError("each class needs at least one sample")
         if not 0.0 < self.split < 1.0:
             raise ConfigError(f"split must be in (0, 1), got {self.split}")
-        if self.spread < 0 or self.separation < 0:
-            raise ConfigError("spread and separation must be nonnegative")
+        if not (0 <= self.spread < math.inf and 0 <= self.separation < math.inf):
+            raise ConfigError("spread and separation must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -375,6 +373,10 @@ class Dataset:
         for split, x, y in (("train", self.x_train, self.y_train), ("eval", self.x_eval, self.y_eval)):
             if not len(x) or len(x) != len(y):
                 raise DataError(f"{split} set of {len(x)} rows and {len(y)} labels: need >= 1 row, each labelled")
+            if x.ndim != 2 or x.shape[1] != self.x_train.shape[1]:  # the train set is checked first
+                raise DataError(f"{split} set of shape {x.shape}: need a 2-D set as wide as the train set")
+            if y.dtype.kind not in "iu" or y.ndim != 1 or not 0 <= y.min() <= y.max() < self.n_classes:
+                raise DataError(f"{split} labels must be a 1-D array of integers in [0, {self.n_classes})")
 
     @property
     def dim(self) -> int:
@@ -575,8 +577,8 @@ def run_training(
         epochs = sched.total_epochs
     if not 0 <= epochs <= sched.total_epochs:
         raise ConfigError(f"epochs must be in [0, total_epochs={sched.total_epochs}], got {epochs}")
-    if lambda_sr < 0:
-        raise ConfigError(f"lambda_sr must be nonnegative, got {lambda_sr}")
+    if not 0 <= lambda_sr < math.inf:
+        raise ConfigError(f"lambda_sr must be finite and nonnegative, got {lambda_sr}")
     dataset = data if isinstance(data, Dataset) else make_dataset(data, seed)
     if dataset.dim != model.widths[0]:
         raise ConfigError(f"dataset dim {dataset.dim} does not match model input {model.widths[0]}")

@@ -430,8 +430,9 @@ def test_conv_input_without_a_conv_stem_exit_1(tmp_path, capsys):
         (dict(conv_stem="2x1x9x3"), "conv block 0 kernel (9x3) larger than its input"),
         (dict(conv_stem="2x1x3x3,2x2x7x7"), "conv block 1 kernel (7x7) larger than its input"),
         (dict(conv_stem="0x1x3x3"), "conv block 0 sizes must be positive"),
+        (dict(conv_input="-1x-8x8"), "conv_input sizes must be positive, got (-1, -8, 8)"),
     ],
-    ids=["volume", "channels", "channels_second_block", "kernel", "kernel_second_block", "size"],
+    ids=["volume", "channels", "channels_second_block", "kernel", "kernel_second_block", "size", "input_size"],
 )
 def test_conv_stem_that_cannot_read_its_input_exit_1(tmp_path, capsys, stem, message):
     cfg = train_config(
@@ -465,7 +466,8 @@ def test_train_split_leaving_an_empty_set_exit_2(tmp_path, capsys):
 
 def test_negative_lambda_sr_exit_1(tmp_path, capsys):
     cfg = train_config(tmp_path, lambda_sr=-0.1)
-    assert "lambda_sr must be nonnegative, got -0.1" in assert_usage_error(["train", "--config", str(cfg)], capsys)
+    err = assert_usage_error(["train", "--config", str(cfg)], capsys)
+    assert "lambda_sr must be finite and nonnegative, got -0.1" in err
 
 
 def test_rate_range_must_contain_the_global_rate_exit_1(tmp_path, capsys):
@@ -479,6 +481,26 @@ def test_float_keys_reject_non_finite_exit_1(tmp_path, capsys):
     for key, value in (("eta0", "nan"), ("weight_decay", "nan"), ("s2", "inf"), ("lambda_sr", "-inf")):
         cfg = train_config(tmp_path, **{key: value})
         assert f"key {key}" in assert_usage_error(["train", "--config", str(cfg)], capsys)
+
+
+def test_empty_conv_stem_trains_a_dense_model(tmp_path):
+    cfg = train_config(tmp_path, conv_stem="", total_epochs=1)
+    assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
+    assert load_snapshot(str(tmp_path / "run" / "final.wsnp")).layer_names() == ["dense0", "dense1", "dense2"]
+
+
+def test_unknown_metric_exit_1(tmp_path, capsys):
+    cfg = train_config(tmp_path, metric="alpha_mean")
+    err = assert_usage_error(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")], capsys)
+    assert "unknown metric 'alpha_mean'" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_csv_path_that_cannot_be_opened_exit_2(tmp_path, capsys):
+    cfg = train_config(tmp_path, dataset="csv", csv_path=tmp_path / "missing.csv", total_epochs=1)
+    err = assert_usage_error(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")], capsys, code=2)
+    assert "cannot open dataset" in err and "missing.csv" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_negative_seed_exit_1(tmp_path, capsys):

@@ -13,6 +13,7 @@ from tempbal import train_engine
 from tempbal.errors import ConfigError, DataError
 from tempbal.esd import orient
 from tempbal.htsr import LambdaMinPolicy
+from tempbal.rmt_lab import PLSpectrumSpec, verify_s_alpha
 from tempbal.scheduler import ScheduleConfig, ScheduleDecision, cal_rate, schedule_epoch
 from tempbal.train_engine import (
     ACTIVATIONS,
@@ -259,6 +260,25 @@ def test_hand_built_dataset_checks_its_splits():
     assert (len(data.x_train), len(data.x_eval)) == (1, 3)
 
 
+def test_hand_built_dataset_checks_its_rows_and_labels():
+    x, y = np.zeros((4, 3)), np.array([0, 1, 0, 1])
+    labels = r"labels must be a 1-D array of integers in \[0, 2\)"
+    splits = [
+        (r"train set of shape \(4,\)", (np.zeros(4), y, x, y)),  # was an IndexError in Dataset.dim
+        (r"eval set of shape \(4, 2\)", (x, y, np.zeros((4, 2)), y)),
+        (r"eval set of shape \(4, 3, 1\)", (x, y, x[..., None], y)),
+        ("train " + labels, (x, np.array([0, 1, 0, 5]), x, y)),  # was an IndexError in _softmax_ce
+        ("eval " + labels, (x, y, x, np.array([0, -1, 0, 1]))),
+        ("train " + labels, (x, y.astype(float), x, y)),
+        ("eval " + labels, (x, y, x, y[:, None])),
+    ]
+    for message, (x_train, y_train, x_eval, y_eval) in splits:
+        with pytest.raises(DataError, match=message):
+            Dataset(x_train, y_train, x_eval, y_eval, n_classes=2, seed=0)
+    data = Dataset(x, y.astype(np.uint8), x[:1], y[:1], n_classes=2, seed=0)
+    assert data.dim == 3
+
+
 def test_csv_missing_label_names_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,label\n1.0,a\n2.0,\n3.0,b\n")
@@ -288,7 +308,7 @@ def test_gaussian_spec_validation():
     with pytest.raises(ConfigError):
         GaussianMixtureSpec(split=1.0)
     for sizes in (dict(spread=-0.5), dict(separation=-1.0)):
-        with pytest.raises(ConfigError, match="spread and separation must be nonnegative"):
+        with pytest.raises(ConfigError, match="spread and separation must be finite and nonnegative"):
             GaussianMixtureSpec(**sizes)
 
 
@@ -561,6 +581,43 @@ def test_model_spec_validation():
     for stem, message in stem_errors.items():
         with pytest.raises(ConfigError, match=message):
             ModelSpec(widths=(16, 2, 2), conv_stem=stem, conv_input=(1, 4, 4))
+
+
+def test_conv_input_sizes_must_be_positive():
+    # -1 x -8 x 8 holds the 64 features of widths[0], so only a rule on the sizes themselves names the fault
+    for conv_input in ((-1, -8, 8), (1, 0, 8), (1, 8, -8)):
+        with pytest.raises(ConfigError, match=r"conv_input sizes must be positive, got \(-?\d+, -?\d+, -?\d+\)"):
+            ModelSpec(widths=(64, 4, 2), conv_stem=((2, 1, 3, 3),), conv_input=conv_input)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: ScheduleConfig(eta0=NAN, total_epochs=1), id="eta0-nan"),
+        pytest.param(lambda: ScheduleConfig(eta0=INF, total_epochs=1), id="eta0-inf"),
+        pytest.param(lambda: ScheduleConfig(eta0=0.1, total_epochs=1, s2=INF), id="s2-inf"),
+        pytest.param(lambda: GaussianMixtureSpec(spread=NAN), id="spread-nan"),
+        pytest.param(lambda: GaussianMixtureSpec(separation=INF), id="separation-inf"),
+        pytest.param(lambda: OptimState(weight_decay=INF), id="weight_decay-inf"),
+        pytest.param(
+            lambda: run_training(
+                ModelSpec(widths=(4, 3, 2)), GaussianMixtureSpec(dim=4, samples=8), ScheduleConfig(0.1, 1),
+                LambdaMinPolicy(), lambda_sr=NAN,
+            ),
+            id="lambda_sr-nan",
+        ),
+        pytest.param(lambda: PLSpectrumSpec(size=8, decay=NAN), id="decay-nan"),
+        pytest.param(lambda: PLSpectrumSpec(size=8, decay=1.0, lambda1=NAN), id="lambda1-nan"),
+        pytest.param(lambda: verify_s_alpha([64], [NAN]), id="sweep-s-nan"),
+    ],
+)
+def test_range_checks_refuse_non_finite_values(build):
+    # each rule is written so that NaN, which fails every comparison, and inf fall outside it
+    with pytest.raises(ConfigError):
+        build()
 
 
 def test_model_spec_sizes_are_integers():

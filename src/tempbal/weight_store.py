@@ -21,12 +21,12 @@ LayerTensor holds its values in their own shape: only the file is flat.
 load_snapshot checks a file's whole layer table, seeking over the values,
 and gives a snapshot whose layers are the entries of that table: each
 StoredLayer reads its values from the file at each access and keeps none,
-so a caller walking the layers holds one at a time. read_snapshot reads a
-stream whole into one buffer, checks it with the same walk of the table,
-and gives LayerTensors whose values are read-only views of that buffer. Each layer gives its flattened rows in blocks (row_blocks): an
-array is one block, and a stored layer reads its blocks into one reused
-buffer, its one route from file to array, so a tall layer's Gram matrix
-can be summed without the layer ever in memory.
+so a caller walking the layers holds one at a time. read_snapshot buffers a
+stream whole, checks it with the same walk, and gives LayerTensors that view
+that one buffer. Each layer gives its flattened rows in blocks (row_blocks):
+an array is one block, and a stored layer reads its blocks into one reused
+buffer, its one route from file to array, so a tall layer's Gram matrix can
+be summed without the layer ever in memory.
 """
 
 from __future__ import annotations

@@ -586,7 +586,7 @@ def test_model_spec_validation():
 def test_conv_input_sizes_must_be_positive():
     # -1 x -8 x 8 holds the 64 features of widths[0], so only a rule on the sizes themselves names the fault
     for conv_input in ((-1, -8, 8), (1, 0, 8), (1, 8, -8)):
-        with pytest.raises(ConfigError, match=r"conv_input sizes must be positive, got \(-?\d+, -?\d+, -?\d+\)"):
+        with pytest.raises(ConfigError, match="conv_input sizes must be positive"):
             ModelSpec(widths=(64, 4, 2), conv_stem=((2, 1, 3, 3),), conv_input=conv_input)
 
 

@@ -63,6 +63,11 @@ class ModelSpec:
     seed: int = 0
     conv_stem: tuple[tuple[int, int, int, int], ...] = ()
     conv_input: tuple[int, int, int] | None = None
+    # each weight layer's (name, shape) in forward order, from the one walk of the stem made here: conv blocks
+    # (out, in, kh, kw) from conv_input (valid convolutions, stride 1), then dense (out, in), dense0 reading the
+    # stem's flattened output; a conv_input with a size below 1 or other than widths[0] features, a block with a size
+    # below 1, other in-channels than the stage before, or a kernel larger than its input is a ConfigError
+    layers: tuple[tuple[str, tuple[int, ...]], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(integral(w, "a width") for w in self.widths))
@@ -82,42 +87,32 @@ class ModelSpec:
             raise ConfigError("conv_stem requires conv_input (channels, height, width)")
         if self.conv_input is not None and not self.conv_stem:
             raise ConfigError("conv_input is given but there is no conv_stem to read it")
-        weight_shapes(self)  # walks the stem, so an input or a block it cannot read is refused here
-
-
-def weight_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """Each weight layer's name and shape, in forward order: conv blocks (out, in, kh, kw), then dense (out, in).
-
-    The stem is walked from conv_input (valid convolutions, stride 1) and dense0 reads its flattened output; a
-    conv_input with a size below 1 or other than widths[0] features, a block with a size below 1, other
-    in-channels than the stage before, or a kernel larger than its input is a ConfigError.
-    """
-    shapes = {}
-    c, h, w = spec.conv_input or (spec.widths[0], 1, 1)  # the input's widths[0] features as one (c, h, w) volume
-    if min(c, h, w) < 1:
-        raise ConfigError(f"conv_input sizes must be positive, got {(c, h, w)}")
-    if c * h * w != spec.widths[0]:
-        raise ConfigError(f"conv_input {c}x{h}x{w} holds {c * h * w} features but the input has {spec.widths[0]}")
-    for idx, (out, cin, kh, kw) in enumerate(spec.conv_stem):
-        if min(out, cin, kh, kw) < 1:
-            raise ConfigError(f"conv block {idx} sizes must be positive, got {(out, cin, kh, kw)}")
-        if cin != c:
-            raise ConfigError(f"conv block {idx} expects {cin} input channels, previous stage has {c}")
-        h, w = h - kh + 1, w - kw + 1
-        if h <= 0 or w <= 0:
-            raise ConfigError(f"conv block {idx} kernel ({kh}x{kw}) larger than its input")
-        c = out
-        shapes[f"conv{idx}"] = (out, cin, kh, kw)
-    widths = (c * h * w, *spec.widths[1:])
-    shapes.update((f"dense{idx}", (widths[idx + 1], widths[idx])) for idx in range(len(widths) - 1))
-    return shapes
+        c, h, w = self.conv_input or (self.widths[0], 1, 1)  # the input's widths[0] features as one (c, h, w) volume
+        if min(c, h, w) < 1:
+            raise ConfigError(f"conv_input sizes must be positive, got {(c, h, w)}")
+        if c * h * w != self.widths[0]:
+            raise ConfigError(f"conv_input {c}x{h}x{w} holds {c * h * w} features but the input has {self.widths[0]}")
+        layers = []
+        for idx, (out, cin, kh, kw) in enumerate(self.conv_stem):
+            if min(out, cin, kh, kw) < 1:
+                raise ConfigError(f"conv block {idx} sizes must be positive, got {(out, cin, kh, kw)}")
+            if cin != c:
+                raise ConfigError(f"conv block {idx} expects {cin} input channels, previous stage has {c}")
+            h, w = h - kh + 1, w - kw + 1
+            if h <= 0 or w <= 0:
+                raise ConfigError(f"conv block {idx} kernel ({kh}x{kw}) larger than its input")
+            c = out
+            layers.append((f"conv{idx}", (out, cin, kh, kw)))
+        widths = (c * h * w, *self.widths[1:])
+        layers += ((f"dense{idx}", (widths[idx + 1], widths[idx])) for idx in range(len(widths) - 1))
+        object.__setattr__(self, "layers", tuple(layers))
 
 
 def init_params(spec: ModelSpec) -> dict[str, np.ndarray]:
     """Seeded parameter initialization; weight keys '<layer>.w', biases '<layer>.b'."""
     rng = np.random.default_rng(spec.seed)
     params: dict[str, np.ndarray] = {}
-    for name, shape in weight_shapes(spec).items():
+    for name, shape in spec.layers:
         fan_in, fan_out = math.prod(shape[1:]), shape[0] * math.prod(shape[2:])  # (in, out) for a dense layer
         try:
             if spec.init == "he":
@@ -133,7 +128,7 @@ def init_params(spec: ModelSpec) -> dict[str, np.ndarray]:
 
 def snapshot_params(params: dict[str, np.ndarray], spec: ModelSpec, epoch: int) -> WeightSnapshot:
     """Snapshot of the 2-D/4-D weight tensors (biases are not analyzed); it views the arrays in params, copying none."""
-    return WeightSnapshot(epoch, (LayerTensor(name, params[f"{name}.w"]) for name in weight_shapes(spec)))
+    return WeightSnapshot(epoch, (LayerTensor(name, params[f"{name}.w"]) for name, _ in spec.layers))
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -170,13 +165,12 @@ def _forward(params, spec: ModelSpec, x: np.ndarray):
     """Logits, and each layer's (input shape, rows its matrix multiplied, activation); a conv one is (B, C, H, W)."""
     cache = []
     a = x.reshape(-1, *spec.conv_input) if spec.conv_stem else x
-    shapes = weight_shapes(spec)
-    for idx, (name, shape) in enumerate(shapes.items()):
+    for idx, (name, shape) in enumerate(spec.layers):
         conv = len(shape) == 4
         rows = _im2col(a, *shape[2:]) if conv else a.reshape(a.shape[0], -1)
         z = rows @ params[f"{name}.w"].reshape(shape[0], -1).T
         z += params[f"{name}.b"]
-        if idx < len(shapes) - 1:
+        if idx < len(spec.layers) - 1:
             _act(z, spec.activation)
         if conv:
             hp, wp = a.shape[2] - shape[2] + 1, a.shape[3] - shape[3] + 1
@@ -204,7 +198,7 @@ def loss_and_grads(params, spec: ModelSpec, x: np.ndarray, y: np.ndarray):
     logits, cache = _forward(params, spec, x)
     loss, delta = _softmax_ce(logits, y)
     grads: dict[str, np.ndarray] = {}
-    layers = list(weight_shapes(spec).items())
+    layers = spec.layers
     for idx in range(len(layers) - 1, -1, -1):
         name, shape = layers[idx]
         x_shape, rows, out = cache[idx]
@@ -375,6 +369,8 @@ class Dataset:
                 raise DataError(f"{split} set of {len(x)} rows and {len(y)} labels: need >= 1 row, each labelled")
             if x.ndim != 2 or x.shape[1] != self.x_train.shape[1]:  # the train set is checked first
                 raise DataError(f"{split} set of shape {x.shape}: need a 2-D set as wide as the train set")
+            if x.dtype.kind not in "biuf" or not np.isfinite(x).all():  # _load_csv names the row, lost here
+                raise DataError(f"{split} set holds a non-finite or non-numeric feature")
             if y.dtype.kind not in "iu" or y.ndim != 1 or not 0 <= y.min() <= y.max() < self.n_classes:
                 raise DataError(f"{split} labels must be a 1-D array of integers in [0, {self.n_classes})")
 
@@ -589,7 +585,7 @@ def run_training(
     optim = optim if optim is not None else OptimState()
     params = init_params(model)
     velocity = {name: np.zeros_like(w) for name, w in params.items()}
-    layer_names = list(weight_shapes(model))
+    layer_names = [name for name, _ in model.layers]
     telemetry = TrainTelemetry()
     last_grad_norms: dict[str, float] | None = None
 

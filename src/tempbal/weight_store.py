@@ -16,17 +16,18 @@ File layout (".wsnp", all integers little-endian):
         dims       u64 each
         values     product(dims) f64, row-major
 
-Values are 64-bit IEEE-754 so a write/read cycle is bit-exact. In memory a
-LayerTensor holds its values in their own shape: only the file is flat.
-load_snapshot checks a file's whole layer table, seeking over the values,
-and gives a snapshot whose layers are the entries of that table: each
-StoredLayer reads its values from the file at each access and keeps none,
-so a caller walking the layers holds one at a time. read_snapshot buffers a
-stream whole, checks it with the same walk, and gives LayerTensors that view
-that one buffer. Each layer gives its flattened rows in blocks (row_blocks):
-an array is one block, and a stored layer reads its blocks into one reused
-buffer, its one route from file to array, so a tall layer's Gram matrix can
-be summed without the layer ever in memory.
+The last layer's values end the file. Values are 64-bit IEEE-754 so a
+write/read cycle is bit-exact. In memory a LayerTensor holds its values in
+their own shape: only the file is flat. load_snapshot checks a file's whole
+layer table, seeking over the values, and gives a snapshot whose layers are
+the entries of that table: each StoredLayer reads its values from the file
+at each access and keeps none, so a caller walking the layers holds one at
+a time. read_snapshot buffers a stream whole, checks it with the same walk,
+and gives LayerTensors that view that one buffer. Each layer gives its
+flattened rows in blocks (row_blocks): an array is one block, and a stored
+layer reads its blocks into one reused buffer, its one route from file to
+array, so a tall layer's Gram matrix can be summed without the layer ever
+in memory.
 """
 
 from __future__ import annotations
@@ -242,6 +243,8 @@ def _parse(r: _Reader) -> tuple[int, list[tuple[str, tuple[int, ...], int]]]:
             raise SnapshotStructureError(f"layer {idx} ({name!r}): needs a nonempty name and no zero dimension, got {dims}")
         table.append((name, dims, r.offset))
         r.skip(8 * math.prod(dims), f"at layer {idx} ({name!r})")
+    if r.offset < r.size:
+        raise SnapshotStructureError(f"{r.size - r.offset} bytes after the last layer, at offset {r.offset}")
     return epoch, table
 
 

@@ -771,6 +771,14 @@ def test_analyze_of_a_file_bad_in_its_last_layer_writes_nothing(tmp_path, capsys
     assert not out.exists()
 
 
+def test_analyze_of_a_file_with_bytes_after_its_last_layer_exit_2(tmp_path, capsys):
+    path = tmp_path / "tail.wsnp"
+    path.write_bytes(packed_snapshot(GOOD_LAYERS[0]) + b"\x00" * 16)
+    out = tmp_path / "out"
+    err = assert_usage_error(["analyze", str(path), "--out-dir", str(out)], capsys, code=2)
+    assert "16 bytes after the last layer" in err and not out.exists()
+
+
 def test_analyze_long_layer_name_gets_a_bounded_histogram_file(tmp_path):
     name = "слой_" * 12  # 108 UTF-8 bytes, 288 once percent-encoded
     out = tmp_path / "out"

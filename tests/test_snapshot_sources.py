@@ -3,7 +3,9 @@ declared beyond what a source holds. Each case runs through a public entry of te
 
 import errno
 import io
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from tempbal.weight_store import (
     LayerTensor,
     SnapshotError,
     SnapshotIOError,
+    SnapshotStructureError,
     SnapshotTruncatedError,
     WeightSnapshot,
     load_snapshot,
@@ -140,3 +143,21 @@ def test_an_over_declared_name_allocates_nothing(tmp_path, source):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("source", ["file", "stream", "pipe"])
+def test_bytes_after_the_last_layer_are_refused(tmp_path, source):
+    raw = snapshot_bytes(WeightSnapshot(0, [LayerTensor("fc", np.arange(6.0).reshape(2, 3))]))
+    tail = raw + b"\x00" * 16
+    path = tmp_path / "tail.wsnp"
+    writer = threading.Thread(target=path.write_bytes, args=(tail,), daemon=True)
+    if source == "pipe":  # load_snapshot reads a pipe whole, as read_snapshot reads a stream
+        os.mkfifo(path)
+        writer.start()
+    else:
+        path.write_bytes(tail)
+    with pytest.raises(SnapshotStructureError, match=f"16 bytes after the last layer, at offset {len(raw)}"):
+        read_snapshot(io.BytesIO(tail)) if source == "stream" else load_snapshot(str(path))
+    if source == "pipe":
+        writer.join(timeout=10)
+        assert not writer.is_alive()

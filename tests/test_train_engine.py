@@ -263,6 +263,8 @@ def test_hand_built_dataset_checks_its_splits():
 def test_hand_built_dataset_checks_its_rows_and_labels():
     x, y = np.zeros((4, 3)), np.array([0, 1, 0, 1])
     labels = r"labels must be a 1-D array of integers in \[0, 2\)"
+    one_nan, one_inf = x.copy(), x.copy()
+    one_nan[2, 1], one_inf[3, 0] = np.nan, -np.inf
     splits = [
         (r"train set of shape \(4,\)", (np.zeros(4), y, x, y)),  # was an IndexError in Dataset.dim
         (r"eval set of shape \(4, 2\)", (x, y, np.zeros((4, 2)), y)),
@@ -271,6 +273,10 @@ def test_hand_built_dataset_checks_its_rows_and_labels():
         ("eval " + labels, (x, y, x, np.array([0, -1, 0, 1]))),
         ("train " + labels, (x, y.astype(float), x, y)),
         ("eval " + labels, (x, y, x, y[:, None])),
+        # a NaN let through would end as a DivergenceError (exit 3), blaming the run for its data
+        ("train set holds a non-finite", (one_nan, y, x, y)),
+        ("eval set holds a non-finite", (x, y, one_inf, y)),
+        ("train set holds a non-finite or non-numeric feature", (x.astype(str), y, x, y)),
     ]
     for message, (x_train, y_train, x_eval, y_eval) in splits:
         with pytest.raises(DataError, match=message):
@@ -412,11 +418,31 @@ def test_backward_scatters_patch_gradients_for_every_conv_block_but_the_first(mo
 
 def test_weight_shapes_name_and_order_every_layer():
     spec = ModelSpec(widths=(36, 5, 3), conv_stem=((4, 1, 3, 3), (2, 4, 3, 3)), conv_input=(1, 6, 6))
-    shapes = train_engine.weight_shapes(spec)
-    assert shapes == {"conv0": (4, 1, 3, 3), "conv1": (2, 4, 3, 3), "dense0": (5, 8), "dense1": (3, 5)}
+    shapes = {"conv0": (4, 1, 3, 3), "conv1": (2, 4, 3, 3), "dense0": (5, 8), "dense1": (3, 5)}
+    assert spec.layers == tuple(shapes.items())
     params = init_params(spec)
     assert list(params) == [f"{name}.{kind}" for name in shapes for kind in "wb"]
     assert all(params[f"{name}.w"].shape == shape for name, shape in shapes.items())
+
+
+def test_training_reads_the_layer_table_its_spec_built(monkeypatch):
+    # the stem is walked once, when the spec is built: a run reads spec.layers and builds no spec of its own
+    kwargs = dict(widths=(36, 5, 3), seed=2, conv_stem=((4, 1, 3, 3), (2, 4, 3, 3)), conv_input=(1, 6, 6))
+    spec = ModelSpec(**kwargs)
+    walks = []
+    post_init = ModelSpec.__post_init__
+    monkeypatch.setattr(ModelSpec, "__post_init__", lambda self: walks.append(self) or post_init(self))
+    data = GaussianMixtureSpec(classes=3, dim=36, samples=60)
+    sched = ScheduleConfig(eta0=0.05, total_epochs=2, update_interval_iters=2)
+    optim = OptimState(batch_size=16)
+    telem, final = run_training(spec, data, sched, LambdaMinPolicy(), lambda_sr=0.01, seed=3, optim=optim)
+    assert walks == []
+    assert [(layer.name, layer.values.shape) for layer in final.layers] == list(spec.layers)
+    assert {row.layer for row in telem.rows} == {name for name, _ in spec.layers} | {"_epoch_"}
+    twin = ModelSpec(**kwargs)
+    assert len(walks) == 1 and walks[0] is twin  # the spy sees a walk
+    object.__setattr__(twin, "layers", ())
+    assert twin == spec and hash(twin) == hash(spec) and "layers" not in repr(spec)
 
 
 @st.composite

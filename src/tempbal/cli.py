@@ -300,7 +300,7 @@ def cmd_train(args) -> int:
     else:
         data = _from_config(GaussianMixtureSpec, cfg)
         in_dim, n_classes = data.dim, data.classes
-    model = _from_config(ModelSpec, cfg, widths=(in_dim, *cfg["hidden"], n_classes), seed=seed)
+    model = _from_config(ModelSpec, cfg, widths=(in_dim, *cfg["hidden"], n_classes))
     sched = _from_config(ScheduleConfig, cfg)
     policy = LambdaMinPolicy(variant=cfg["policy"], histogram_bins=cfg["policy_bins"])
     optim = _from_config(OptimState, cfg)

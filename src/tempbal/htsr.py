@@ -41,7 +41,7 @@ KS_CANDIDATES = 64  # KS distances computed at once: under the n x n Gram's size
 
 
 class DegenerateSpectrumError(NumericalError):
-    """All eigenvalues are zero; no tail exists to fit."""
+    """Fewer than 4 eigenvalues, or all of them zero: no tail exists to fit."""
 
 
 class DegenerateThresholdError(NumericalError):
@@ -191,7 +191,7 @@ def select_k(esd: ESD, policy: LambdaMinPolicy) -> int:
     lam = esd.eigenvalues
     n = lam.size
     if n < 4:
-        raise ValueError(f"{esd.source_name!r}: need at least 4 eigenvalues, got {n}")
+        raise DegenerateSpectrumError(f"{esd.source_name!r}: need at least 4 eigenvalues, got {n}")
     if lam[-1] <= 0.0:
         raise DegenerateSpectrumError(f"{esd.source_name!r}: all eigenvalues are zero")
     if policy.variant == "median":
@@ -241,7 +241,7 @@ def _analyze_layer(layer, policy: LambdaMinPolicy) -> LayerAnalysis:
     try:
         spectrum = compute_esd(layer)
         metrics = layer_metrics(spectrum, policy)
-    except (NumericalError, ValueError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # a ValueError from a defect propagates
         return LayerAnalysis(layer.name, n, m, spectrum, None, str(exc))
     return LayerAnalysis(layer.name, n, m, spectrum, metrics, None)
 

@@ -60,7 +60,6 @@ class ModelSpec:
     widths: tuple[int, ...]
     activation: str = "relu"
     init: str = "he"
-    seed: int = 0
     conv_stem: tuple[tuple[int, int, int, int], ...] = ()
     conv_input: tuple[int, int, int] | None = None
     # each weight layer's (name, shape) in forward order, from the one walk of the stem made here: conv blocks
@@ -108,9 +107,9 @@ class ModelSpec:
         object.__setattr__(self, "layers", tuple(layers))
 
 
-def init_params(spec: ModelSpec) -> dict[str, np.ndarray]:
-    """Seeded parameter initialization; weight keys '<layer>.w', biases '<layer>.b'."""
-    rng = np.random.default_rng(spec.seed)
+def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
+    """Initial parameters drawn from seed; weight keys '<layer>.w', biases '<layer>.b'."""
+    rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in spec.layers:
         fan_in, fan_out = math.prod(shape[1:]), shape[0] * math.prod(shape[2:])  # (in, out) for a dense layer
@@ -354,14 +353,13 @@ class CsvDataSpec:
 
 @dataclass
 class Dataset:
-    """Deterministic train/eval split with seeded per-epoch shuffling."""
+    """A train/eval split; batches shuffles the train set anew for each epoch and seed."""
 
     x_train: np.ndarray
     y_train: np.ndarray
     x_eval: np.ndarray
     y_eval: np.ndarray
     n_classes: int
-    seed: int
 
     def __post_init__(self):
         for split, x, y in (("train", self.x_train, self.y_train), ("eval", self.x_eval, self.y_eval)):
@@ -378,8 +376,8 @@ class Dataset:
     def dim(self) -> int:
         return self.x_train.shape[1]
 
-    def batches(self, epoch: int, batch_size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        order = np.random.default_rng([self.seed, 7919, epoch]).permutation(len(self.x_train))
+    def batches(self, epoch: int, batch_size: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        order = np.random.default_rng([seed, 7919, epoch]).permutation(len(self.x_train))
         for start in range(0, len(order), batch_size):
             sel = order[start:start + batch_size]
             yield self.x_train[sel], self.y_train[sel]
@@ -468,14 +466,7 @@ def make_dataset(spec: GaussianMixtureSpec | CsvDataSpec, seed: int) -> Dataset:
     order = rng.permutation(len(x))
     x, y = x[order], y[order]
     n_train = int(len(x) * spec.split)
-    return Dataset(
-        x_train=x[:n_train],
-        y_train=y[:n_train],
-        x_eval=x[n_train:],
-        y_eval=y[n_train:],
-        n_classes=int(y.max()) + 1,
-        seed=seed,
-    )
+    return Dataset(x[:n_train], y[:n_train], x[n_train:], y[n_train:], n_classes=int(y.max()) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +555,12 @@ def run_training(
 ) -> tuple[TrainTelemetry, WeightSnapshot]:
     """Train for the given number of epochs, rescheduling at every window boundary.
 
-    data is a dataset spec, materialized here with make_dataset(data, seed),
-    or a Dataset already built. Returns the telemetry table and the final
-    weight snapshot. Aborts with DivergenceError as soon as a batch loss is
-    non-finite, or an epoch's eval pass meets a non-finite logit.
+    seed draws the whole run: the initial weights, every epoch's batch order
+    and, when data is a dataset spec, its synthesis and split through
+    make_dataset(data, seed); a Dataset already built holds the data fixed
+    across seeds. Returns the telemetry table and the final weight snapshot.
+    Aborts with DivergenceError as soon as a batch loss is non-finite, or an
+    epoch's eval pass meets a non-finite logit.
     """
     if epochs is None:
         epochs = sched.total_epochs
@@ -583,7 +576,7 @@ def run_training(
             f"dataset has {dataset.n_classes} classes but model outputs {model.widths[-1]}"
         )
     optim = optim if optim is not None else OptimState()
-    params = init_params(model)
+    params = init_params(model, seed)
     velocity = {name: np.zeros_like(w) for name, w in params.items()}
     layer_names = [name for name, _ in model.layers]
     telemetry = TrainTelemetry()
@@ -593,7 +586,7 @@ def run_training(
         epoch_start = perf_counter()
         analysis_sec = 0.0
         batch_losses = []
-        for it, (xb, yb) in enumerate(dataset.batches(t, optim.batch_size)):
+        for it, (xb, yb) in enumerate(dataset.batches(t, optim.batch_size, seed)):
             if it % sched.update_interval_iters == 0:  # it restarts at 0, so each epoch refreshes first
                 a0 = perf_counter()
                 snap = snapshot_params(params, model, epoch=t)
@@ -606,9 +599,8 @@ def run_training(
             batch_losses.append(loss)
             if lambda_sr > 0.0:
                 a0 = perf_counter()
-                for name in layer_names:
-                    inc = snr_grad_term(LayerTensor(name, params[f"{name}.w"]), lambda_sr)
-                    grads[f"{name}.w"] += inc
+                for layer in snap.layers:  # the refresh's snapshot views the live weights
+                    grads[f"{layer.name}.w"] += snr_grad_term(layer, lambda_sr)
                 analysis_sec += perf_counter() - a0
             last_grad_norms = {
                 name: float(np.linalg.norm(grads[f"{name}.w"])) for name in layer_names

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempbal.errors import NumericalError
@@ -93,7 +93,7 @@ def test_median_policy_odd():
 
 
 def test_select_k_needs_four_eigenvalues():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateSpectrumError, match="need at least 4 eigenvalues, got 3"):
         select_k(esd_of([1.0, 2.0, 3.0]), LambdaMinPolicy())
 
 
@@ -340,6 +340,27 @@ def test_analyze_snapshot_captures_degenerate_layers():
     assert by_name["dead"].metrics is None
     assert by_name["dead"].error
     assert by_name["c"].n == 4 and by_name["c"].m == 18
+
+
+def test_only_a_numerical_failure_makes_a_layer_fall_back(monkeypatch):
+    # a layer with fewer than 4 eigenvalues is degenerate, with the reason select_k gives
+    thin = WeightSnapshot(epoch=0, layers=(LayerTensor("thin", np.ones((3, 8))),))
+    (row,) = analyze_snapshot(thin, LambdaMinPolicy())
+    assert row.metrics is None and row.error == "'thin': need at least 4 eigenvalues, got 3"
+
+    def raise_(exc):
+        def compute_esd(layer):
+            raise exc
+        return compute_esd
+
+    # LAPACK's failure to converge is numerical: the layer falls back
+    monkeypatch.setattr(htsr, "compute_esd", raise_(np.linalg.LinAlgError("Eigenvalues did not converge")))
+    rows = analyze_snapshot(make_snapshot(), LambdaMinPolicy())
+    assert all(row.metrics is None and row.error == "Eigenvalues did not converge" for row in rows)
+    # any other ValueError is a defect, which must not pass for a degenerate layer
+    monkeypatch.setattr(htsr, "compute_esd", raise_(ValueError("operands could not be broadcast together")))
+    with pytest.raises(ValueError, match="operands could not be broadcast together"):
+        analyze_snapshot(make_snapshot(), LambdaMinPolicy())
 
 
 def test_analyze_snapshot_of_a_loaded_file_holds_one_layer_at_a_time(tmp_path, monkeypatch):
@@ -616,3 +637,22 @@ def test_hill_alpha_and_select_k_are_invariant_to_eigenvalue_scale(esd, c):
             assert scaled_alpha == alpha, variant  # +inf, or the same error
         if esd.source_name == "flat":
             assert alpha == math.inf
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40), m=st.integers(40, 80), zeros=st.integers(1, 19),
+    df=st.sampled_from((1.5, 2.5, 4.0)), variant=st.sampled_from(("ks", "fixfinger")),
+)
+@example(seed=1, n=40, m=40, zeros=19, df=1.5, variant="ks")  # turns tall: 59 x 40
+@example(seed=2, n=35, m=41, zeros=10, df=4.0, variant="fixfinger")
+def test_zero_rows_move_no_fit_under_ks_or_fixfinger(seed, n, m, zeros, df, variant):
+    # a zero row adds a zero eigenvalue (or, once the layer turns tall, leaves W^T W as it was), and the
+    # ks and fixfinger thresholds read only the positive ones; median is left out: its k = n // 2 counts
+    # the zeros, the rank-deficient threshold that ROADMAP item 5 fixes
+    w = np.random.default_rng(seed).standard_t(df, size=(n, m))
+    padded = np.vstack([w, np.zeros((zeros, m))])
+    policy = LambdaMinPolicy(variant=variant)
+    fit, padded_fit = (layer_metrics(compute_esd(LayerTensor("w", v)), policy) for v in (w, padded))
+    assert padded_fit.k == fit.k
+    assert padded_fit.alpha_hill == pytest.approx(fit.alpha_hill, rel=1e-12, abs=0)

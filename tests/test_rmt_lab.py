@@ -232,6 +232,14 @@ def test_verify_s_alpha_pinned_values():
         assert [r.alpha_hill for r in rows] == pytest.approx(alphas, rel=1e-10, abs=0)
 
 
+@settings(max_examples=60)
+@given(st.floats(0.5, 3.0), st.sampled_from((64, 128)), st.integers(0, 2**32 - 1))
+def test_alpha_tracks_one_plus_one_over_s_off_the_grid(s, size, seed):
+    # criterion 4 checks grid points only; the gate must hold between them too
+    (row,) = verify_s_alpha([size], [s], seed)
+    assert row.rel_err <= RMT_REL_ERR_TOL
+
+
 # ---------------------------------------------------------------------------
 # the cells of a size
 

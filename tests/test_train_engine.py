@@ -163,8 +163,8 @@ def test_dataset_determinism():
     b = make_dataset(spec, seed=9)
     assert np.array_equal(a.x_train, b.x_train)
     assert np.array_equal(a.y_eval, b.y_eval)
-    batches_a = [xb for xb, _ in a.batches(epoch=2, batch_size=32)]
-    batches_b = [xb for xb, _ in b.batches(epoch=2, batch_size=32)]
+    batches_a = [xb for xb, _ in a.batches(epoch=2, batch_size=32, seed=9)]
+    batches_b = [xb for xb, _ in b.batches(epoch=2, batch_size=32, seed=9)]
     for xa, xb in zip(batches_a, batches_b):
         assert np.array_equal(xa, xb)
 
@@ -172,8 +172,8 @@ def test_dataset_determinism():
 def test_dataset_epoch_shuffles_differ():
     spec = GaussianMixtureSpec(classes=2, dim=4, samples=64)
     data = make_dataset(spec, seed=1)
-    e0 = np.concatenate([y for _, y in data.batches(0, 16)])
-    e1 = np.concatenate([y for _, y in data.batches(1, 16)])
+    e0 = np.concatenate([y for _, y in data.batches(0, 16, 1)])
+    e1 = np.concatenate([y for _, y in data.batches(1, 16, 1)])
     assert not np.array_equal(e0, e1)
 
 
@@ -255,8 +255,8 @@ def test_hand_built_dataset_checks_its_splits():
     }
     for message, (x_train, y_train, x_eval, y_eval) in splits.items():
         with pytest.raises(DataError, match=message):
-            Dataset(x_train, y_train, x_eval, y_eval, n_classes=2, seed=0)
-    data = Dataset(x[:1], y[:1], x[1:], y[1:], n_classes=2, seed=0)
+            Dataset(x_train, y_train, x_eval, y_eval, n_classes=2)
+    data = Dataset(x[:1], y[:1], x[1:], y[1:], n_classes=2)
     assert (len(data.x_train), len(data.x_eval)) == (1, 3)
 
 
@@ -280,8 +280,8 @@ def test_hand_built_dataset_checks_its_rows_and_labels():
     ]
     for message, (x_train, y_train, x_eval, y_eval) in splits:
         with pytest.raises(DataError, match=message):
-            Dataset(x_train, y_train, x_eval, y_eval, n_classes=2, seed=0)
-    data = Dataset(x, y.astype(np.uint8), x[:1], y[:1], n_classes=2, seed=0)
+            Dataset(x_train, y_train, x_eval, y_eval, n_classes=2)
+    data = Dataset(x, y.astype(np.uint8), x[:1], y[:1], n_classes=2)
     assert data.dim == 3
 
 
@@ -353,9 +353,9 @@ def relu_pattern(params, spec, x):
     return [out > 0 for _, _, out in cache[:-1]]
 
 
-def grad_check(spec: ModelSpec, seed: int, coords: int = 16, rel_tol: float = 1e-4):
+def grad_check(spec: ModelSpec, init_seed: int, seed: int, coords: int = 16, rel_tol: float = 1e-4):
     rng = np.random.default_rng(seed)
-    params = init_params(spec)
+    params = init_params(spec, init_seed)
     x = rng.normal(size=(8, spec.widths[0]))
     y = rng.integers(0, spec.widths[-1], size=8)
     _, grads = loss_and_grads(params, spec, x, y)
@@ -384,22 +384,21 @@ def grad_check(spec: ModelSpec, seed: int, coords: int = 16, rel_tol: float = 1e
 
 
 def test_dense_tanh_gradients():
-    grad_check(ModelSpec(widths=(6, 8, 4, 3), activation="tanh", seed=0), seed=10)
+    grad_check(ModelSpec(widths=(6, 8, 4, 3), activation="tanh"), init_seed=0, seed=10)
 
 
 def test_dense_relu_gradients():
-    grad_check(ModelSpec(widths=(6, 8, 4, 3), activation="relu", seed=1), seed=11)
+    grad_check(ModelSpec(widths=(6, 8, 4, 3), activation="relu"), init_seed=1, seed=11)
 
 
 def test_conv_stem_gradients():
     spec = ModelSpec(
         widths=(16, 6, 3),
         activation="tanh",
-        seed=2,
         conv_stem=((2, 1, 3, 3),),
         conv_input=(1, 4, 4),
     )
-    grad_check(spec, seed=12)
+    grad_check(spec, init_seed=2, seed=12)
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
@@ -409,9 +408,9 @@ def test_backward_scatters_patch_gradients_for_every_conv_block_but_the_first(mo
     col2im = train_engine._col2im
     monkeypatch.setattr(train_engine, "_col2im", lambda *args: calls.append(args[1]) or col2im(*args))
     stem = ((2, 1, 2, 2),) + ((2, 2, 2, 2),) * (blocks - 1)
-    spec = ModelSpec(widths=(64, 4, 3), seed=1, conv_stem=stem, conv_input=(1, 8, 8))
+    spec = ModelSpec(widths=(64, 4, 3), conv_stem=stem, conv_input=(1, 8, 8))
     x = np.random.default_rng(0).normal(size=(5, 64))
-    loss_and_grads(init_params(spec), spec, x, np.arange(5) % 3)
+    loss_and_grads(init_params(spec, 1), spec, x, np.arange(5) % 3)
     assert len(calls) == len(spec.conv_stem) - 1
     assert all(shape[1:] != (1, 8, 8) for shape in calls)
 
@@ -420,14 +419,14 @@ def test_weight_shapes_name_and_order_every_layer():
     spec = ModelSpec(widths=(36, 5, 3), conv_stem=((4, 1, 3, 3), (2, 4, 3, 3)), conv_input=(1, 6, 6))
     shapes = {"conv0": (4, 1, 3, 3), "conv1": (2, 4, 3, 3), "dense0": (5, 8), "dense1": (3, 5)}
     assert spec.layers == tuple(shapes.items())
-    params = init_params(spec)
+    params = init_params(spec, 0)
     assert list(params) == [f"{name}.{kind}" for name in shapes for kind in "wb"]
     assert all(params[f"{name}.w"].shape == shape for name, shape in shapes.items())
 
 
 def test_training_reads_the_layer_table_its_spec_built(monkeypatch):
     # the stem is walked once, when the spec is built: a run reads spec.layers and builds no spec of its own
-    kwargs = dict(widths=(36, 5, 3), seed=2, conv_stem=((4, 1, 3, 3), (2, 4, 3, 3)), conv_input=(1, 6, 6))
+    kwargs = dict(widths=(36, 5, 3), conv_stem=((4, 1, 3, 3), (2, 4, 3, 3)), conv_input=(1, 6, 6))
     spec = ModelSpec(**kwargs)
     walks = []
     post_init = ModelSpec.__post_init__
@@ -447,14 +446,14 @@ def test_training_reads_the_layer_table_its_spec_built(monkeypatch):
 
 @st.composite
 def random_models(draw):
-    """A small model: random dense widths, relu or tanh, and a 1-2 block conv stem or none."""
+    """A small model and its init seed: random dense widths, relu or tanh, and a 1-2 block conv stem or none."""
     activation = draw(st.sampled_from(("relu", "tanh")))
     seed = draw(st.integers(0, 2**32 - 1))
     hidden = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
     classes = draw(st.integers(2, 4))
     blocks = draw(st.integers(0, 2))
     if not blocks:
-        return ModelSpec(widths=(draw(st.integers(1, 8)), *hidden, classes), activation=activation, seed=seed)
+        return ModelSpec(widths=(draw(st.integers(1, 8)), *hidden, classes), activation=activation), seed
     conv_input = (draw(st.integers(1, 2)), draw(st.integers(3, 5)), draw(st.integers(3, 5)))
     c, h, w = conv_input
     stem = []
@@ -463,15 +462,16 @@ def random_models(draw):
         stem.append(block)
         c, h, w = block[0], h - block[2] + 1, w - block[3] + 1
     return ModelSpec(
-        widths=(math.prod(conv_input), *hidden, classes), activation=activation, seed=seed,
+        widths=(math.prod(conv_input), *hidden, classes), activation=activation,
         conv_stem=tuple(stem), conv_input=conv_input,
-    )
+    ), seed
 
 
 @settings(max_examples=60)
 @given(random_models(), st.integers(0, 2**32 - 1))
-def test_gradients_match_central_differences_on_random_models(spec, seed):
-    grad_check(spec, seed, coords=8)
+def test_gradients_match_central_differences_on_random_models(model, seed):
+    spec, init_seed = model
+    grad_check(spec, init_seed, seed, coords=8)
 
 
 # A reference forward and backward pass, written plainly: each hidden layer caches its pre-activation z next to
@@ -545,9 +545,10 @@ def reference_loss_and_grads(params, spec, x, y):
 
 @settings(max_examples=60)
 @given(random_models(), st.integers(0, 2**32 - 1), st.integers(1, 9))
-def test_loss_and_grads_are_the_reference_bytes(spec, seed, rows):
+def test_loss_and_grads_are_the_reference_bytes(model, seed, rows):
+    spec, init_seed = model
     rng = np.random.default_rng(seed)
-    params = init_params(spec)
+    params = init_params(spec, init_seed)
     for name in params:
         if name.endswith(".b"):  # init leaves every bias 0, which would hide how it is added
             params[name] = rng.normal(size=params[name].shape)
@@ -566,8 +567,8 @@ def test_loss_and_grads_holds_one_activation_per_hidden_layer(activation):
     # the train_refresh model at batch 128: besides the gradients, the forward pass holds each hidden layer's
     # activation once, and backward holds a few deltas and derivative temporaries of one layer's size; a cached
     # pre-activation, a float relu mask or a bias-add temporary adds most of another set of activations
-    spec = ModelSpec(widths=(128, 256, 256, 128, 10), activation=activation, seed=0)
-    params = init_params(spec)
+    spec = ModelSpec(widths=(128, 256, 256, 128, 10), activation=activation)
+    params = init_params(spec, 0)
     rng = np.random.default_rng(0)
     batch = 128
     x, y = rng.normal(size=(batch, 128)), rng.integers(0, 10, size=batch)
@@ -663,21 +664,23 @@ def test_model_spec_sizes_are_integers():
 # evaluation
 
 
-CONV_SPEC = ModelSpec(widths=(25, 12, 4), seed=3, conv_stem=((2, 1, 3, 3),), conv_input=(1, 5, 5))
+CONV_SPEC = ModelSpec(widths=(25, 12, 4), conv_stem=((2, 1, 3, 3),), conv_input=(1, 5, 5))
 
 
-@pytest.mark.parametrize("spec", [ModelSpec(widths=(6, 16, 8, 5), seed=4), CONV_SPEC], ids=["dense", "conv"])
+@pytest.mark.parametrize(
+    "spec, init_seed", [(ModelSpec(widths=(6, 16, 8, 5)), 4), (CONV_SPEC, 3)], ids=["dense", "conv"]
+)
 @pytest.mark.parametrize("rows, batch_size", [(301, 64), (301, 1), (64, 64), (40, 128)])
-def test_chunked_predict_is_the_whole_set_argmax(spec, rows, batch_size):
-    params = init_params(spec)
+def test_chunked_predict_is_the_whole_set_argmax(spec, init_seed, rows, batch_size):
+    params = init_params(spec, init_seed)
     x = np.random.default_rng(rows).normal(size=(rows, spec.widths[0]))
     whole = np.argmax(train_engine._forward(params, spec, x)[0], axis=1)
     assert np.array_equal(predict(params, spec, x, batch_size), whole)
 
 
 def test_accuracy_memory_tracks_the_batch_not_the_eval_set():
-    spec = ModelSpec(widths=(64, 256, 256, 10), seed=0)
-    params = init_params(spec)
+    spec = ModelSpec(widths=(64, 256, 256, 10))
+    params = init_params(spec, 0)
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(8192, 64)), rng.integers(0, 10, size=8192)
     batch_size = 128
@@ -699,7 +702,7 @@ def test_accuracy_memory_tracks_the_batch_not_the_eval_set():
 
 
 def quick_setup(assignment="tempbalance", **sched_kw):
-    model = ModelSpec(widths=(12, 16, 12, 8, 2), seed=0)
+    model = ModelSpec(widths=(12, 16, 12, 8, 2))
     data = GaussianMixtureSpec(classes=2, dim=12, samples=300, separation=6.0)
     sched = ScheduleConfig(eta0=0.1, total_epochs=8, assignment=assignment, **sched_kw)
     return model, data, sched
@@ -709,9 +712,28 @@ def test_zero_epochs_is_noop():
     model, data, sched = quick_setup()
     telem, final = run_training(model, data, sched, LambdaMinPolicy(), epochs=0, seed=0)
     assert telem.rows == []
-    init = init_params(model)
+    init = init_params(model, 0)
     for layer in final.layers:
         assert np.array_equal(layer.values, init[f"{layer.name}.w"])
+
+
+def test_one_seed_draws_the_initial_weights_and_the_batch_order(monkeypatch):
+    # the data is built once, so only the run's seed can tell the runs apart
+    model = ModelSpec(widths=(12, 16, 12, 8, 2))
+    data = make_dataset(GaussianMixtureSpec(classes=2, dim=12, samples=300, separation=6.0), 0)
+    sched = ScheduleConfig(eta0=0.1, total_epochs=2)
+
+    def final_bytes(seed, epochs=2):
+        _, final = run_training(model, data, sched, LambdaMinPolicy(), epochs=epochs, seed=seed)
+        buf = io.BytesIO()
+        write_snapshot(final, buf)
+        return buf.getvalue()
+
+    assert final_bytes(1) == final_bytes(1) != final_bytes(2)
+    assert final_bytes(1, epochs=0) != final_bytes(2, epochs=0)  # the initial weights
+    init = train_engine.init_params
+    monkeypatch.setattr(train_engine, "init_params", lambda spec, seed: init(spec, 0))
+    assert final_bytes(1, epochs=1) != final_bytes(2, epochs=1)  # the batch order, from one init
 
 
 def test_identical_until_first_boundary():
@@ -739,7 +761,7 @@ def test_range_invariant_over_run():
 
 
 def test_divergence_guard():
-    model = ModelSpec(widths=(12, 16, 12, 8, 2), seed=0)
+    model = ModelSpec(widths=(12, 16, 12, 8, 2))
     data = GaussianMixtureSpec(classes=2, dim=12, samples=300, separation=6.0)
     sched = ScheduleConfig(eta0=1e9, total_epochs=8, assignment="global_only")
     with pytest.raises(DivergenceError) as info:
@@ -906,12 +928,12 @@ def test_runs_sharing_an_optim_state_each_start_from_zero_momentum():
 
 
 def test_model_dataset_mismatch():
-    model = ModelSpec(widths=(10, 8, 2), seed=0)
+    model = ModelSpec(widths=(10, 8, 2))
     data = GaussianMixtureSpec(classes=2, dim=12, samples=100)
     sched = ScheduleConfig(eta0=0.1, total_epochs=4)
     with pytest.raises(ConfigError):
         run_training(model, data, sched, LambdaMinPolicy(), epochs=1, seed=0)
-    model = ModelSpec(widths=(12, 8, 3), seed=0)
+    model = ModelSpec(widths=(12, 8, 3))
     with pytest.raises(ConfigError, match="dataset has 2 classes but model outputs 3"):
         run_training(model, data, sched, LambdaMinPolicy(), epochs=1, seed=0)
 

@@ -22,7 +22,6 @@ import sys
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
-from urllib.parse import quote
 
 from .errors import ConfigError, NumericalError, TempbalError
 from .htsr import POLICY_VARIANTS, LambdaMinPolicy, LayerMetrics, analyze_snapshot, log10_histogram
@@ -235,23 +234,7 @@ def parse_config(path: str) -> dict[str, Any]:
 
 
 METRICS_HEADER = ",".join(("layer", "n", "m", *(f.name for f in fields(LayerMetrics)), "status"))
-MAX_FILE_NAME = 255  # bytes in one path component on common filesystems
-
-
-def _histogram_file_name(layer: str) -> str:
-    """esd_<percent-encoded layer>.csv, one-to-one in the layer name and at most MAX_FILE_NAME bytes.
-
-    A name too long for that keeps a prefix of its encoding, then '%-' and the
-    SHA-256 of the whole name. quote() never writes '%-', so a shortened name
-    cannot equal an unshortened one.
-    """
-    file_name = f"esd_{quote(layer, safe='')}.csv"
-    if len(file_name) <= MAX_FILE_NAME:
-        return file_name
-    import hashlib  # here, not at the top: it maps OpenSSL, about 4 MiB, into every tempbal process
-
-    digest = "%-" + hashlib.sha256(layer.encode()).hexdigest() + ".csv"
-    return file_name[: MAX_FILE_NAME - len(digest)] + digest
+ESD_HEADER = "layer,log10_lambda_left,log10_lambda_right,count"
 
 
 def cmd_analyze(args) -> int:
@@ -270,13 +253,16 @@ def cmd_analyze(args) -> int:
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         write_table(fh, METRICS_HEADER, table)
 
-    for row in rows:
-        bins = []
-        if row.esd is not None and row.esd.lambda_max > 0:
-            counts, edges = log10_histogram(row.esd.eigenvalues, args.bins)
-            bins = zip(edges[:-1], edges[1:], counts)
-        with open(out_dir / _histogram_file_name(row.name), "w", newline="", encoding="utf-8") as fh:
-            write_table(fh, "log10_lambda_left,log10_lambda_right,count", bins)
+    # a layer with no positive eigenvalue has no histogram; its metrics row already says it is degenerate
+    bins = (
+        (row.name, left, right, count)
+        for row in rows
+        if row.esd is not None and row.esd.lambda_max > 0
+        for counts, edges in [log10_histogram(row.esd.eigenvalues, args.bins)]
+        for left, right, count in zip(edges[:-1], edges[1:], counts)
+    )
+    with open(out_dir / "esd.csv", "w", newline="", encoding="utf-8") as fh:
+        write_table(fh, ESD_HEADER, bins)
 
     print(f"analyzed {len(rows)} layers -> {metrics_path}")
     return 0
@@ -379,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("snapshot", help="path to a .wsnp snapshot file")
     p_analyze.add_argument("--policy", default=LambdaMinPolicy.variant, help="|".join(POLICY_VARIANTS))
     p_analyze.add_argument("--bins", type=int, default=LambdaMinPolicy.histogram_bins, help="histogram bins (fixfinger and ESD output)")
-    p_analyze.add_argument("--out-dir", default=".", help="where to write metrics.csv and ESD histograms")
+    p_analyze.add_argument("--out-dir", default=".", help="where to write metrics.csv and esd.csv")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_train = sub.add_parser(

@@ -68,6 +68,8 @@ class ESD:
         lam = np.asarray(self.eigenvalues, dtype=np.float64)
         if lam.ndim != 1:
             raise ValueError(f"{self.source_name!r}: eigenvalues must be 1-D, got shape {lam.shape}")
+        if not np.all(np.isfinite(lam)):  # NaN fails every comparison below, so it is refused here
+            raise ValueError(f"{self.source_name!r}: eigenvalues must be finite")
         if np.any(np.diff(lam) < 0):
             raise ValueError(f"{self.source_name!r}: eigenvalues must be ascending")
         if lam.size and lam[0] < 0:

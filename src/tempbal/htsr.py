@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, integral
 from .esd import ESD, compute_esd, orient, roundoff_floor
 from .weight_store import WeightSnapshot
 
@@ -56,6 +56,7 @@ class LambdaMinPolicy:
     histogram_bins: int = 100
 
     def __post_init__(self):
+        object.__setattr__(self, "histogram_bins", integral(self.histogram_bins, "histogram_bins"))
         if self.variant not in POLICY_VARIANTS:
             raise ConfigError(f"unknown policy variant {self.variant!r}, expected one of {POLICY_VARIANTS}")
         if not 2 <= self.histogram_bins <= MAX_HISTOGRAM_BINS:

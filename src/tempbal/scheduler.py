@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, integral
 from .htsr import LambdaMinPolicy, LayerAnalysis, analyze_snapshot
 from .weight_store import WeightSnapshot
 
@@ -59,6 +59,8 @@ class ScheduleConfig:
     exclude_first_last: bool = True
 
     def __post_init__(self):
+        for name in ("total_epochs", "start_epoch", "update_interval_iters"):
+            object.__setattr__(self, name, integral(getattr(self, name), name))
         if not 0 < self.eta0 < math.inf:
             raise ConfigError(f"eta0 must be finite and positive, got {self.eta0}")
         if self.total_epochs <= 0:

@@ -247,6 +247,7 @@ class OptimState:
     batch_size: int = 128
 
     def __post_init__(self):
+        object.__setattr__(self, "batch_size", integral(self.batch_size, "batch_size"))
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.momentum < 1.0:
@@ -328,6 +329,8 @@ class GaussianMixtureSpec:
     split: float = 0.8
 
     def __post_init__(self):
+        for name in ("classes", "dim", "samples"):
+            object.__setattr__(self, name, integral(getattr(self, name), name))
         if self.classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.classes}")
         if self.dim < 1 or self.samples < self.classes:
@@ -562,8 +565,7 @@ def run_training(
     Aborts with DivergenceError as soon as a batch loss is non-finite, or an
     epoch's eval pass meets a non-finite logit.
     """
-    if epochs is None:
-        epochs = sched.total_epochs
+    epochs = sched.total_epochs if epochs is None else integral(epochs, "epochs")
     if not 0 <= epochs <= sched.total_epochs:
         raise ConfigError(f"epochs must be in [0, total_epochs={sched.total_epochs}], got {epochs}")
     if not 0 <= lambda_sr < math.inf:

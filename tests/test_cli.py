@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_snapshot
 from tempbal.cli import CONFIG_KEYS, _parse_grid, main, parse_config
 from tempbal.errors import ConfigError
+from tempbal.esd import compute_esd
 from tempbal.htsr import POLICY_VARIANTS
 from tempbal.rmt_lab import PLSpectrumSpec, synth_pl_matrix
 from tempbal.train_engine import run_training
@@ -58,6 +61,17 @@ def train_config(tmp_path, **overrides):
 # analyze
 
 
+def esd_groups(out: Path) -> list[tuple[str, list[tuple[float, float, int]]]]:
+    """esd.csv of an analyze run: each run of rows with one layer cell, as (layer, [(left, right, count), ...])."""
+    with open(out / "esd.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["layer", "log10_lambda_left", "log10_lambda_right", "count"]
+        return [
+            (layer, [(float(left), float(right), int(count)) for _, left, right, count in rows])
+            for layer, rows in groupby(reader, key=lambda row: row[0])
+        ]
+
+
 def test_analyze_writes_metrics_and_histograms(snapshot_path, tmp_path):
     out = tmp_path / "out"
     assert main(["analyze", str(snapshot_path), "--out-dir", str(out)]) == 0
@@ -71,10 +85,10 @@ def test_analyze_writes_metrics_and_histograms(snapshot_path, tmp_path):
     assert alpha == pytest.approx(2.0, rel=0.1)
     # orientation recorded: the 72x10 layer analyzes as 10 x 72
     assert rows["wide"].split(",")[1:3] == ["10", "72"]
-    hist = (out / "esd_pl64.csv").read_text().splitlines()
-    assert hist[0] == "log10_lambda_left,log10_lambda_right,count"
-    counts = sum(int(line.split(",")[2]) for line in hist[1:])
-    assert counts == 64
+    assert sorted(p.name for p in out.iterdir()) == ["esd.csv", "metrics.csv"]
+    hists = dict(esd_groups(out))
+    assert list(hists) == ["pl64", "wide"]  # the zero layer has no positive eigenvalue to bin
+    assert [sum(count for *_, count in rows) for rows in hists.values()] == [64, 10]
 
 
 def test_analyze_ks_names_a_layer_with_no_candidate_k(tmp_path):
@@ -93,7 +107,7 @@ def test_analyze_deterministic_bytes(snapshot_path, tmp_path):
     main(["analyze", str(snapshot_path), "--out-dir", str(out1)])
     main(["analyze", str(snapshot_path), "--out-dir", str(out2)])
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
-    assert (out1 / "esd_wide.csv").read_bytes() == (out2 / "esd_wide.csv").read_bytes()
+    assert (out1 / "esd.csv").read_bytes() == (out2 / "esd.csv").read_bytes()
 
 
 def test_analyze_missing_file_exit_2(tmp_path):
@@ -690,7 +704,7 @@ def test_histogram_bins_above_limit_exit_1(tmp_path, snapshot_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# layer names in CSV cells and file names
+# layer names in CSV cells
 
 
 def named_snapshot(tmp_path, names):
@@ -711,15 +725,56 @@ def test_analyze_names_with_commas_and_quotes_read_back(tmp_path):
     for row in rows:
         assert len(row) == 9 and None not in row.values(), row
         assert row["status"] == "ok" and row["n"] == "6"
+    assert [layer for layer, _ in esd_groups(out)] == names
+
+
+def assert_histograms_kept_apart(tmp_path, names):
+    """analyze names no file after a layer: each layer's histogram is its own run of esd.csv rows, name intact."""
+    out = tmp_path / "out"
+    assert main(["analyze", str(named_snapshot(tmp_path, names)), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["esd.csv", "metrics.csv"]
+    groups = esd_groups(out)
+    assert [layer for layer, _ in groups] == names
+    for _, rows in groups:
+        assert len(rows) == 100 and sum(count for *_, count in rows) == 6
 
 
 def test_analyze_histogram_file_names_do_not_collide(tmp_path):
-    out = tmp_path / "out"
-    assert main(["analyze", str(named_snapshot(tmp_path, ["a/b", "a b", "a_b"])), "--out-dir", str(out)]) == 0
-    hists = sorted(out.glob("esd_*.csv"))
-    assert [p.name for p in hists] == ["esd_a%20b.csv", "esd_a%2Fb.csv", "esd_a_b.csv"]
-    for path in hists:
-        assert sum(int(line.split(",")[2]) for line in path.read_text().splitlines()[1:]) == 6
+    assert_histograms_kept_apart(tmp_path, ["a/b", "a b", "a_b"])  # a path separator, a space, an underscore
+
+
+def test_analyze_long_layer_name_gets_a_bounded_histogram_file(tmp_path):
+    assert_histograms_kept_apart(tmp_path, ["слой_" * 12])  # 108 UTF-8 bytes
+
+
+def test_analyze_long_names_sharing_a_prefix_get_distinct_files(tmp_path):
+    assert_histograms_kept_apart(tmp_path, ["x" * 300 + "a", "x" * 300 + "b", "short"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zeroed=st.sets(st.integers(0, 3)))
+def test_esd_table_bins_every_positive_eigenvalue_of_each_layer(seed, zeroed):
+    snap = random_snapshot(np.random.default_rng(seed))
+    layers = tuple(
+        LayerTensor(layer.name, np.zeros_like(layer.values)) if i in zeroed else layer
+        for i, layer in enumerate(snap.layers)
+    )
+    positives = {layer.name: int(np.count_nonzero(compute_esd(layer).eigenvalues > 0)) for layer in layers}
+    with tempfile.TemporaryDirectory() as tmp:  # hypothesis runs every example in one tmp_path
+        path = Path(tmp) / "random.wsnp"
+        save_snapshot(WeightSnapshot(epoch=snap.epoch, layers=layers), str(path))
+        for policy in POLICY_VARIANTS:
+            out = Path(tmp) / policy
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["analyze", str(path), "--policy", policy, "--out-dir", str(out)]) == 0
+            groups = esd_groups(out)
+            # rows exactly for the layers with lambda_max > 0, in snapshot order, each layer in one run of rows
+            assert [layer for layer, _ in groups] == [layer.name for layer in layers if positives[layer.name]]
+            for layer, rows in groups:
+                assert sum(count for *_, count in rows) == positives[layer]
+                edges = [left for left, _, _ in rows] + [rows[-1][1]]
+                assert all(a < b for a, b in zip(edges, edges[1:]))
+                assert all(right == left for (_, right, _), (left, _, _) in zip(rows, rows[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -777,22 +832,3 @@ def test_analyze_of_a_file_with_bytes_after_its_last_layer_exit_2(tmp_path, caps
     out = tmp_path / "out"
     err = assert_usage_error(["analyze", str(path), "--out-dir", str(out)], capsys, code=2)
     assert "16 bytes after the last layer" in err and not out.exists()
-
-
-def test_analyze_long_layer_name_gets_a_bounded_histogram_file(tmp_path):
-    name = "слой_" * 12  # 108 UTF-8 bytes, 288 once percent-encoded
-    out = tmp_path / "out"
-    assert main(["analyze", str(named_snapshot(tmp_path, [name])), "--out-dir", str(out)]) == 0
-    (hist,) = out.glob("esd_*.csv")
-    assert len(hist.name) == 255 and hist.name.startswith("esd_%D1%81%D0%BB")
-    assert sum(int(line.split(",")[2]) for line in hist.read_text().splitlines()[1:]) == 6
-
-
-def test_analyze_long_names_sharing_a_prefix_get_distinct_files(tmp_path):
-    prefix = "x" * 300
-    names = [prefix + "a", prefix + "b", "short"]
-    out = tmp_path / "out"
-    assert main(["analyze", str(named_snapshot(tmp_path, names)), "--out-dir", str(out)]) == 0
-    files = sorted(p.name for p in out.glob("esd_*.csv"))
-    assert len(files) == 3 and "esd_short.csv" in files
-    assert all(len(f.encode()) <= 255 for f in files)

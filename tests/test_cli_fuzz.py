@@ -242,7 +242,9 @@ def test_analyze_writes_utf8_under_an_ascii_locale(tmp_path):
     assert done.stderr == b""
     metrics = (tmp_path / "out" / "metrics.csv").read_bytes().decode("utf-8").splitlines()
     assert len(metrics) == 2 and metrics[1].startswith("café,6,9,")
-    assert (tmp_path / "out" / "esd_caf%C3%A9.csv").is_file()
+    esd_rows = (tmp_path / "out" / "esd.csv").read_bytes().decode("utf-8").splitlines()[1:]
+    assert len(esd_rows) == 100 and all(row.startswith("café,") for row in esd_rows)
+    assert sum(int(row.rsplit(",", 1)[1]) for row in esd_rows) == 6
 
 
 def test_train_reads_a_utf8_csv_under_an_ascii_locale(tmp_path):

@@ -172,7 +172,13 @@ def test_esd_ascending_and_nonnegative():
 
 @pytest.mark.parametrize(
     "lam, what",
-    [(np.ones((2, 2)), "must be 1-D"), (np.array([2.0, 1.0]), "ascending"), (np.array([-1.0, 1.0]), "nonnegative")],
+    [
+        (np.ones((2, 2)), "must be 1-D"),
+        (np.array([2.0, 1.0]), "ascending"),
+        (np.array([-1.0, 1.0]), "nonnegative"),
+        (np.array([np.nan, 1.0, 2.0, 3.0, 4.0]), "finite"),
+        (np.array([1.0, 2.0, 3.0, 4.0, np.inf]), "finite"),
+    ],
 )
 def test_esd_rejects_eigenvalues_out_of_form(lam, what):
     with pytest.raises(ValueError, match=what):

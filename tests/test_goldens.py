@@ -20,13 +20,13 @@ def test_train_outputs_match_the_golden(tmp_path, case):
 @pytest.mark.parametrize("policy", POLICY_VARIANTS)
 def test_analyze_outputs_match_the_golden(tmp_path, policy):
     run(f"analyze_{policy}", tmp_path)
-    assert len(list(tmp_path.iterdir())) == 6  # metrics.csv and one esd_*.csv a layer
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["esd.csv", "metrics.csv"]
     assert moved_cells(f"analyze_{policy}", tmp_path) == []
 
 
 def test_analyze_of_a_ragged_tall_layer_matches_the_golden(tmp_path):
     run("analyze_tall", tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["esd_tall.csv", "metrics.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["esd.csv", "metrics.csv"]
     assert moved_cells("analyze_tall", tmp_path) == []
 
 

@@ -647,6 +647,37 @@ def test_range_checks_refuse_non_finite_values(build):
         build()
 
 
+def _train_epochs(epochs):
+    model, data = ModelSpec(widths=(4, 3, 2)), GaussianMixtureSpec(dim=4, samples=8)
+    telemetry, _ = run_training(model, data, ScheduleConfig(0.1, 3), LambdaMinPolicy(), epochs=epochs)
+    return len(telemetry.epoch_rows())
+
+
+@pytest.mark.parametrize(
+    "build, read",
+    [
+        pytest.param(lambda v: LambdaMinPolicy("fixfinger", v), lambda p: p.histogram_bins, id="histogram_bins"),
+        pytest.param(lambda v: OptimState(batch_size=v), lambda o: o.batch_size, id="batch_size"),
+        pytest.param(lambda v: ScheduleConfig(0.1, total_epochs=v), lambda c: c.total_epochs, id="total_epochs"),
+        pytest.param(lambda v: ScheduleConfig(0.1, 4, start_epoch=v), lambda c: c.start_epoch, id="start_epoch"),
+        pytest.param(
+            lambda v: ScheduleConfig(0.1, 4, update_interval_iters=v), lambda c: c.update_interval_iters,
+            id="update_interval_iters",
+        ),
+        pytest.param(lambda v: GaussianMixtureSpec(classes=v), lambda g: g.classes, id="classes"),
+        pytest.param(lambda v: GaussianMixtureSpec(dim=v), lambda g: g.dim, id="dim"),
+        pytest.param(lambda v: GaussianMixtureSpec(samples=v), lambda g: g.samples, id="samples"),
+        pytest.param(_train_epochs, lambda epochs_run: epochs_run, id="epochs"),
+    ],
+)
+def test_integer_fields_take_whole_numbers_only(build, read):
+    # a fraction is a ConfigError, not numpy's TypeError deep in a run; a whole float reads as its int
+    with pytest.raises(ConfigError, match="must be an integer, got 2.5"):
+        build(2.5)
+    value = read(build(2.0))
+    assert value == 2 and type(value) is int
+
+
 def test_model_spec_sizes_are_integers():
     with pytest.raises(ConfigError, match="width must be an integer, got 8.5"):
         ModelSpec(widths=(8.5, 4, 2))

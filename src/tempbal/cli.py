@@ -8,7 +8,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 3 numerical failure.
 
 Training is configured by a flat key=value file ('#' starts a comment,
-missing keys take defaults, unknown keys are rejected). CONFIG_KEYS lists
+missing keys take defaults, unknown and repeated keys are rejected). CONFIG_KEYS lists
 every key with its type, default and meaning; `tempbal train --help`
 prints it.
 """
@@ -165,14 +165,13 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "conv_input": ConfigKey(
         _conv_input, ModelSpec.conv_input, "e.g. 1x8x8 (channels x height x width), product = dim or CSV feature count"
     ),
-    "dataset": ConfigKey(_one_of("gaussian", "csv"), "gaussian", "gaussian|csv"),
     "classes": ConfigKey(_int, GaussianMixtureSpec.classes, "gaussian: number of classes"),
     "dim": ConfigKey(_int, GaussianMixtureSpec.dim, "gaussian: feature dimension"),
     "samples": ConfigKey(_int, GaussianMixtureSpec.samples, "gaussian: total samples"),
     "spread": ConfigKey(_float, GaussianMixtureSpec.spread, "gaussian: within-class std"),
     "separation": ConfigKey(_float, GaussianMixtureSpec.separation, "gaussian: norm of each class mean"),
     "split": ConfigKey(_float, GaussianMixtureSpec.split, "train fraction"),
-    "csv_path": ConfigKey(str, "", "csv: input file"),
+    "csv_path": ConfigKey(str, "", "csv: input file (unset: train on the gaussian mixture)"),
     "label_column": ConfigKey(str, CsvDataSpec.label_column, "csv: label column name"),
     "lambda_sr": ConfigKey(
         _float, _RUN_PARAMS["lambda_sr"].default, "top-singular-value penalty coefficient"
@@ -210,12 +209,13 @@ def _config_help() -> str:
 
 
 def parse_config(path: str) -> dict[str, Any]:
-    """Typed values of a flat key=value config; unknown keys rejected, missing keys defaulted."""
+    """Typed values of a flat key=value config; unknown and repeated keys rejected, missing keys defaulted."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is skipped
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     values = {key: spec.default for key, spec in CONFIG_KEYS.items()}
+    set_on: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -226,6 +226,9 @@ def parse_config(path: str) -> dict[str, Any]:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown key {key}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{line_no}: key {key} already set on line {set_on[key]}")
+        set_on[key] = line_no
         try:
             values[key] = CONFIG_KEYS[key].parse(raw.strip())
         except ValueError as exc:
@@ -277,9 +280,7 @@ def _from_config(cls, cfg: dict[str, Any], **given):
 def cmd_train(args) -> int:
     cfg = parse_config(args.config)
     seed = cfg["seed"] if args.seed is None else args.seed
-    if cfg["dataset"] == "csv":
-        if not cfg["csv_path"]:
-            raise ConfigError("dataset=csv requires csv_path")
+    if cfg["csv_path"]:
         # read once, here: the model's input width and class count come from the file
         data = make_dataset(_from_config(CsvDataSpec, cfg, path=cfg["csv_path"]), seed)
         in_dim, n_classes = data.dim, data.n_classes

@@ -386,54 +386,43 @@ class Dataset:
             yield self.x_train[sel], self.y_train[sel]
 
 
-def _csv_rows(fh: TextIO, path: str) -> Iterator[list[str]]:
-    """The csv module's rows of fh but blank lines; text that is not UTF-8 or that csv rejects is a CsvParseError."""
-    reader = csv.reader(fh)
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except UnicodeDecodeError as exc:  # decoded a chunk ahead of the reader, so no line is known
-            raise CsvParseError(f"{path!r}: not UTF-8 text: {exc.reason}") from None
-        except csv.Error as exc:
-            raise CsvParseError(f"{path!r}: line {reader.line_num}: {exc}") from None
-        if row:  # csv reads a blank line as []
-            yield row
-
-
 def _load_csv(spec: CsvDataSpec) -> tuple[np.ndarray, np.ndarray]:
     try:
-        fh = open(spec.path, newline="", encoding="utf-8")
+        fh = open(spec.path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open dataset {spec.path!r}: {exc}") from exc
     with fh:
-        reader = _csv_rows(fh, spec.path)
+        reader = csv.reader(fh)
+        rows = filter(None, reader)  # csv reads a blank line as []
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{spec.path!r}: empty file") from None
-        if spec.label_column not in header:
-            raise CsvParseError(f"{spec.path!r}: label column {spec.label_column!r} not found")
-        label_idx = header.index(spec.label_column)
-        feature_idx = [i for i in range(len(header)) if i != label_idx]
-        if not feature_idx:
-            raise CsvParseError(f"{spec.path!r}: no feature columns")
-        features, labels = [], []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise CsvParseError(f"{spec.path!r}: row {row_no} has {len(row)} fields, expected {len(header)}")
-            label = row[label_idx].strip()
-            if not label:
-                raise CsvParseError(f"{spec.path!r}: missing label value at row {row_no}")
-            try:
-                values = [float(row[i]) for i in feature_idx]
-            except ValueError as exc:
-                raise CsvParseError(f"{spec.path!r}: non-numeric feature at row {row_no}") from exc
-            if not all(map(math.isfinite, values)):
-                raise CsvParseError(f"{spec.path!r}: non-finite feature at row {row_no}")
-            features.append(values)
-            labels.append(label)
+            header = next(rows, None)
+            if header is None:
+                raise CsvParseError(f"{spec.path!r}: empty file")
+            if spec.label_column not in header:
+                raise CsvParseError(f"{spec.path!r}: label column {spec.label_column!r} not found")
+            label_idx = header.index(spec.label_column)
+            feature_idx = [i for i in range(len(header)) if i != label_idx]
+            if not feature_idx:
+                raise CsvParseError(f"{spec.path!r}: no feature columns")
+            features, labels = [], []
+            for row_no, row in enumerate(rows, start=1):
+                if len(row) != len(header):
+                    raise CsvParseError(f"{spec.path!r}: row {row_no} has {len(row)} fields, expected {len(header)}")
+                label = row[label_idx].strip()
+                if not label:
+                    raise CsvParseError(f"{spec.path!r}: missing label value at row {row_no}")
+                try:
+                    values = [float(row[i]) for i in feature_idx]
+                except ValueError as exc:
+                    raise CsvParseError(f"{spec.path!r}: non-numeric feature at row {row_no}") from exc
+                if not all(map(math.isfinite, values)):
+                    raise CsvParseError(f"{spec.path!r}: non-finite feature at row {row_no}")
+                features.append(values)
+                labels.append(label)
+        except UnicodeDecodeError as exc:  # decoded a chunk ahead of the reader, so no line is known
+            raise CsvParseError(f"{spec.path!r}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise CsvParseError(f"{spec.path!r}: line {reader.line_num}: {exc}") from None
     if not labels:
         raise CsvParseError(f"{spec.path!r}: no data rows")
     classes = sorted(set(labels))

@@ -83,8 +83,8 @@ TRAIN_CASES = {
     "ks": {**CONFIG, "policy": "ks"},
     "fixfinger": {**CONFIG, "policy": "fixfinger"},
     "start_epoch": {**CONFIG, "start_epoch": "1"},
-    # csv_data()'s 60 rows of 6 features and 3 text labels, written next to the config
-    "csv": {**CONFIG, "dataset": "csv"},
+    # csv_data()'s 60 rows of 6 features and 3 text labels, written to this file name next to the config
+    "csv": {**CONFIG, "csv_path": "data.csv"},
     "snr": {**CONFIG, "lambda_sr": "0.001"},
     "conv_fixfinger": CONV_CONFIG,
     # the one case of tanh and of xavier init
@@ -124,8 +124,8 @@ def tall_input() -> WeightSnapshot:
 
 def _train(config: dict[str, str]) -> Callable[[Path, Path], list[str]]:
     def argv(out_dir: Path, work: Path) -> list[str]:
-        if config.get("dataset") == "csv":
-            data = work / "data.csv"
+        if "csv_path" in config:
+            data = work / config["csv_path"]
             data.write_text(csv_data(), encoding="utf-8")
             config_here = {**config, "csv_path": str(data)}
         else:

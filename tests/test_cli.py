@@ -277,6 +277,22 @@ def test_train_malformed_line_exit_1(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("eta0 = 0.1\n# the rate again\neta0 = 0.2\n", "bad.cfg:3: key eta0 already set on line 1"),
+        # csv_path alone picks the data source
+        ("dataset = csv\n", "unknown key dataset"),
+    ],
+    ids=["repeated", "dataset"],
+)
+def test_train_key_refused_exit_1(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_train_divergence_exit_3(tmp_path, capsys):
     cfg = train_config(tmp_path, eta0="1e9", assignment="global_only")
     rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "d")])
@@ -403,7 +419,7 @@ def test_train_csv_dataset_read_once(tmp_path, monkeypatch):
     reads = []
     load_csv = engine._load_csv
     monkeypatch.setattr(engine, "_load_csv", lambda spec: reads.append(spec.path) or load_csv(spec))
-    cfg = train_config(tmp_path, dataset="csv", csv_path=data, total_epochs=1, hidden=4)
+    cfg = train_config(tmp_path, csv_path=data, total_epochs=1, hidden=4)
     assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
     assert reads == [str(data)]
 
@@ -463,7 +479,7 @@ def test_conv_stem_reads_the_csv_features(tmp_path, capsys):
 
     def config(conv_input):
         stem = dict(conv_stem="3x1x2x2", conv_input=conv_input)
-        return str(train_config(tmp_path, dataset="csv", csv_path=data, hidden=4, total_epochs=1, **stem))
+        return str(train_config(tmp_path, csv_path=data, hidden=4, total_epochs=1, **stem))
 
     err = assert_usage_error(["train", "--config", config("1x3x3")], capsys)
     assert "conv_input 1x3x3 holds 9 features but the input has 4" in err
@@ -511,7 +527,7 @@ def test_unknown_metric_exit_1(tmp_path, capsys):
 
 
 def test_csv_path_that_cannot_be_opened_exit_2(tmp_path, capsys):
-    cfg = train_config(tmp_path, dataset="csv", csv_path=tmp_path / "missing.csv", total_epochs=1)
+    cfg = train_config(tmp_path, csv_path=tmp_path / "missing.csv", total_epochs=1)
     err = assert_usage_error(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")], capsys, code=2)
     assert "cannot open dataset" in err and "missing.csv" in err
     assert not (tmp_path / "run").exists()
@@ -529,7 +545,7 @@ def test_csv_non_finite_feature_exit_2(tmp_path, capsys):
     rows[7] = "nan,1,1"
     rows[12] = "0,inf,0"
     data.write_text("\n".join(rows) + "\n")
-    cfg = train_config(tmp_path, dataset="csv", csv_path=data, total_epochs=1, hidden=4)
+    cfg = train_config(tmp_path, csv_path=data, total_epochs=1, hidden=4)
     assert_usage_error(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")], capsys, code=2)
 
 
@@ -546,15 +562,33 @@ def test_csv_non_finite_feature_exit_2(tmp_path, capsys):
 def test_csv_defect_exit_2(tmp_path, capsys, text, message):
     data = tmp_path / "data.csv"
     data.write_text(text)
-    cfg = train_config(tmp_path, dataset="csv", csv_path=data, total_epochs=1, hidden=4)
+    cfg = train_config(tmp_path, csv_path=data, total_epochs=1, hidden=4)
     assert message in assert_usage_error(["train", "--config", str(cfg)], capsys, code=2)
 
 
 def test_csv_split_out_of_range_exit_1(tmp_path, capsys):
     data = tmp_path / "data.csv"
     data.write_text("a,label\n" + "".join(f"{i},{i % 2}\n" for i in range(10)))
-    cfg = train_config(tmp_path, dataset="csv", csv_path=data, split=1.5)
+    cfg = train_config(tmp_path, csv_path=data, split=1.5)
     assert "split must be in (0, 1), got 1.5" in assert_usage_error(["train", "--config", str(cfg)], capsys)
+
+
+@pytest.mark.parametrize("bom_on, not_utf8_exit", [("config", 1), ("csv", 2)])
+def test_a_leading_bom_is_skipped(tmp_path, capsys, bom_on, not_utf8_exit):
+    data = tmp_path / "data.csv"
+    # the label column first, where a BOM left in its name would hide it
+    data.write_text("label,a,b\n" + "".join(f"{'xy'[i % 2]},{i % 2 * 3.0},{i % 5}\n" for i in range(40)))
+    cfg = train_config(tmp_path, csv_path=data, total_epochs=1, hidden=4)
+    target = {"config": cfg, "csv": data}[bom_on]
+    plain = target.read_bytes()
+    finals = []
+    for run, text in (("plain", plain), ("bom", b"\xef\xbb\xbf" + plain)):
+        target.write_bytes(text)
+        assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / run)]) == 0
+        finals.append((tmp_path / run / "final.wsnp").read_bytes())
+    assert finals[0] == finals[1]
+    target.write_bytes(b"\xef\xbb\xbf\xff" + plain)
+    assert_usage_error(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "bad")], capsys, code=not_utf8_exit)
 
 
 # ---------------------------------------------------------------------------

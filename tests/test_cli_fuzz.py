@@ -173,7 +173,7 @@ def _insert(raw: bytes, at: int, inserted: bytes) -> bytes:
 def _train_exit(tmp: str, config: bytes, csv_text: bytes | None = None) -> int:
     if csv_text is not None:
         (Path(tmp) / "data.csv").write_bytes(csv_text)
-        config += f"dataset = csv\ncsv_path = {Path(tmp) / 'data.csv'}\n".encode()
+        config += f"csv_path = {Path(tmp) / 'data.csv'}\n".encode()
     cfg = Path(tmp) / "run.cfg"
     cfg.write_bytes(config)
     return run_main(["train", "--config", str(cfg), "--out-dir", tmp])
@@ -250,7 +250,7 @@ def test_analyze_writes_utf8_under_an_ascii_locale(tmp_path):
 def test_train_reads_a_utf8_csv_under_an_ascii_locale(tmp_path):
     rows = "".join(f"{i % 7}.5,{i % 3},{'é' if i % 2 else 'e'}\n" for i in range(20))
     (tmp_path / "data.csv").write_bytes(("x0,x1,label\n" + rows).encode("utf-8"))
-    config = BASE_CONFIG_BYTES + f"dataset = csv\ncsv_path = {tmp_path / 'data.csv'}\n".encode()
+    config = BASE_CONFIG_BYTES + f"csv_path = {tmp_path / 'data.csv'}\n".encode()
     (tmp_path / "run.cfg").write_bytes(config)
     done = _cli_under_ascii_locale(["train", "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path)])
     assert done.returncode == 0, done.stderr

@@ -245,6 +245,50 @@ def test_csv_blank_lines_leave_row_numbers_and_the_empty_file_rule(tmp_path):
         make_dataset(CsvDataSpec(path=str(path)), seed=0)
 
 
+@st.composite
+def csv_files(draw):
+    """A CSV with a text label column, blank lines and any line end: (rows -> bytes, the rows, features, labels)."""
+    width = draw(st.integers(1, 4))
+    names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=2, max_size=4, unique=True))
+    extra = draw(st.lists(st.sampled_from(names), max_size=8))
+    labels = draw(st.permutations(names + extra))  # each name at least once
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    features = [draw(st.lists(finite, min_size=width, max_size=width)) for _ in labels]
+    label_at = draw(st.integers(0, width))
+    header = [f"f{i}" for i in range(width)]
+    header.insert(label_at, "label")
+    rows = [header]
+    for values, label in zip(features, labels):
+        rows.append(list(map(repr, values)))
+        rows[-1].insert(label_at, label)
+    # blank lines before each row and after the last
+    blanks = draw(st.lists(st.integers(0, 2), min_size=len(rows) + 1, max_size=len(rows) + 1))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+
+    def raw(rows):
+        lines = [line for before, row in zip(blanks, rows) for line in [""] * before + [",".join(row)]]
+        return (bom + "".join(line + end for line in lines + [""] * blanks[-1])).encode("utf-8")
+
+    return raw, rows, features, labels
+
+
+@settings(max_examples=80)
+@given(csv_files(), st.data())
+def test_load_csv_reads_every_written_value(tmp_path_factory, generated, data):
+    raw, rows, features, labels = generated
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(raw(rows))
+    x, y = train_engine._load_csv(CsvDataSpec(path=str(path)))
+    assert x.tolist() == features
+    assert y.tolist() == [sorted(set(labels)).index(label) for label in labels]
+    # a row one field short is named by its data-row number, blank lines not counted
+    short = data.draw(st.integers(1, len(rows) - 1))
+    path.write_bytes(raw([*rows[:short], rows[short][:-1], *rows[short + 1:]]))
+    with pytest.raises(CsvParseError, match=f"row {short} has {len(rows[0]) - 1} fields, expected {len(rows[0])}"):
+        train_engine._load_csv(CsvDataSpec(path=str(path)))
+
+
 def test_hand_built_dataset_checks_its_splits():
     x, y = np.zeros((4, 3)), np.array([0, 1, 0, 1])
     splits = {

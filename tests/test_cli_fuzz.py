@@ -35,8 +35,8 @@ TEXT_VALUES = (
 VALUES = st.one_of(st.integers(-3, 64).map(str), st.sampled_from(TEXT_VALUES))
 
 
-def run_main(argv: list[str]) -> int:
-    """main's exit code; a failing run must say why in one 'error:' line, and a numpy warning fails the test."""
+def run_main(argv: list[str], says: str = "") -> int:
+    """main's exit code; a failing run must say why in one 'error:' line holding `says`, and a numpy warning fails the test."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -44,6 +44,7 @@ def run_main(argv: list[str]) -> int:
     if code:
         message = err.getvalue()
         assert message.startswith("error: ") and message.count("\n") == 1, message
+        assert says in message, message
     return code
 
 
@@ -170,13 +171,13 @@ def _insert(raw: bytes, at: int, inserted: bytes) -> bytes:
     return raw[:at] + inserted + raw[at:]
 
 
-def _train_exit(tmp: str, config: bytes, csv_text: bytes | None = None) -> int:
+def _train_exit(tmp: str, config: bytes, csv_text: bytes | None = None, says: str = "") -> int:
     if csv_text is not None:
         (Path(tmp) / "data.csv").write_bytes(csv_text)
         config += f"csv_path = {Path(tmp) / 'data.csv'}\n".encode()
     cfg = Path(tmp) / "run.cfg"
     cfg.write_bytes(config)
-    return run_main(["train", "--config", str(cfg), "--out-dir", tmp])
+    return run_main(["train", "--config", str(cfg), "--out-dir", tmp], says)
 
 
 BASE_CONFIG_BYTES = "".join(f"{k} = {v}\n" for k, v in BASE_CONFIG.items()).encode()
@@ -216,9 +217,13 @@ PAST_INDEX_RANGE = st.sampled_from((2**62, 10**23, 10**30)).map(str)
     )
 )
 def test_sizes_past_numpys_index_range_exit_1(sizes):
-    config = BASE_CONFIG_BYTES + "".join(f"{k} = {v}\n" for k, v in sizes.items()).encode()
+    values = {**BASE_CONFIG, **sizes}
+    # more classes than samples is refused before anything is allocated
+    refused_first = int(values.get("classes", 2)) > int(values["samples"])
+    says = "each class needs at least one sample" if refused_first else "cannot allocate"
+    config = "".join(f"{k} = {v}\n" for k, v in values.items()).encode()
     with tempfile.TemporaryDirectory() as tmp:
-        assert _train_exit(tmp, config) == 1
+        assert _train_exit(tmp, config, says=says) == 1
 
 
 # Python's own UTF-8 mode and locale coercion off, so text files default to the C locale's ASCII

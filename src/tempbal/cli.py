@@ -220,19 +220,20 @@ def parse_config(path: str) -> dict[str, Any]:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line.strip()!r}")
-        key, _, raw = stripped.partition("=")
+        where = f"{path}:{line_no}"
+        key, eq, raw = stripped.partition("=")
         key = key.strip()
+        if not eq:
+            raise ConfigError(f"{where}: expected key=value, got {line.strip()!r}")
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown key {key}")
+            raise ConfigError(f"{where}: unknown key {key}")
         if key in set_on:
-            raise ConfigError(f"{path}:{line_no}: key {key} already set on line {set_on[key]}")
+            raise ConfigError(f"{where}: key {key} already set on line {set_on[key]}")
         set_on[key] = line_no
         try:
             values[key] = CONFIG_KEYS[key].parse(raw.strip())
         except ValueError as exc:
-            raise ConfigError(f"key {key}: {exc}") from None
+            raise ConfigError(f"{where}: key {key}: {exc}") from None
     return values
 
 

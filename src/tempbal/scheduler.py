@@ -186,12 +186,11 @@ def assign_lars(
 
 def schedule_epoch(
     config: ScheduleConfig,
-    t: int,
     snapshot: WeightSnapshot,
     policy: LambdaMinPolicy,
     grad_norms: Mapping[str, float] | None = None,
 ) -> ScheduleDecision:
-    """Learning rates for epoch t from the current weight snapshot.
+    """Learning rates for the snapshot's epoch t from its weights.
 
     Every layer starts at the global eta_t and keeps it before start_epoch
     and under global_only. lars rescales each layer by its trust ratio once
@@ -201,8 +200,9 @@ def schedule_epoch(
     skip the metric map and ride eta_t. A layer whose spectrum is degenerate
     also rides eta_t and shows in the decision's fallback_layers.
     """
+    t = snapshot.epoch
     if t >= config.total_epochs:
-        raise ValueError(f"t must be below total_epochs={config.total_epochs}, got {t}")
+        raise ValueError(f"snapshot epoch must be below total_epochs={config.total_epochs}, got {t}")
     eta_t = cal_rate(config.eta0, t, config.total_epochs)
     names = snapshot.layer_names()
     per_layer = dict.fromkeys(names, eta_t)

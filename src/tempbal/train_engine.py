@@ -398,6 +398,7 @@ def _load_csv(spec: CsvDataSpec) -> tuple[np.ndarray, np.ndarray]:
             header = next(rows, None)
             if header is None:
                 raise CsvParseError(f"{spec.path!r}: empty file")
+            header = [name.strip() for name in header]
             if spec.label_column not in header:
                 raise CsvParseError(f"{spec.path!r}: label column {spec.label_column!r} not found")
             label_idx = header.index(spec.label_column)
@@ -581,7 +582,7 @@ def run_training(
             if it % sched.update_interval_iters == 0:  # it restarts at 0, so each epoch refreshes first
                 a0 = perf_counter()
                 snap = snapshot_params(params, model, epoch=t)
-                decision = schedule_epoch(sched, t, snap, policy, grad_norms=last_grad_norms)
+                decision = schedule_epoch(sched, snap, policy, grad_norms=last_grad_norms)
                 lr_map = _param_lr_map(decision, params)
                 analysis_sec += perf_counter() - a0
             loss, grads = loss_and_grads(params, model, xb, yb)

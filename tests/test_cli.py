@@ -283,8 +283,12 @@ def test_train_malformed_line_exit_1(tmp_path):
         ("eta0 = 0.1\n# the rate again\neta0 = 0.2\n", "bad.cfg:3: key eta0 already set on line 1"),
         # csv_path alone picks the data source
         ("dataset = csv\n", "unknown key dataset"),
+        ("foo = 1\n", "bad.cfg:1: unknown key foo"),
+        ("total_epochs = 4\neta0 = x\n", "bad.cfg:2: key eta0: expected number, got 'x'"),
+        ("exclude_first_last = maybe\n", "bad.cfg:1: key exclude_first_last: expected boolean, got 'maybe'"),
+        ("total_epochs = 2\nepochs = 3\n", "epochs must be in [0, total_epochs=2], got 3"),
     ],
-    ids=["repeated", "dataset"],
+    ids=["repeated", "dataset", "unknown", "value", "boolean", "epochs"],
 )
 def test_train_key_refused_exit_1(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"

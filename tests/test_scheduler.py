@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from tempbal.scheduler import (
     cal_rate,
     schedule_epoch,
 )
-from tempbal.weight_store import LayerTensor, WeightSnapshot
+from tempbal.weight_store import LayerTensor, WeightSnapshot, load_snapshot, save_snapshot
 
 # ---------------------------------------------------------------------------
 # cosine annealing
@@ -275,8 +276,8 @@ def config(**kw):
 
 
 def test_global_only_assigns_eta_t():
-    snap = make_snapshot()
-    decision = schedule_epoch(config(assignment="global_only"), 2, snap, LambdaMinPolicy())
+    snap = make_snapshot(epoch=2)
+    decision = schedule_epoch(config(assignment="global_only"), snap, LambdaMinPolicy())
     eta = cal_rate(0.1, 2, 10)
     assert decision.eta_t == eta
     assert all(lr == eta for lr in decision.per_layer.values())
@@ -285,17 +286,17 @@ def test_global_only_assigns_eta_t():
 
 def test_start_epoch_defers_to_global():
     snap = make_snapshot()
-    decision = schedule_epoch(config(start_epoch=2), 0, snap, LambdaMinPolicy())
+    decision = schedule_epoch(config(start_epoch=2), snap, LambdaMinPolicy())
     assert all(lr == decision.eta_t for lr in decision.per_layer.values())
     assert decision.alphas_used == {}
-    engaged = schedule_epoch(config(start_epoch=2), 2, snap, LambdaMinPolicy())
+    engaged = schedule_epoch(config(start_epoch=2), dataclasses.replace(snap, epoch=2), LambdaMinPolicy())
     assert engaged.alphas_used
 
 
 def test_schedule_respects_range_and_order():
-    snap = make_snapshot(seed=3)
+    snap = make_snapshot(seed=3, epoch=1)
     cfg = config(exclude_first_last=False)
-    decision = schedule_epoch(cfg, 1, snap, LambdaMinPolicy())
+    decision = schedule_epoch(cfg, snap, LambdaMinPolicy())
     eta = decision.eta_t
     assert set(decision.per_layer) == set(snap.layer_names())
     for lr in decision.per_layer.values():
@@ -307,8 +308,8 @@ def test_schedule_respects_range_and_order():
 
 
 def test_exclude_first_last_ride_global():
-    snap = make_snapshot(seed=4)
-    decision = schedule_epoch(config(), 1, snap, LambdaMinPolicy())
+    snap = make_snapshot(seed=4, epoch=1)
+    decision = schedule_epoch(config(), snap, LambdaMinPolicy())
     names = snap.layer_names()
     assert decision.per_layer[names[0]] == decision.eta_t
     assert decision.per_layer[names[-1]] == decision.eta_t
@@ -325,7 +326,7 @@ def test_degenerate_layer_falls_back_flagged():
         LayerTensor("ok3", rng.normal(size=(16, 24))),
     )
     snap = WeightSnapshot(epoch=0, layers=layers)
-    decision = schedule_epoch(config(exclude_first_last=False), 0, snap, LambdaMinPolicy())
+    decision = schedule_epoch(config(exclude_first_last=False), snap, LambdaMinPolicy())
     assert "dead" in decision.fallback_layers
     assert decision.per_layer["dead"] == decision.eta_t
     assert "dead" not in decision.alphas_used
@@ -334,10 +335,10 @@ def test_degenerate_layer_falls_back_flagged():
 def test_lars_assignment_through_schedule():
     snap = make_snapshot(seed=6, n_layers=3)
     cfg = config(assignment="lars")
-    first = schedule_epoch(cfg, 0, snap, LambdaMinPolicy(), grad_norms=None)
+    first = schedule_epoch(cfg, snap, LambdaMinPolicy(), grad_norms=None)
     assert all(lr == first.eta_t for lr in first.per_layer.values())
     norms = {name: 2.0 for name in snap.layer_names()}
-    later = schedule_epoch(cfg, 0, snap, LambdaMinPolicy(), grad_norms=norms)
+    later = schedule_epoch(cfg, snap, LambdaMinPolicy(), grad_norms=norms)
     for name, layer in zip(snap.layer_names(), snap.layers):
         w_norm = float(np.linalg.norm(layer.values))
         assert later.per_layer[name] == pytest.approx(later.eta_t * w_norm / (2.0 + 1e-9), rel=1e-12)
@@ -345,7 +346,21 @@ def test_lars_assignment_through_schedule():
 
 def test_schedule_epoch_validates_t():
     with pytest.raises(ValueError):
-        schedule_epoch(config(), 10, make_snapshot(), LambdaMinPolicy())
+        schedule_epoch(config(), make_snapshot(epoch=10), LambdaMinPolicy())
+
+
+def test_schedule_epoch_schedules_the_snapshots_epoch(tmp_path):
+    cfg = config(start_epoch=3)
+    for e in range(cfg.total_epochs):
+        decision = schedule_epoch(cfg, make_snapshot(epoch=e), LambdaMinPolicy())
+        assert decision.epoch == e
+        assert decision.eta_t == cal_rate(cfg.eta0, e, cfg.total_epochs)
+        assert bool(decision.alphas_used) == (e >= cfg.start_epoch)
+    # a checkpoint read back is scheduled at the epoch stored in its file
+    save_snapshot(make_snapshot(epoch=7), str(tmp_path / "ckpt.wsnp"))
+    assert schedule_epoch(cfg, load_snapshot(str(tmp_path / "ckpt.wsnp")), LambdaMinPolicy()).epoch == 7
+    with pytest.raises(ValueError, match="snapshot epoch must be below total_epochs=10, got 10"):
+        schedule_epoch(cfg, make_snapshot(epoch=cfg.total_epochs), LambdaMinPolicy())
 
 
 def test_config_validation():
@@ -402,10 +417,11 @@ def scalable_snapshots(draw):
 def test_schedule_is_invariant_to_weight_scale(snap, c, assignment, variant, exclude_first_last):
     cfg = config(assignment=assignment, metric="alpha_hill", exclude_first_last=exclude_first_last)
     policy = LambdaMinPolicy(variant=variant)
+    snap = dataclasses.replace(snap, epoch=3)
     scaled = WeightSnapshot(
-        epoch=0, layers=tuple(LayerTensor(layer.name, c * layer.values) for layer in snap.layers)
+        epoch=3, layers=tuple(LayerTensor(layer.name, c * layer.values) for layer in snap.layers)
     )
-    base, other = (schedule_epoch(cfg, 3, s, policy) for s in (snap, scaled))
+    base, other = (schedule_epoch(cfg, s, policy) for s in (snap, scaled))
     assert other.fallback_layers == base.fallback_layers
     assert {r.name: r.metrics.k for r in other.analyses if r.metrics} == {
         r.name: r.metrics.k for r in base.analyses if r.metrics
@@ -443,7 +459,7 @@ def test_schedule_decisions_keep_range_fallback_and_metric_order(
     snap, t, assignment, variant, metric, exclude_first_last, s1, s2
 ):
     cfg = config(assignment=assignment, metric=metric, exclude_first_last=exclude_first_last, s1=s1, s2=s2)
-    decision = schedule_epoch(cfg, t, snap, LambdaMinPolicy(variant=variant))
+    decision = schedule_epoch(cfg, dataclasses.replace(snap, epoch=t), LambdaMinPolicy(variant=variant))
     eta_t = decision.eta_t
     assert eta_t == cal_rate(cfg.eta0, t, cfg.total_epochs)
     assert decision.per_layer.keys() == set(snap.layer_names())

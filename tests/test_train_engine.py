@@ -247,7 +247,10 @@ def test_csv_blank_lines_leave_row_numbers_and_the_empty_file_rule(tmp_path):
 
 @st.composite
 def csv_files(draw):
-    """A CSV with a text label column, blank lines and any line end: (rows -> bytes, the rows, features, labels)."""
+    """A CSV with a text label column, blank lines, any line end and `,` or `, ` between fields.
+
+    Returns (rows -> bytes, the rows, features, labels).
+    """
     width = draw(st.integers(1, 4))
     names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=2, max_size=4, unique=True))
     extra = draw(st.lists(st.sampled_from(names), max_size=8))
@@ -265,9 +268,10 @@ def csv_files(draw):
     blanks = draw(st.lists(st.integers(0, 2), min_size=len(rows) + 1, max_size=len(rows) + 1))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     bom = draw(st.sampled_from(["", "\ufeff"]))
+    sep = draw(st.sampled_from([",", ", "]))
 
     def raw(rows):
-        lines = [line for before, row in zip(blanks, rows) for line in [""] * before + [",".join(row)]]
+        lines = [line for before, row in zip(blanks, rows) for line in [""] * before + [sep.join(row)]]
         return (bom + "".join(line + end for line in lines + [""] * blanks[-1])).encode("utf-8")
 
     return raw, rows, features, labels
@@ -888,9 +892,9 @@ def spy_on_refreshes(monkeypatch):
     """
     refreshes, steps = [], []
 
-    def spy_schedule(config, t, snapshot, policy, grad_norms=None):
-        decision = schedule_epoch(config, t, snapshot, policy, grad_norms=grad_norms)
-        refreshes.append((t, len(steps), grad_norms, decision))
+    def spy_schedule(config, snapshot, policy, grad_norms=None):
+        decision = schedule_epoch(config, snapshot, policy, grad_norms=grad_norms)
+        refreshes.append((snapshot.epoch, len(steps), grad_norms, decision))
         return decision
 
     def spy_sgd(params, grads, velocity, optim, lr_map):
@@ -923,9 +927,9 @@ def test_schedule_refreshes_every_interval_and_each_step_uses_the_latest(monkeyp
 def test_refresh_and_final_snapshots_view_the_live_weights(monkeypatch):
     snapshots, live = [], []
 
-    def spy_schedule(config, t, snapshot, policy, grad_norms=None):
+    def spy_schedule(config, snapshot, policy, grad_norms=None):
         snapshots.append(snapshot)
-        return schedule_epoch(config, t, snapshot, policy, grad_norms=grad_norms)
+        return schedule_epoch(config, snapshot, policy, grad_norms=grad_norms)
 
     def spy_sgd(params, grads, velocity, optim, lr_map):
         live.append(params)

@@ -35,8 +35,9 @@ The same floor bounds what the ESD can resolve: an eigenvalue below it,
 however well defined in W, reads as zero.
 
 W W^T squares the range of W, but so does the ESD itself (lambda = sigma^2):
-a layer whose W W^T overflows float64 has eigenvalues that overflow too,
-and compute_esd raises a NumericalError naming that.
+a layer whose W W^T overflows float64 has eigenvalues that overflow too.
+gram's one check of a layer's values, that the summed W W^T is finite,
+refuses such a layer, and one with a non-finite weight, with a NumericalError.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ from .weight_store import Layer
 
 # rows of the Gram matrix that gram adds per product; 256 was slower on a 4096 x 1024 layer
 GRAM_STRIP = 128
-
-
-class NonFiniteMatrixError(NumericalError):
-    """Weight matrix contains NaN or infinity."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ def roundoff_floor(n: int) -> float:
 
 
 def gram(layer: Layer) -> np.ndarray:
-    """The n x n Gram matrix W W^T of a layer in its lower triangle, diagonal included, checked finite.
+    """The n x n Gram matrix W W^T of a layer in its lower triangle, diagonal included, checked finite once summed.
 
     Each block of n of its flattened rows gives C, whose rows are columns of W (the block when its rows are W^T,
     its transpose when they are W), and W W^T is the sum of the C^T C. Each C^T C is added to the lower triangle
@@ -119,15 +116,14 @@ def gram(layer: Layer) -> np.ndarray:
     tall = _tall(layer.shape)
     product = np.zeros((n, n))
     for block in layer.row_blocks(n):
-        if not np.all(np.isfinite(block)):
-            raise NonFiniteMatrixError(f"{layer.name!r}: non-finite entries in weight matrix")
         cols = block if tall else block.T
         with np.errstate(over="ignore", invalid="ignore"):  # checked after the sum
             for j0 in range(0, n, GRAM_STRIP):
                 j1 = min(j0 + GRAM_STRIP, n)
                 product[j0:j1, :j1] += cols[:, j0:j1].T @ cols[:, :j1]
+    # every strip writes its diagonal block, and a non-finite w_ij makes (W W^T)_ii = sum_j w_ij^2 non-finite
     if not np.all(np.isfinite(product)):
-        raise NumericalError(f"{layer.name!r}: W W^T overflows float64, so its eigenvalues would too")
+        raise NumericalError(f"{layer.name!r}: W has a non-finite entry, or W W^T overflows float64")
     return product
 
 

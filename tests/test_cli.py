@@ -102,6 +102,24 @@ def test_analyze_ks_names_a_layer_with_no_candidate_k(tmp_path):
     assert rows[1] == "rank2,8,12,,,,,,degenerate: 'rank2': no candidate k admits a power-law fit"
 
 
+def test_analyze_reports_a_layer_with_a_non_finite_weight_degenerate(snapshot_path, tmp_path):
+    # a tall layer read in blocks, with an infinite weight in its ragged last one, put between the file's layers
+    bad = np.random.default_rng(3).normal(size=(2 * 9 + 4, 9))
+    bad[-1, 2] = np.inf
+    layers = [LayerTensor(layer.name, layer.values) for layer in load_snapshot(str(snapshot_path)).layers]
+    layers.insert(1, LayerTensor("bad", bad))
+    bad_path = tmp_path / "bad.wsnp"
+    save_snapshot(WeightSnapshot(epoch=3, layers=layers), str(bad_path))
+    assert main(["analyze", str(snapshot_path), "--out-dir", str(tmp_path / "clean")]) == 0
+    assert main(["analyze", str(bad_path), "--out-dir", str(tmp_path / "bad")]) == 0
+    clean = (tmp_path / "clean" / "metrics.csv").read_text().splitlines()
+    rows = (tmp_path / "bad" / "metrics.csv").read_text().splitlines()
+    # the reason holds a comma, so its cell is quoted
+    assert rows.pop(2) == "bad,9,22,,,,,,\"degenerate: 'bad': W has a non-finite entry, or W W^T overflows float64\""
+    assert rows == clean
+    assert (tmp_path / "bad" / "esd.csv").read_bytes() == (tmp_path / "clean" / "esd.csv").read_bytes()
+
+
 def test_analyze_deterministic_bytes(snapshot_path, tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     main(["analyze", str(snapshot_path), "--out-dir", str(out1)])

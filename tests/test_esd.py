@@ -1,4 +1,5 @@
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from tempbal import cli, esd, train_engine
 from tempbal.errors import NumericalError
-from tempbal.esd import GRAM_STRIP, ESD, NonFiniteMatrixError, compute_esd, gram, matrix, orient, roundoff_floor
+from tempbal.esd import GRAM_STRIP, ESD, compute_esd, gram, matrix, orient, roundoff_floor
 from tempbal.htsr import POLICY_VARIANTS, LambdaMinPolicy, layer_metrics
 from tempbal.rmt_lab import PLSpectrumSpec, synth_pl_matrix
 from tempbal.train_engine import snr_grad_term
@@ -154,11 +155,46 @@ def test_sum_identity_frobenius():
         assert np.isclose(lam.sum(), np.linalg.norm(w) ** 2, rtol=1e-9)
 
 
-def test_non_finite_rejected():
-    w = np.ones((3, 4))
-    w[1, 2] = np.nan
-    with pytest.raises(NonFiniteMatrixError):
-        compute_esd(LayerTensor("bad", w))
+def with_a_non_finite_weight(shape, index, bad, seed=0):
+    values = np.random.default_rng(seed).normal(size=shape)
+    values[index] = bad
+    return values
+
+
+@st.composite
+def layers_with_a_non_finite_weight(draw):
+    """(kind, values): one NaN or infinite weight at a drawn index of a wide, tall or 4-D conv array, or of a stored
+    wide one, or of a stored tall one of n = GRAM_STRIP + 1 read in two blocks of n rows and a ragged one."""
+    kind = draw(st.sampled_from(("wide", "tall", "conv", "stored wide", "stored tall")))
+    shape = {
+        "wide": lambda: (draw(st.integers(1, 8)), draw(st.integers(8, 16))),
+        "tall": lambda: (draw(st.integers(9, 16)), draw(st.integers(1, 8))),
+        "conv": lambda: tuple(draw(st.integers(1, 4)) for _ in range(4)),
+        "stored wide": lambda: (draw(st.integers(1, GRAM_STRIP + 1)), 2 * GRAM_STRIP + 3),
+        "stored tall": lambda: (2 * (GRAM_STRIP + 1) + draw(st.integers(1, GRAM_STRIP)), GRAM_STRIP + 1),
+    }[kind]()
+    index = np.unravel_index(draw(st.integers(0, int(np.prod(shape)) - 1)), shape)
+    bad = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    return kind, with_a_non_finite_weight(shape, index, bad, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150)
+@given(layers_with_a_non_finite_weight())
+# the last row of W, a strip of its own: no product above the diagonal reads it
+@example(("stored tall", with_a_non_finite_weight((2 * GRAM_STRIP + 9, GRAM_STRIP + 1), (5, GRAM_STRIP), np.nan)))
+@example(("wide", with_a_non_finite_weight((1, 9), (0, 4), -np.inf)))
+@example(("conv", with_a_non_finite_weight((3, 2, 2, 2), (2, 1, 0, 1), np.inf)))
+def test_non_finite_rejected(case):
+    kind, values = case
+    with tempfile.TemporaryDirectory() as tmp:  # hypothesis runs every example in one tmp_path
+        layer = LayerTensor(kind, values)
+        if kind.startswith("stored"):
+            path = os.path.join(tmp, "bad.wsnp")
+            save_snapshot(WeightSnapshot(epoch=0, layers=(layer,)), path)
+            (layer,) = load_snapshot(path).layers
+        with pytest.raises(NumericalError, match="non-finite entry") as raised:
+            compute_esd(layer)
+    assert str(raised.value).startswith(repr(kind))
 
 
 def test_esd_ascending_and_nonnegative():

@@ -431,7 +431,7 @@ def test_a_tall_stored_layer_with_a_nonfinite_last_block_is_degenerate_as_in_mem
     snap = WeightSnapshot(epoch=0, layers=(LayerTensor("tall", tall),))
     eager, streamed = eager_and_streamed(tmp_path, snap, "median")
     assert streamed == eager
-    assert streamed[0].metrics is None and "non-finite entries" in streamed[0].error
+    assert streamed[0].metrics is None and "non-finite entry" in streamed[0].error
 
 
 def test_analyze_memory_follows_the_gram_of_a_tall_stored_layer(tmp_path):

@@ -41,11 +41,7 @@ KS_CANDIDATES = 64  # KS distances computed at once: under the n x n Gram's size
 
 
 class DegenerateSpectrumError(NumericalError):
-    """Fewer than 4 eigenvalues, or all of them zero: no tail exists to fit."""
-
-
-class DegenerateThresholdError(NumericalError):
-    """The tail threshold lambda_{n-k} is zero; log-ratios are undefined."""
+    """No tail can be fit: fewer than 4 eigenvalues, all of them zero, no candidate k, or a zero threshold."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,8 @@ def hill_alpha(esd: ESD, k: int) -> float:
     Returns 1 + k / sum_{i=1..k} ln(lambda_{n-i+1}/lambda_{n-k}). A flat
     tail, whose log-sum is at most FLAT_TAIL_ROUNDOFFS * k * roundoff_floor(n)
     (all top k+1 eigenvalues equal up to roundoff), returns math.inf at any
-    scale of the eigenvalues.
+    scale of the eigenvalues. A zero threshold lambda_{n-k} leaves the
+    log-ratios undefined and raises DegenerateSpectrumError.
     """
     lam = esd.eigenvalues
     n = lam.size
@@ -96,7 +93,7 @@ def hill_alpha(esd: ESD, k: int) -> float:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     threshold = lam[n - k - 1]
     if threshold <= 0.0:
-        raise DegenerateThresholdError(
+        raise DegenerateSpectrumError(
             f"{esd.source_name!r}: tail threshold lambda_(n-k) is zero for k={k}"
         )
     log_sum = float(np.sum(np.log(lam[n - k:] / threshold)))
@@ -178,13 +175,14 @@ def _select_k_fixfinger(lam: np.ndarray, bins: int) -> int:
     on the same log10 values the histogram bins, so when the peak is the
     first bin its edge, the smallest positive eigenvalue, is never above
     itself. A flat spectrum's peak holds every positive eigenvalue, all above
-    its left edge. The count clamps into [2, n-1].
+    its left edge. The count clamps into [2, r-1] for the r positive
+    eigenvalues, so the threshold is positive unless r <= 2.
     """
-    n = lam.size
+    positive = lam[lam > 0]
     counts, edges = log10_histogram(lam, bins)
     peak_bin = int(np.argmax(counts))
-    k = int(np.sum(np.log10(lam[lam > 0]) > edges[peak_bin]))
-    return min(max(k, 2), n - 1)
+    k = int(np.sum(np.log10(positive) > edges[peak_bin]))
+    return max(min(k, positive.size - 1), 2)
 
 
 def select_k(esd: ESD, policy: LambdaMinPolicy) -> int:

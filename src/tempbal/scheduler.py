@@ -41,7 +41,7 @@ _MEAN_RATIO = {"sqrt": (math.sqrt, 0.0, "positive metric values"), "log2": (math
 
 
 class AssignmentError(NumericalError):
-    """Metric values outside the domain of the assignment function."""
+    """Metric values or norms outside the domain of the assignment function."""
 
 
 @dataclass(frozen=True)
@@ -174,13 +174,16 @@ def assign_lars(
     weight_norms: Mapping[str, float],
     grad_norms: Mapping[str, float],
 ) -> dict[str, float]:
-    """Trust-ratio rates eta_t * ||w|| / (||g|| + LARS_EPS); zero-norm layers ride eta_t."""
+    """Trust-ratio rates eta_t * ||w|| / (||g|| + LARS_EPS); zero-norm layers ride eta_t.
+
+    A non-finite weight or gradient norm has no trust ratio: AssignmentError names its layer.
+    """
     out = {}
     for name, w_norm in weight_norms.items():
-        if w_norm == 0.0:
-            out[name] = eta_t
-        else:
-            out[name] = eta_t * w_norm / (grad_norms.get(name, 0.0) + LARS_EPS)
+        g_norm = grad_norms.get(name, 0.0)
+        if not (math.isfinite(w_norm) and math.isfinite(g_norm)):
+            raise AssignmentError(f"lars norms for {name!r} are not finite: ||w|| = {w_norm}, ||g|| = {g_norm}")
+        out[name] = eta_t if w_norm == 0.0 else eta_t * w_norm / (g_norm + LARS_EPS)
     return out
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from tempbal.errors import NumericalError
 from tempbal.esd import ESD, compute_esd, roundoff_floor
 from tempbal.htsr import (
+    POLICY_VARIANTS,
     DegenerateSpectrumError,
-    DegenerateThresholdError,
     LambdaMinPolicy,
     analyze_snapshot,
     hill_alpha,
@@ -74,7 +74,7 @@ def test_hill_k_bounds():
 
 def test_hill_zero_threshold():
     esd = esd_of([0.0, 0.0, 1.0, 2.0])
-    with pytest.raises(DegenerateThresholdError):
+    with pytest.raises(DegenerateSpectrumError, match="tail threshold"):
         hill_alpha(esd, 2)
 
 
@@ -465,7 +465,7 @@ def rank2_layer():
 def test_rank_deficient_median_threshold_is_degenerate():
     # median k = 3 puts lambda_(n-k) in the 4-dimensional null space
     esd = compute_esd(LayerTensor("rank2", rank2_layer()))
-    with pytest.raises(DegenerateThresholdError):
+    with pytest.raises(DegenerateSpectrumError, match="tail threshold"):
         layer_metrics(esd, LambdaMinPolicy(variant="median"))
     snapshot = WeightSnapshot(epoch=0, layers=(LayerTensor("rank2", rank2_layer()),))
     (row,) = analyze_snapshot(snapshot, LambdaMinPolicy(variant="median"))
@@ -642,17 +642,34 @@ def test_hill_alpha_and_select_k_are_invariant_to_eigenvalue_scale(esd, c):
 @settings(max_examples=150)
 @given(
     seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40), m=st.integers(40, 80), zeros=st.integers(1, 19),
-    df=st.sampled_from((1.5, 2.5, 4.0)), variant=st.sampled_from(("ks", "fixfinger")),
+    df=st.sampled_from((1.5, 2.5, 4.0, None)), variant=st.sampled_from(("ks", "fixfinger")),
 )
 @example(seed=1, n=40, m=40, zeros=19, df=1.5, variant="ks")  # turns tall: 59 x 40
 @example(seed=2, n=35, m=41, zeros=10, df=4.0, variant="fixfinger")
+@example(seed=3, n=4, m=8, zeros=2, df=None, variant="fixfinger")  # eigenvalues 0, 0, 9, 9, 9, 9
 def test_zero_rows_move_no_fit_under_ks_or_fixfinger(seed, n, m, zeros, df, variant):
     # a zero row adds a zero eigenvalue (or, once the layer turns tall, leaves W^T W as it was), and the
     # ks and fixfinger thresholds read only the positive ones; median is left out: its k = n // 2 counts
-    # the zeros, the rank-deficient threshold that ROADMAP item 5 fixes
-    w = np.random.default_rng(seed).standard_t(df, size=(n, m))
+    # the zeros, the rank-deficient threshold that ROADMAP item 5 fixes. df None draws a flat layer,
+    # orthonormal rows times one constant, whose positive eigenvalues all sit in the histogram's peak
+    w = flat_layer(n, m, seed) if df is None else np.random.default_rng(seed).standard_t(df, size=(n, m))
     padded = np.vstack([w, np.zeros((zeros, m))])
     policy = LambdaMinPolicy(variant=variant)
     fit, padded_fit = (layer_metrics(compute_esd(LayerTensor("w", v)), policy) for v in (w, padded))
     assert padded_fit.k == fit.k
     assert padded_fit.alpha_hill == pytest.approx(fit.alpha_hill, rel=1e-12, abs=0)
+
+
+@settings(max_examples=300)
+@given(scalable_spectra(), st.integers(0, 8), st.integers(1, 32))
+@example(compute_esd(LayerTensor("flat", np.vstack([flat_layer(4, 8), np.zeros((2, 8))]))), 0, 32)
+def test_a_fit_is_made_on_a_positive_threshold_or_raises_degenerate_spectrum_error(esd, zeros, keep):
+    # the top keep eigenvalues above zeros zeros: short spectra, zero thresholds and flat tails over zeros
+    lam = np.concatenate([np.zeros(zeros), esd.eigenvalues[-keep:]])
+    padded = ESD(eigenvalues=lam, source_name=esd.source_name)
+    for variant in POLICY_VARIANTS:
+        try:
+            met = layer_metrics(padded, LambdaMinPolicy(variant=variant))
+        except DegenerateSpectrumError:
+            continue
+        assert met.lambda_min > 0, variant

@@ -344,6 +344,20 @@ def test_lars_assignment_through_schedule():
         assert later.per_layer[name] == pytest.approx(later.eta_t * w_norm / (2.0 + 1e-9), rel=1e-12)
 
 
+@pytest.mark.parametrize("where, value", [("weight", math.nan), ("grad", math.nan), ("grad", math.inf)])
+def test_lars_refuses_a_non_finite_norm(where, value):
+    rng = np.random.default_rng(6)
+    layers = [rng.normal(size=(16, 24)) for _ in range(3)]
+    grad_norms = {"l0": 1.0, "l1": 1.0, "l2": 1.0}
+    if where == "weight":
+        layers[1][3, 5] = value
+    else:
+        grad_norms["l1"] = value
+    snap = WeightSnapshot(epoch=0, layers=tuple(LayerTensor(f"l{i}", w) for i, w in enumerate(layers)))
+    with pytest.raises(AssignmentError, match="'l1'"):
+        schedule_epoch(config(assignment="lars"), snap, LambdaMinPolicy(), grad_norms=grad_norms)
+
+
 def test_schedule_epoch_validates_t():
     with pytest.raises(ValueError):
         schedule_epoch(config(), make_snapshot(epoch=10), LambdaMinPolicy())
